@@ -14,7 +14,8 @@ from .config import RunConfig, load_config, parse_variant
 from .data import (BlobSpec, generate_gaussian_stream, load_dataset,
                    read_checkpoint, save_dataset)
 from .metrics import step_report
-from .protocol import run_experiment, run_sweep, variant_name
+from .protocol import (ProtocolError, run_experiment, run_sweep, sweep_config,
+                       variant_name)
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -148,10 +149,15 @@ def cmd_sweep(args) -> int:
     cfg, dataset = _load_inputs(args)
     if "=" not in args.axis:
         raise UsageError("axis must look like 'q=2,5,10,20'")
-    axis, raw = args.axis.split("=", 1)
+    axis, raw = (part.strip() for part in args.axis.split("=", 1))
     values = [v.strip() for v in raw.split(",") if v.strip()]
+    try:
+        for value in values:
+            sweep_config(cfg, axis, value)
+    except ProtocolError as exc:  # unknown axis, or a value its field rejects
+        raise UsageError(str(exc)) from exc
     out_dir = args.out or _default_out(cfg, f"sweep_{axis}")
-    rows = run_sweep(cfg, dataset, axis.strip(), values, out_dir,
+    rows = run_sweep(cfg, dataset, axis, values, out_dir,
                      repeats=args.repeats, jobs=args.jobs)
     print(f"{axis:>12} {'seed':>6} {'avg_acc':>8} {'last_acc':>9}")
     for row in rows:

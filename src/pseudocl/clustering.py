@@ -65,14 +65,64 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = np.sum((x[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    return np.argmin(d2, axis=1)
+    """Nearest centroid per row, lowest index on ties.
+
+    The screen uses the GEMM form |x|^2 - 2 x.c + |c|^2. Its rounding error
+    and that of the exact form sum((x - c)^2) are each below
+    (d + 3) eps (|x|^2 + |c|^2). A row whose two smallest GEMM distances
+    differ by more than four times that bound (with the largest |c|^2)
+    therefore has the same argmin under both forms; the remaining rows are
+    decided by the exact form.
+    """
+    xx = np.einsum("ij,ij->i", x, x)
+    cc = np.einsum("ij,ij->i", centroids, centroids)
+    d2 = xx[:, None] - 2.0 * (x @ centroids.T) + cc
+    best = np.argmin(d2, axis=1)
+    if centroids.shape[0] > 1:
+        two = np.partition(d2, 1, axis=1)
+        slack = 4 * (x.shape[1] + 3) * np.finfo(float).eps * (xx + cc.max())
+        near = np.flatnonzero(two[:, 1] - two[:, 0] <= slack)
+        if near.size:
+            diff = x[near, None, :] - centroids[None, :, :]
+            best[near] = np.argmin(np.sum(diff ** 2, axis=2), axis=1)
+    return best
 
 
 def _objective(x: np.ndarray, centroids: np.ndarray,
                assignments: np.ndarray) -> float:
     diff = x - centroids[assignments]
     return float(np.mean(np.sum(diff * diff, axis=1)))
+
+
+def _update(x: np.ndarray, centroids: np.ndarray,
+            assignments: np.ndarray) -> np.ndarray:
+    """Lloyd centroid update with empty-cluster repair.
+
+    Repair moves points between clusters, so ``assignments`` is updated in
+    place.
+    """
+    k = centroids.shape[0]
+    new_centroids = centroids.copy()
+    counts = np.bincount(assignments, minlength=k)
+    ends = np.cumsum(counts)
+    # each cluster's rows in index order, as one contiguous block, so the
+    # block mean sums in the same order as x[assignments == j].mean(0)
+    grouped = x[np.argsort(assignments, kind="stable")]
+    for j in np.flatnonzero(counts):
+        new_centroids[j] = grouped[ends[j] - counts[j]:ends[j]].mean(axis=0)
+    # empty-cluster repair: seed each empty cluster with the point
+    # currently farthest from its own centroid (lowest index on ties);
+    # a repair that empties a later cluster is repaired in the same pass
+    for j in range(k):
+        if counts[j]:
+            continue
+        dists = np.sum((x - new_centroids[assignments]) ** 2, axis=1)
+        far = int(np.argmax(dists))
+        new_centroids[j] = x[far]
+        counts[assignments[far]] -= 1
+        counts[j] += 1
+        assignments[far] = j
+    return new_centroids
 
 
 def _kmeans_single(x: np.ndarray, k: int, seed: int, max_iter: int,
@@ -84,19 +134,7 @@ def _kmeans_single(x: np.ndarray, k: int, seed: int, max_iter: int,
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        new_centroids = centroids.copy()
-        for j in range(k):
-            mask = assignments == j
-            if np.any(mask):
-                new_centroids[j] = x[mask].mean(axis=0)
-        # empty-cluster repair: seed each empty cluster with the point
-        # currently farthest from its own centroid (lowest index on ties)
-        for j in range(k):
-            if not np.any(assignments == j):
-                dists = np.sum((x - new_centroids[assignments]) ** 2, axis=1)
-                far = int(np.argmax(dists))
-                new_centroids[j] = x[far]
-                assignments[far] = j
+        new_centroids = _update(x, centroids, assignments)
         new_assignments = _assign(x, new_centroids)
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids

@@ -55,6 +55,14 @@ class RunConfig:
             raise ValueError("batch_size and lr_decay_period must be positive")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
+        if self.hidden_width < 1:
+            raise ValueError("hidden_width must be >= 1")
+        if self.pca_dim < 1:
+            raise ValueError("pca_dim must be >= 1")
+        if self.n_restarts < 1:
+            raise ValueError("n_restarts must be >= 1")
         if self.alpha_override is not None \
                 and not 0.0 <= self.alpha_override <= 1.0:
             raise ValueError("alpha_override must lie in [0, 1]")
@@ -92,7 +100,10 @@ _FIELD_TO_KEY = {v: k for k, v in CONFIG_KEYS.items()}
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
-def _coerce(field: str, raw: str):
+def coerce_field(field: str, raw: str):
+    """Convert a raw string to the type of RunConfig field ``field``."""
+    if field not in _FIELD_TYPES:
+        raise ValueError(f"unknown config field {field!r}")
     kind = _FIELD_TYPES[field]
     if kind == "float | None":
         low = raw.strip().lower()
@@ -136,7 +147,7 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
             field = CONFIG_KEYS.get(key, key if key in _FIELD_TYPES else None)
             if field is None:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[field] = _coerce(field, raw)
+            values[field] = coerce_field(field, raw)
     if "variant" in values:
         variant, upl_k = parse_variant(values["variant"])
         values["variant"] = variant

@@ -85,7 +85,8 @@ class Dataset:
         self.features = features
         self.sealed = SealedLabels(labels)
         self.seed = seed
-        self._index = {int(i): pos for pos, i in enumerate(ids)}
+        self._order = np.argsort(ids, kind="stable")
+        self._sorted_ids = ids[self._order]
         self.is_eval = _stratified_eval_mask(labels, EVAL_FRACTION, SPLIT_SEED)
         for c in np.unique(labels):
             if not np.any(self.is_eval & (labels == c)):
@@ -105,7 +106,13 @@ class Dataset:
         return np.unique(self.sealed._peek())
 
     def positions(self, ids) -> np.ndarray:
-        return np.array([self._index[int(i)] for i in np.asarray(ids)])
+        """Row index of each sample id; KeyError names the first unknown id."""
+        ids = np.asarray(ids, dtype=int)
+        slot = np.minimum(np.searchsorted(self._sorted_ids, ids), len(self) - 1)
+        unknown = self._sorted_ids[slot] != ids
+        if unknown.any():
+            raise KeyError(int(ids[unknown][0]))
+        return self._order[slot]
 
     def features_for(self, ids) -> np.ndarray:
         return self.features[self.positions(ids)]

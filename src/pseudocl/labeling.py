@@ -49,17 +49,17 @@ def _herd_cluster(feats: np.ndarray, q: int) -> list[int]:
     mu = feats.mean(axis=0)
     picked: list[int] = []
     running = np.zeros_like(mu)
-    available = list(range(feats.shape[0]))
+    available = np.arange(feats.shape[0])
     for k in range(1, min(q, feats.shape[0]) + 1):
-        best = None
-        best_dist = np.inf
-        for idx in available:
-            cand = np.linalg.norm(mu - (running + feats[idx]) / k)
-            if cand < best_dist:  # strict: lowest index wins ties
-                best_dist = cand
-                best = idx
+        diff = mu - (running + feats[available]) / k
+        # row-by-row BLAS dot products: the same rounding as
+        # np.linalg.norm of each row on its own, which a reduction along
+        # axis 1 does not reproduce
+        dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+        pos = int(np.argmin(dist))  # first minimum: lowest index wins ties
+        best = int(available[pos])
         picked.append(best)
-        available.remove(best)
+        available = np.delete(available, pos)
         running = running + feats[best]
     return picked
 

@@ -55,23 +55,16 @@ def hungarian(cost: np.ndarray) -> Matching:
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta = np.inf
-            j1 = -1
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = c[i0 - 1, j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            free = np.flatnonzero(~used)
+            cur = c[i0 - 1, free - 1] - u[i0] - v[free]
+            better = cur < minv[free]
+            minv[free[better]] = cur[better]
+            way[free[better]] = j0
+            j1 = free[np.argmin(minv[free])]  # first minimum, as a column scan
+            delta = minv[j1]
+            u[p[used]] += delta  # rows matched to used columns are distinct
+            v[used] -= delta
+            minv[free] -= delta
             j0 = j1
             if p[j0] == 0:
                 break
@@ -80,9 +73,10 @@ def hungarian(cost: np.ndarray) -> Matching:
             p[j0] = p[j1]
             j0 = j1
     assignment = np.empty(n, dtype=int)
-    for j in range(1, n + 1):
-        assignment[p[j] - 1] = j - 1
-    total = float(sum(c[i, assignment[i]] for i in range(n)))
+    assignment[p[1:] - 1] = np.arange(n)
+    # Python's sum adds left to right; np.sum adds pairwise and could
+    # move the last bit of the total
+    total = float(sum(c[np.arange(n), assignment]))
     return Matching(assignment, total)
 
 
@@ -92,7 +86,7 @@ def _matched_count(table: np.ndarray) -> int:
     padded = np.zeros((size, size), dtype=np.int64)
     padded[:r, :c] = table
     match = hungarian(-padded.astype(float))
-    return int(sum(padded[i, match.assignment[i]] for i in range(size)))
+    return int(padded[np.arange(size), match.assignment].sum())
 
 
 def cluster_accuracy(pred, truth) -> float:
@@ -116,12 +110,12 @@ def nmi(a, b) -> float:
     hb = _entropy(nj, n)
     if ha == 0.0 or hb == 0.0:
         return 0.0
-    mi = 0.0
-    for i in range(table.shape[0]):
-        for j in range(table.shape[1]):
-            nij = table[i, j]
-            if nij > 0:
-                mi += (nij / n) * np.log(n * nij / (ni[i] * nj[j]))
+    i, j = np.nonzero(table)
+    nij = table[i, j]
+    terms = (nij / n) * np.log(n * nij / (ni[i] * nj[j]))
+    # Python's sum keeps the row-major, left-to-right order of the terms;
+    # np.sum would add them pairwise and could move the last bit
+    mi = sum(terms)
     return float(mi / np.sqrt(ha * hb))
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import nn
 from .clustering import kmeans, pca_fit, pca_project
-from .config import RunConfig, dump_config, parse_variant
+from .config import RunConfig, coerce_field, dump_config, parse_variant
 from .data import (Dataset, ensure_dir, write_checkpoint, write_report,
                    write_summary)
 from .labeling import (ExemplarStore, assign_pseudo_labels, merge_replay,
@@ -328,7 +328,7 @@ def run_sweep(base_cfg: RunConfig, dataset: Dataset, axis: str, values: list,
     jobs_list = []
     for value in values:
         for rep in range(repeats):
-            cfg = _apply_axis(base_cfg, axis, value)
+            cfg = sweep_config(base_cfg, axis, value)
             cfg = replace(cfg, model_seed=base_cfg.model_seed + rep,
                           shuffle_seed=base_cfg.shuffle_seed + rep)
             run_name = f"{axis}={value}_seed={cfg.model_seed}"
@@ -353,20 +353,18 @@ def run_sweep(base_cfg: RunConfig, dataset: Dataset, axis: str, values: list,
     return results
 
 
-def _apply_axis(cfg: RunConfig, axis: str, value) -> RunConfig:
-    if axis == "variant":
-        variant, upl_k = parse_variant(str(value))
-        return replace(cfg, variant=variant, upl_k=upl_k)
-    if not hasattr(cfg, axis):
-        raise ProtocolError(f"unknown sweep axis {axis!r}")
-    current = getattr(cfg, axis)
-    if isinstance(current, bool):
-        value = str(value).lower() in ("true", "on", "yes", "1")
-    elif isinstance(current, int):
-        value = int(value)
-    elif isinstance(current, float):
-        value = float(value)
-    return replace(cfg, **{axis: value})
+def sweep_config(cfg: RunConfig, axis: str, value) -> RunConfig:
+    """``cfg`` with field ``axis`` set to ``value``, converted by field type.
+
+    An unknown axis or a value the field rejects raises ProtocolError.
+    """
+    try:
+        if axis == "variant":
+            variant, upl_k = parse_variant(str(value))
+            return replace(cfg, variant=variant, upl_k=upl_k)
+        return replace(cfg, **{axis: coerce_field(axis, str(value))})
+    except ValueError as exc:
+        raise ProtocolError(f"sweep axis {axis!r}: {exc}") from exc
 
 
 def _sweep_child(cfg: RunConfig, dataset: Dataset, value, run_dir: str) -> dict:

@@ -128,6 +128,33 @@ class TestSweep:
         assert len(lines) == 3
         assert capsys.readouterr().out.count("seed") >= 1
 
+    def test_float_axis_over_none_default(self, workdir, tmp_path):
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", str(workdir["cfg"]),
+                         "--data", str(workdir["data"]),
+                         "--out", str(out),
+                         "--axis", "alpha_override=0.5"]) == 0
+        with open(out / "sweep.csv") as fh:
+            assert len(fh.read().splitlines()) == 2
+
+    @pytest.mark.parametrize("axis", ["q=2,many", "alpha_override=1.5",
+                                      "bias_correction=maybe"])
+    def test_bad_axis_value_is_usage_error(self, workdir, tmp_path, capsys,
+                                           axis):
+        assert cli.main(["sweep", str(workdir["cfg"]),
+                         "--data", str(workdir["data"]),
+                         "--out", str(tmp_path / "s"),
+                         "--axis", axis]) == 2
+        assert axis.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_unknown_axis_is_usage_error(self, workdir, tmp_path, capsys):
+        assert cli.main(["sweep", str(workdir["cfg"]),
+                         "--data", str(workdir["data"]),
+                         "--out", str(tmp_path / "s"),
+                         "--axis", "bogus=1"]) == 2
+        assert "bogus" in capsys.readouterr().err
+
     def test_malformed_axis_is_usage_error(self, workdir, tmp_path):
         assert cli.main(["sweep", str(workdir["cfg"]),
                          "--data", str(workdir["data"]),

@@ -30,6 +30,12 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             config.RunConfig(temperature=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("hidden_width", 0), ("lr", -1.0), ("pca_dim", 0), ("n_restarts", 0)])
+    def test_out_of_range_field_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            config.RunConfig(**{field: value})
+
     def test_alpha_override_bounds(self):
         config.RunConfig(alpha_override=0.0)
         config.RunConfig(alpha_override=1.0)
