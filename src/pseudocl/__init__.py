@@ -1,7 +1,7 @@
 """Unsupervised class-incremental continual learning with cluster-derived
 pseudo labels: clustering, exemplar replay, distillation and evaluation."""
 
-from .clustering import ClusterResult, GmmResult, PcaBasis, gmm_em, kmeans, pca_fit, pca_project
+from .clustering import ClusterResult, PcaBasis, kmeans, pca_fit, pca_project
 from .config import RunConfig, load_config
 from .data import BlobSpec, Dataset, generate_gaussian_stream, load_dataset, save_dataset
 from .labeling import ExemplarStore, assign_pseudo_labels, merge_replay, \

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from . import nn
-from .config import RunConfig, load_config, parse_variant
+from .config import RunConfig, load_config, parse_variant, read_key_values
 from .data import (BlobSpec, generate_gaussian_stream, load_dataset,
                    read_checkpoint, save_dataset)
 from .metrics import step_report
@@ -38,57 +38,32 @@ _BLOB_FIELDS = {f.name: f.type for f in dataclasses.fields(BlobSpec)}
 
 
 def _load_blob_spec(path: str) -> BlobSpec:
-    values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (p.strip() for p in line.split("=", 1))
-            key = key.removeprefix("blob.")
-            if key not in _BLOB_FIELDS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            kind = _BLOB_FIELDS[key]
-            if kind.startswith("int"):
-                values[key] = int(raw)
-            else:
-                values[key] = float(raw)
-    return BlobSpec(**values)
+    def coerce(field: str, raw: str):
+        return int(raw) if _BLOB_FIELDS[field].startswith("int") else float(raw)
+
+    keys = {**{f: f for f in _BLOB_FIELDS},
+            **{f"blob.{f}": f for f in _BLOB_FIELDS}}
+    return BlobSpec(**read_key_values(path, keys, coerce))
+
+
+# argparse dest -> RunConfig field, for flags that set one field as given
+_FLAG_FIELDS = {"mode": "mode", "q": "q", "epochs": "epochs",
+                "batch": "batch_size", "lr": "lr",
+                "temperature": "temperature", "weight_decay": "weight_decay",
+                "step_size": "step_size", "exemplar_policy": "exemplar_policy"}
 
 
 def _config_overrides(args: argparse.Namespace) -> dict:
-    over: dict = {}
-    if args.mode is not None:
-        over["mode"] = args.mode
+    over = {field: getattr(args, dest) for dest, field in _FLAG_FIELDS.items()
+            if getattr(args, dest) is not None}
     if args.variant is not None:
-        variant, upl_k = parse_variant(args.variant)
-        over["variant"] = variant
-        over["upl_k"] = upl_k
-    if args.q is not None:
-        over["q"] = args.q
-    if args.epochs is not None:
-        over["epochs"] = args.epochs
-    if args.batch is not None:
-        over["batch_size"] = args.batch
-    if args.lr is not None:
-        over["lr"] = args.lr
-    if args.temperature is not None:
-        over["temperature"] = args.temperature
-    if args.weight_decay is not None:
-        over["weight_decay"] = args.weight_decay
-    if args.step_size is not None:
-        over["step_size"] = args.step_size
-    if args.exemplar_policy is not None:
-        over["exemplar_policy"] = args.exemplar_policy
+        over["variant"], over["upl_k"] = parse_variant(args.variant)
     if args.bias_correction is not None:
         over["bias_correction"] = args.bias_correction == "on"
     if args.oracle_labels:
         over["oracle_labels"] = True
     if args.seed is not None:
-        over["model_seed"] = args.seed
-        over["shuffle_seed"] = args.seed
+        over["model_seed"] = over["shuffle_seed"] = args.seed
     return over
 
 
@@ -146,6 +121,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    for flag, value in (("--repeats", args.repeats), ("--jobs", args.jobs)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     cfg, dataset = _load_inputs(args)
     if "=" not in args.axis:
         raise UsageError("axis must look like 'q=2,5,10,20'")

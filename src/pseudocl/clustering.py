@@ -1,4 +1,4 @@
-"""Clustering backends: Lloyd K-means (default), diagonal GMM, and PCA."""
+"""Clustering backends: Lloyd K-means and PCA."""
 
 from __future__ import annotations
 
@@ -15,16 +15,6 @@ class ClusterResult:
     iterations: int
     converged: bool
     objective_trace: list[float] = field(default_factory=list)
-
-
-@dataclass
-class GmmResult:
-    means: np.ndarray              # (k, d)
-    variances: np.ndarray          # (k, d), diagonal covariances
-    weights: np.ndarray            # (k,)
-    assignments: np.ndarray        # argmax responsibilities
-    log_likelihood: float
-    ll_trace: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -160,63 +150,6 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 300,
         if best is None or res.objective < best.objective:
             best = res
     return best  # type: ignore[return-value]
-
-
-def _log_gaussian_diag(x: np.ndarray, means: np.ndarray,
-                       variances: np.ndarray) -> np.ndarray:
-    # (n, k) log densities
-    n, d = x.shape
-    out = np.empty((n, means.shape[0]))
-    for j in range(means.shape[0]):
-        diff = x - means[j]
-        out[:, j] = -0.5 * (np.sum(diff * diff / variances[j], axis=1)
-                            + np.sum(np.log(2.0 * np.pi * variances[j])))
-    return out
-
-
-def gmm_em(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 100,
-           tol: float = 1e-7, var_floor: float = 1e-6) -> GmmResult:
-    """Diagonal-covariance EM initialised from a k-means run."""
-    x = _validate_points(points, k)
-    if var_floor <= 0:
-        raise ValueError("var_floor must be positive")
-    n, d = x.shape
-    km = kmeans(x, k, seed=seed)
-    means = km.centroids.copy()
-    variances = np.empty((k, d))
-    weights = np.empty(k)
-    for j in range(k):
-        mask = km.assignments == j
-        weights[j] = max(mask.sum(), 1) / n
-        if mask.sum() > 0:
-            variances[j] = np.maximum(x[mask].var(axis=0), var_floor)
-        else:
-            variances[j] = np.maximum(x.var(axis=0), var_floor)
-    weights /= weights.sum()
-
-    ll_trace: list[float] = []
-    resp = None
-    for _ in range(max_iter):
-        log_dens = _log_gaussian_diag(x, means, variances) + np.log(weights)
-        mx = np.max(log_dens, axis=1, keepdims=True)
-        log_norm = mx[:, 0] + np.log(np.sum(np.exp(log_dens - mx), axis=1))
-        ll = float(np.mean(log_norm))
-        resp = np.exp(log_dens - log_norm[:, None])
-        if ll_trace and abs(ll - ll_trace[-1]) < tol:
-            ll_trace.append(ll)
-            break
-        ll_trace.append(ll)
-        nk = resp.sum(axis=0)
-        nk = np.maximum(nk, 1e-12)
-        weights = nk / n
-        means = (resp.T @ x) / nk[:, None]
-        for j in range(k):
-            diff = x - means[j]
-            variances[j] = np.maximum(
-                (resp[:, j] @ (diff * diff)) / nk[j], var_floor)
-    assignments = np.argmax(resp, axis=1)
-    return GmmResult(means, variances, weights, assignments, ll_trace[-1],
-                     ll_trace)
 
 
 def pca_fit(points: np.ndarray, d_out: int) -> PcaBasis:

@@ -20,7 +20,7 @@ class RunConfig:
     step_size: int = 5
     bias_correction: bool = True
     oracle_labels: bool = False    # supervised engine: true labels every step
-    epochs: int = 40
+    epochs: int = 30
     lr: float = 0.1
     lr_decay: float = 0.1
     lr_decay_period: int = 10
@@ -134,7 +134,13 @@ def parse_variant(text: str) -> tuple[str, int]:
     return text, 0
 
 
-def load_config(path: str, overrides: dict | None = None) -> RunConfig:
+def read_key_values(path: str, fields: dict[str, str], coerce) -> dict:
+    """Read a flat ``key = value`` file; ``#`` starts a comment.
+
+    ``fields`` maps each accepted key to the field it sets, and
+    ``coerce(field, raw)`` converts the value. Errors name ``path:lineno``
+    and the key.
+    """
     values: dict = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -144,10 +150,18 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (part.strip() for part in line.split("=", 1))
-            field = CONFIG_KEYS.get(key, key if key in _FIELD_TYPES else None)
-            if field is None:
+            if key not in fields:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[field] = coerce_field(field, raw)
+            try:
+                values[fields[key]] = coerce(fields[key], raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
+    return values
+
+
+def load_config(path: str, overrides: dict | None = None) -> RunConfig:
+    values = read_key_values(
+        path, {**{f: f for f in _FIELD_TYPES}, **CONFIG_KEYS}, coerce_field)
     if "variant" in values:
         variant, upl_k = parse_variant(values["variant"])
         values["variant"] = variant

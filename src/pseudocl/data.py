@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import DenseLayer, Model
+from .nn import Model
 
 EVAL_FRACTION = 0.2
 SPLIT_SEED = 7919  # fixed so a reloaded CSV reproduces the same split
@@ -211,16 +211,14 @@ def load_dataset(path: str) -> Dataset:
 def write_checkpoint(model: Model, path: str, meta: dict | None = None) -> None:
     """Self-describing binary: JSON header, float64 params, sha256 trailer."""
     header = {
-        "hidden_shapes": [list(l.w.shape) for l in model.hidden],
+        "hidden_shapes": [list(w.shape) for w, _ in model.layers[:-1]],
         "feature_dim": model.feature_dim,
         "out_dim": model.out_dim,
         "seeds": model.seeds,
         "meta": meta or {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    payload = b"".join(
-        np.ascontiguousarray(arr, dtype=np.float64).tobytes()
-        for layer in model.layers() for arr in (layer.w, layer.b))
+    payload = model.params.tobytes()
     digest = hashlib.sha256(header_bytes + payload).digest()
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
@@ -241,25 +239,22 @@ def read_checkpoint(path: str) -> tuple[Model, dict]:
     payload = blob[16 + hlen:-32]
     if hashlib.sha256(header_bytes + payload).digest() != digest:
         raise FormatError(f"{path}: checksum mismatch")
-    header = json.loads(header_bytes)
-    hidden_shapes = [tuple(s) for s in header["hidden_shapes"]]
-    feature_dim = header["feature_dim"]
-    offset = 0
-
-    def take(shape) -> np.ndarray:
-        nonlocal offset
-        size = int(np.prod(shape)) * 8
-        arr = np.frombuffer(payload[offset:offset + size],
-                            dtype=np.float64).reshape(shape).copy()
-        offset += size
-        return arr
-
-    hidden = [DenseLayer(take(s), take((s[1],))) for s in hidden_shapes]
-    head = DenseLayer(take((feature_dim, header["out_dim"])),
-                      take((header["out_dim"],)))
-    if offset != len(payload):
-        raise FormatError(f"{path}: trailing parameter bytes")
-    return Model(hidden, head, list(header["seeds"])), header["meta"]
+    try:
+        header = json.loads(header_bytes)
+        shapes = header["hidden_shapes"]
+        dims = [s[0] for s in shapes] + [header["feature_dim"],
+                                         header["out_dim"]]
+        if shapes != [[a, b] for a, b in zip(dims, dims[1:-1])]:
+            raise ValueError(f"hidden_shapes {shapes} do not chain")
+        model = Model(dims, seeds=header["seeds"])
+        meta = dict(header["meta"])
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad header: {exc!r}") from exc
+    if len(payload) != model.params.nbytes:
+        raise FormatError(f"{path}: {len(payload)} parameter bytes, header "
+                          f"describes {model.params.nbytes}")
+    model.params[:] = np.frombuffer(payload, dtype=np.float64)
+    return model, meta
 
 
 def write_report(reports, path: str) -> None:

@@ -8,13 +8,6 @@ import numpy as np
 
 
 @dataclass
-class PseudoLabelSet:
-    labels: np.ndarray   # per-sample class index in {m .. m+n-1}
-    offset: int          # classes learned before this step
-    step: int = 0
-
-
-@dataclass
 class ExemplarStore:
     q: int
     ids: list[int] = field(default_factory=list)
@@ -33,15 +26,15 @@ class ExemplarStore:
         return ExemplarStore(self.q, list(self.ids), list(self.labels))
 
 
-def assign_pseudo_labels(assignments: np.ndarray, m: int,
-                         step: int = 0) -> PseudoLabelSet:
-    """Offset cluster assignments by the number of already-learned classes."""
+def assign_pseudo_labels(assignments: np.ndarray, m: int) -> np.ndarray:
+    """Offset cluster assignments by the number of already-learned classes,
+    giving per-sample class indices in {m .. m+n-1}."""
     a = np.asarray(assignments, dtype=int)
     if np.any(a < 0):
         raise ValueError("negative cluster assignment")
     if m < 0:
         raise ValueError("m must be >= 0")
-    return PseudoLabelSet(a + m, offset=m, step=step)
+    return a + m
 
 
 def _herd_cluster(feats: np.ndarray, q: int) -> list[int]:

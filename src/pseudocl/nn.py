@@ -7,48 +7,61 @@ before the head doubles as the feature extractor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass
-class DenseLayer:
-    w: np.ndarray  # (in_dim, out_dim)
-    b: np.ndarray  # (out_dim,)
+def _layer_views(dims: list[int],
+                 vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(w, b) views into a vector laid out as Model.params."""
+    views, start = [], 0
+    for d_in, d_out in zip(dims, dims[1:]):
+        w = vec[start:start + d_in * d_out].reshape(d_in, d_out)
+        start += d_in * d_out
+        views.append((w, vec[start:start + d_out]))
+        start += d_out
+    return views
 
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(self.w.copy(), self.b.copy())
 
-
-@dataclass
 class Model:
-    hidden: list[DenseLayer]
-    head: DenseLayer
-    seeds: list[int] = field(default_factory=list)
+    """An MLP whose weights and biases are one contiguous float64 vector.
+
+    ``dims`` lists the layer widths, input first and head output last.
+    ``params`` holds, layer by layer with the head last, the row-major
+    (in_dim, out_dim) weight and then the bias; it is used as given, not
+    copied. ``layers`` holds (w, b) views into it, so an in-place update of
+    ``params`` reaches every layer.
+    """
+
+    def __init__(self, dims: list[int], params: np.ndarray | None = None,
+                 seeds: list[int] | None = None):
+        self.dims = [int(d) for d in dims]
+        if len(self.dims) < 2 or min(self.dims) < 1:
+            raise ValueError(f"bad layer widths {self.dims}")
+        size = sum(i * o + o for i, o in zip(self.dims, self.dims[1:]))
+        self.params = np.zeros(size) if params is None else params
+        if self.params.dtype != np.float64 or self.params.shape != (size,) \
+                or not self.params.flags.c_contiguous:
+            raise ValueError(f"params must be a contiguous float64 vector "
+                             f"of {size} values")
+        self.layers = _layer_views(self.dims, self.params)
+        self.seeds = list(seeds or [])
 
     @property
     def in_dim(self) -> int:
-        first = self.hidden[0] if self.hidden else self.head
-        return first.w.shape[0]
+        return self.dims[0]
 
     @property
     def out_dim(self) -> int:
-        return self.head.w.shape[1]
+        return self.dims[-1]
 
     @property
     def feature_dim(self) -> int:
-        return self.head.w.shape[0]
-
-    def layers(self) -> list[DenseLayer]:
-        return self.hidden + [self.head]
-
-    def n_params(self) -> int:
-        return sum(l.w.size + l.b.size for l in self.layers())
+        return self.dims[-2]
 
     def copy(self) -> "Model":
-        return Model([l.copy() for l in self.hidden], self.head.copy(),
-                     list(self.seeds))
+        return Model(self.dims, self.params.copy(), self.seeds)
 
 
 @dataclass
@@ -68,30 +81,17 @@ class LossConfig:
         return m / (m + n)
 
 
-@dataclass
-class GradientSet:
-    hidden: list[DenseLayer]
-    head: DenseLayer
-
-
-def _uniform_init(rng: np.random.Generator, in_dim: int, out_dim: int) -> DenseLayer:
-    bound = 1.0 / np.sqrt(in_dim)
-    w = rng.uniform(-bound, bound, size=(in_dim, out_dim))
-    b = rng.uniform(-bound, bound, size=out_dim)
-    return DenseLayer(w, b)
-
-
 def init_model(in_dim: int, hidden_width: int, n_hidden: int, out_dim: int,
                seed: int) -> Model:
     """Create a seeded MLP: in_dim -> hidden_width x n_hidden -> out_dim."""
     rng = np.random.default_rng(seed)
-    hidden = []
-    d = in_dim
-    for _ in range(n_hidden):
-        hidden.append(_uniform_init(rng, d, hidden_width))
-        d = hidden_width
-    head = _uniform_init(rng, d, out_dim)
-    return Model(hidden, head, seeds=[seed])
+    model = Model([in_dim] + [hidden_width] * n_hidden + [out_dim],
+                  seeds=[seed])
+    for w, b in model.layers:
+        bound = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+        b[...] = rng.uniform(-bound, bound, size=b.shape)
+    return model
 
 
 def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -108,14 +108,14 @@ def extract_features(model: Model, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input dim {xb.shape[1]} does not match model dim {model.in_dim}")
     a = xb
-    for layer in model.hidden:
-        a = np.maximum(a @ layer.w + layer.b, 0.0)
+    for w, b in model.layers[:-1]:
+        a = np.maximum(a @ w + b, 0.0)
     return a[0] if single else a
 
 
 def forward(model: Model, x: np.ndarray) -> np.ndarray:
-    feats = extract_features(model, x)
-    return feats @ model.head.w + model.head.b
+    w, b = model.layers[-1]
+    return extract_features(model, x) @ w + b
 
 
 def softened_probs(logits: np.ndarray, temperature: float) -> np.ndarray:
@@ -165,18 +165,18 @@ def cross_distillation_loss(student_logits: np.ndarray,
 
 def _forward_cached(model: Model, x: np.ndarray):
     acts = [x]  # pre-head activations, acts[i] feeds layer i
-    a = x
-    for layer in model.hidden:
-        a = np.maximum(a @ layer.w + layer.b, 0.0)
-        acts.append(a)
-    logits = a @ model.head.w + model.head.b
-    return acts, logits
+    for w, b in model.layers[:-1]:
+        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+    w, b = model.layers[-1]
+    return acts, acts[-1] @ w + b
 
 
 def backward(model: Model, x: np.ndarray, teacher_logits: np.ndarray | None,
              pseudo_labels: np.ndarray, cfg: LossConfig, m: int,
-             n: int) -> tuple[float, GradientSet]:
+             n: int) -> tuple[float, np.ndarray]:
     """Mean cross-distillation loss over a batch and its analytic gradients.
+
+    The gradient vector has the layout of ``model.params``.
 
     With m == 0 (first task) the distillation term vanishes and
     teacher_logits may be None.
@@ -221,31 +221,25 @@ def backward(model: Model, x: np.ndarray, teacher_logits: np.ndarray | None,
 
     loss = float(np.mean(alpha * l_d + (1.0 - alpha) * l_c))
 
-    # backprop through hidden stack
-    grads_hidden: list[DenseLayer] = [None] * len(model.hidden)  # type: ignore
-    g_head = DenseLayer(acts[-1].T @ d_logits, d_logits.sum(axis=0))
-    delta = d_logits @ model.head.w.T
-    for i in range(len(model.hidden) - 1, -1, -1):
-        delta = delta * (acts[i + 1] > 0)
-        grads_hidden[i] = DenseLayer(acts[i].T @ delta, delta.sum(axis=0))
-        delta = delta @ model.hidden[i].w.T
-    return loss, GradientSet(grads_hidden, g_head)
+    # backprop from the head down; delta is d loss / d pre-activation
+    grads = np.empty_like(model.params)
+    grad_layers = _layer_views(model.dims, grads)
+    delta = d_logits
+    for i in range(len(model.layers) - 1, -1, -1):
+        g_w, g_b = grad_layers[i]
+        g_w[...] = acts[i].T @ delta
+        g_b[...] = delta.sum(axis=0)
+        if i:
+            delta = (delta @ model.layers[i][0].T) * (acts[i] > 0)
+    return loss, grads
 
 
-def sgd_step(model: Model, grads: GradientSet, lr: float,
-             weight_decay: float = 0.0) -> Model:
-    """w <- w - lr * (g + weight_decay * w), returning a new model."""
-    if len(grads.hidden) != len(model.hidden):
-        raise ValueError("gradient structure does not match model")
-
-    def upd(layer: DenseLayer, g: DenseLayer) -> DenseLayer:
-        if layer.w.shape != g.w.shape or layer.b.shape != g.b.shape:
-            raise ValueError("gradient shape mismatch")
-        return DenseLayer(layer.w - lr * (g.w + weight_decay * layer.w),
-                          layer.b - lr * (g.b + weight_decay * layer.b))
-
-    hidden = [upd(l, g) for l, g in zip(model.hidden, grads.hidden)]
-    return Model(hidden, upd(model.head, grads.head), list(model.seeds))
+def sgd_step(model: Model, grads: np.ndarray, lr: float,
+             weight_decay: float = 0.0) -> None:
+    """In place: params <- params - lr * (grads + weight_decay * params)."""
+    if grads.shape != model.params.shape:
+        raise ValueError("gradient shape does not match model parameters")
+    model.params -= lr * (grads + weight_decay * model.params)
 
 
 def expand_head(model: Model, n_new: int, seed: int) -> Model:
@@ -257,10 +251,14 @@ def expand_head(model: Model, n_new: int, seed: int) -> Model:
     bound = 1.0 / np.sqrt(fan_in)
     new_w = rng.uniform(-bound, bound, size=(fan_in, n_new))
     new_b = rng.uniform(-bound, bound, size=n_new)
-    head = DenseLayer(np.hstack([model.head.w, new_w]),
-                      np.concatenate([model.head.b, new_b]))
-    return Model([l.copy() for l in model.hidden], head,
-                 list(model.seeds) + [seed])
+    out = Model(model.dims[:-1] + [model.out_dim + n_new],
+                seeds=model.seeds + [seed])
+    hidden = model.params.size - (fan_in + 1) * model.out_dim
+    out.params[:hidden] = model.params[:hidden]
+    (w, b), (old_w, old_b) = out.layers[-1], model.layers[-1]
+    w[...] = np.hstack([old_w, new_w])
+    b[...] = np.concatenate([old_b, new_b])
+    return out
 
 
 def weight_align(model: Model, m: int, n: int) -> Model:
@@ -269,11 +267,11 @@ def weight_align(model: Model, m: int, n: int) -> Model:
         raise ValueError("m and n must be >= 1")
     if model.out_dim != m + n:
         raise ValueError("head size does not equal m + n")
-    norms = np.linalg.norm(model.head.w, axis=0)
+    norms = np.linalg.norm(model.layers[-1][0], axis=0)
     mean_new = float(np.mean(norms[m:]))
     if mean_new == 0.0:
         raise ValueError("all-zero new-class weights; cannot align")
     gamma = float(np.mean(norms[:m])) / mean_new
     out = model.copy()
-    out.head.w[:, m:] *= gamma
+    out.layers[-1][0][:, m:] *= gamma
     return out

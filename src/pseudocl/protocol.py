@@ -4,6 +4,7 @@ pseudo-label continual steps, feature-extractor variants and sweeps."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import zlib
 from dataclasses import dataclass, replace
@@ -44,7 +45,6 @@ class ExperimentResult:
     summary: dict
     model: nn.Model
     store: ExemplarStore
-    training_label_reads: int = 0
     run_dir: str | None = None
 
 
@@ -82,8 +82,9 @@ def _lr_at(cfg: RunConfig, epoch: int) -> float:
 
 def _train(model: nn.Model, x: np.ndarray, y: np.ndarray,
            teacher: nn.Model | None, m: int, n: int, cfg: RunConfig,
-           base_seed: int, refresh=None) -> nn.Model:
-    """SGD over the merged set; offline runs cfg.epochs, online one pass.
+           step: int, refresh=None) -> nn.Model:
+    """SGD over the merged set, in place; offline runs cfg.epochs, online
+    one pass. A non-finite loss or parameter raises ProtocolError.
 
     refresh, when given, is called at epoch boundaries and may return a
     replacement label array (UPL pseudo-label updates).
@@ -94,6 +95,7 @@ def _train(model: nn.Model, x: np.ndarray, y: np.ndarray,
         temperature=cfg.temperature,
         alpha_override=cfg.alpha_override if teacher is not None else None)
     epochs = 1 if cfg.mode == "online" else cfg.epochs
+    base_seed = _seed(cfg.shuffle_seed, "task", step)
     y = y.copy()
     for epoch in range(epochs):
         if refresh is not None and epoch > 0 and cfg.upl_k > 0 \
@@ -109,8 +111,16 @@ def _train(model: nn.Model, x: np.ndarray, y: np.ndarray,
             idx = order[start:start + cfg.batch_size]
             xb, yb = x[idx], y[idx]
             tb = nn.forward(teacher, xb) if teacher is not None else None
-            _, grads = nn.backward(model, xb, tb, yb, loss_cfg, m, n)
-            model = nn.sgd_step(model, grads, lr, cfg.weight_decay)
+            loss, grads = nn.backward(model, xb, tb, yb, loss_cfg, m, n)
+            if not math.isfinite(loss):
+                raise ProtocolError(
+                    f"training diverged at step {step}, epoch {epoch + 1} "
+                    f"of {epochs}: loss {loss}")
+            nn.sgd_step(model, grads, lr, cfg.weight_decay)
+    # the last update is not followed by a loss that would show it
+    if not np.isfinite(model.params).all():
+        raise ProtocolError(f"training diverged at step {step}, epoch "
+                            f"{epochs} of {epochs}: non-finite parameters")
     return model
 
 
@@ -125,8 +135,7 @@ def train_first_task(dataset: Dataset, stream: TaskStream,
                           stream.step_size, cfg.model_seed)
     # pre-training is supervised and always multi-epoch, even in online mode
     first_cfg = cfg if cfg.mode == "offline" else replace(cfg, mode="offline")
-    return _train(model, x, y, None, 0, stream.step_size, first_cfg,
-                  _seed(cfg.shuffle_seed, "task", 1))
+    return _train(model, x, y, None, 0, stream.step_size, first_cfg, 1)
 
 
 def _variant_features(model: nn.Model, h1: nn.Model, x: np.ndarray,
@@ -200,7 +209,7 @@ def continual_step(model: nn.Model, stream: TaskStream, step: int,
         km = kmeans(feats, n, seed=_seed(cfg.shuffle_seed, "cluster", step),
                     n_restarts=cfg.n_restarts)
         assignments = km.assignments
-        labels = assign_pseudo_labels(assignments, m, step=step).labels
+        labels = assign_pseudo_labels(assignments, m)
 
     teacher = model.copy()
     model = nn.expand_head(model, n, _seed(cfg.model_seed, "expand", step))
@@ -216,14 +225,13 @@ def continual_step(model: nn.Model, stream: TaskStream, step: int,
         f = nn.extract_features(current, x_train)
         km2 = kmeans(f, n, seed=_seed(cfg.shuffle_seed, "cluster", step, epoch),
                      n_restarts=cfg.n_restarts)
-        fresh = assign_pseudo_labels(km2.assignments, m).labels
+        fresh = assign_pseudo_labels(km2.assignments, m)
         out = y_now.copy()
         new_rows = origin >= 0
         out[new_rows] = fresh[origin[new_rows]]
         return out
 
-    model = _train(model, x, y, teacher, m, n, cfg,
-                   _seed(cfg.shuffle_seed, "task", step),
+    model = _train(model, x, y, teacher, m, n, cfg, step,
                    refresh=refresh if (cfg.upl_k > 0 and not cfg.oracle_labels)
                    else None)
 
@@ -250,33 +258,34 @@ def run_experiment(cfg: RunConfig, dataset: Dataset,
         dump_config(cfg, os.path.join(out_dir, "config.txt"))
     stream = split_tasks(dataset, cfg.step_size, cfg.arrangement_seed)
 
-    model = train_first_task(dataset, stream, cfg)
-    h1 = model.copy()
-    reports = [evaluate(model, dataset, stream.tasks[:1], 1)]
+    reports: list[StepReport] = []
+    try:
+        model = train_first_task(dataset, stream, cfg)
+        h1 = model.copy()
+        reports.append(evaluate(model, dataset, stream.tasks[:1], 1))
 
-    # exemplars for the supervised first task come from true classes
-    store = ExemplarStore(cfg.q)
-    task1 = stream.tasks[0]
-    true1 = dataset.sealed.reveal(dataset.positions(task1.train_ids))
-    slots1 = _slot_labels(true1, task1.classes, 0)
-    store = _update_store(store, model, dataset.features_for(task1.train_ids),
-                          slots1, slots1, task1.train_ids, cfg, 1)
-    _persist_step(out_dir, model, store, stream, 1)
+        # exemplars for the supervised first task come from true classes
+        task1 = stream.tasks[0]
+        true1 = dataset.sealed.reveal(dataset.positions(task1.train_ids))
+        slots1 = _slot_labels(true1, task1.classes, 0)
+        store = _update_store(ExemplarStore(cfg.q), model,
+                              dataset.features_for(task1.train_ids),
+                              slots1, slots1, task1.train_ids, cfg, 1)
+        _persist_step(out_dir, model, store, stream, 1)
 
-    # continual_step itself audits the sealed-label counter on the
-    # unsupervised training path and raises on any read
-    for step in range(2, len(stream.tasks) + 1):
-        try:
+        # continual_step itself audits the sealed-label counter on the
+        # unsupervised training path and raises on any read
+        for step in range(2, len(stream.tasks) + 1):
             model, store, rep = continual_step(model, stream, step, store,
                                                dataset, cfg, h1)
-        except Exception:
-            _persist_reports(out_dir, reports, cfg)  # partial report survives
-            raise
-        reports.append(rep)
-        _persist_step(out_dir, model, store, stream, step)
+            reports.append(rep)
+            _persist_step(out_dir, model, store, stream, step)
+    except Exception:
+        _persist_reports(out_dir, reports, cfg)  # partial report survives
+        raise
     summary = summarize(reports, cfg)
     _persist_reports(out_dir, reports, cfg, summary)
-    return ExperimentResult(reports, summary, model, store, 0, out_dir)
+    return ExperimentResult(reports, summary, model, store, out_dir)
 
 
 def summarize(reports: list[StepReport], cfg: RunConfig) -> dict:

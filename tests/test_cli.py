@@ -106,6 +106,20 @@ class TestRun:
         assert cli.main(["run", str(bad),
                          "--data", str(workdir["data"])]) == 2
 
+    def test_diverging_run_names_step_and_epoch(self, workdir, tmp_path,
+                                                capsys):
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            code = cli.main(["run", str(workdir["cfg"]),
+                             "--data", str(workdir["data"]), "--out", str(out),
+                             "--lr", "1e6", "--epochs", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "training diverged at step 2, epoch 1 of 2" in err
+        # the row of the finished first step is kept
+        lines = (out / "report.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["step", "1"]
+
     def test_protocol_failure_is_runtime_error(self, workdir, tmp_path):
         # 4 classes with step size 3 cannot be split into equal tasks
         code = cli.main(["run", str(workdir["cfg"]),
@@ -154,6 +168,16 @@ class TestSweep:
                          "--out", str(tmp_path / "s"),
                          "--axis", "bogus=1"]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--repeats", "--jobs"])
+    def test_count_below_one_is_usage_error(self, workdir, tmp_path, capsys,
+                                            flag):
+        assert cli.main(["sweep", str(workdir["cfg"]),
+                         "--data", str(workdir["data"]),
+                         "--out", str(tmp_path / "s"),
+                         "--axis", "q=1", flag, "0"]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_malformed_axis_is_usage_error(self, workdir, tmp_path):
         assert cli.main(["sweep", str(workdir["cfg"]),

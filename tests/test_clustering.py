@@ -92,47 +92,6 @@ class TestKmeans:
             clustering.kmeans(x, 2)
 
 
-class TestGmm:
-    def test_ll_trace_non_decreasing(self):
-        rng = np.random.default_rng(21)
-        x = np.vstack([rng.normal(-2.0, 0.5, (40, 3)),
-                       rng.normal(2.0, 0.5, (40, 3))])
-        res = clustering.gmm_em(x, 2, seed=0)
-        trace = np.array(res.ll_trace)
-        assert np.all(np.diff(trace) >= -1e-8)
-
-    def test_recovers_separated_means(self):
-        rng = np.random.default_rng(22)
-        x = np.vstack([rng.normal(-5.0, 0.3, (60, 2)),
-                       rng.normal(5.0, 0.3, (60, 2))])
-        res = clustering.gmm_em(x, 2, seed=1)
-        means = np.sort(res.means[:, 0])
-        assert abs(means[0] + 5.0) < 0.3 and abs(means[1] - 5.0) < 0.3
-        assert np.allclose(np.sort(res.weights), [0.5, 0.5], atol=0.05)
-
-    def test_single_component_matches_sample_moments(self):
-        rng = np.random.default_rng(23)
-        x = rng.normal(1.5, 2.0, (200, 2))
-        res = clustering.gmm_em(x, 1, seed=0)
-        assert np.allclose(res.means[0], x.mean(axis=0), atol=1e-6)
-        assert np.allclose(res.variances[0], x.var(axis=0), atol=1e-4)
-
-    def test_variances_respect_floor(self):
-        x = np.zeros((10, 2))
-        x[5:] = 1.0
-        res = clustering.gmm_em(x, 2, seed=0, var_floor=1e-6)
-        assert np.all(res.variances >= 1e-6)
-
-    def test_assignments_match_clear_structure(self):
-        rng = np.random.default_rng(24)
-        x = np.vstack([rng.normal(0.0, 0.2, (30, 2)),
-                       rng.normal(8.0, 0.2, (30, 2))])
-        res = clustering.gmm_em(x, 2, seed=2)
-        first, second = res.assignments[:30], res.assignments[30:]
-        assert len(np.unique(first)) == 1 and len(np.unique(second)) == 1
-        assert first[0] != second[0]
-
-
 def char_poly_eigvals_2x2(cov):
     """Eigenvalues of a symmetric 2x2 from the characteristic polynomial."""
     a, b, c = cov[0, 0], cov[0, 1], cov[1, 1]

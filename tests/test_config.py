@@ -13,6 +13,7 @@ class TestRunConfig:
     def test_defaults_valid(self):
         cfg = config.RunConfig()
         assert cfg.mode == "offline" and cfg.variant == "ours"
+        assert cfg.epochs == 30  # as in configs/default.cfg
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -101,6 +102,11 @@ seeds.model = 42
     def test_bad_bool_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "run.bias_correction = maybe\n")
         with pytest.raises(ValueError):
+            config.load_config(path)
+
+    def test_bad_value_names_line_and_key(self, tmp_path):
+        path = write_cfg(tmp_path, "run.q = 3\ntrain.epochs = many\n")
+        with pytest.raises(ValueError, match=r"run\.cfg:2: key 'train\.epochs'"):
             config.load_config(path)
 
     def test_overrides_win(self, tmp_path):

@@ -1,5 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pseudocl import data, metrics, nn
 
@@ -190,9 +195,7 @@ class TestCheckpoint:
         data.write_checkpoint(model, path, meta={"step": 2, "classes_seen": 10})
         back, meta = data.read_checkpoint(path)
         assert meta == {"step": 2, "classes_seen": 10}
-        for a, b in zip(model.layers(), back.layers()):
-            assert np.array_equal(a.w, b.w)
-            assert np.array_equal(a.b, b.b)
+        assert np.array_equal(model.params, back.params)
         x = np.random.default_rng(0).standard_normal((5, 4))
         assert np.array_equal(nn.forward(model, x), nn.forward(back, x))
 
@@ -210,6 +213,94 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
         with pytest.raises(data.FormatError, match="not a checkpoint"):
+            data.read_checkpoint(str(path))
+
+    def test_payload_is_params_verbatim(self, tmp_path):
+        model = nn.init_model(3, 4, 2, 5, seed=2)
+        path = tmp_path / "m.ckpt"
+        data.write_checkpoint(model, str(path))
+        assert path.read_bytes()[-32 - model.params.nbytes:-32] == \
+            model.params.tobytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.update(out_dim=h["out_dim"] + 1),
+        lambda h: h.pop("hidden_shapes"),
+        lambda h: h.update(hidden_shapes=[[3, 4], [5, 4]]),
+    ], ids=["out_dim_too_large", "no_hidden_shapes", "shapes_do_not_chain"])
+    def test_resealed_bad_header_is_format_error(self, tmp_path, edit):
+        path = tmp_path / "m.ckpt"
+        data.write_checkpoint(nn.init_model(3, 4, 2, 5, seed=2), str(path))
+        header, payload = _split_checkpoint(path.read_bytes())
+        edit(header)
+        path.write_bytes(_seal(header, payload))
+        with pytest.raises(data.FormatError):
+            data.read_checkpoint(str(path))
+
+
+def _split_checkpoint(blob):
+    hlen = int.from_bytes(blob[8:16], "little")
+    return json.loads(blob[16:16 + hlen]), blob[16 + hlen:-32]
+
+
+def _seal(header, payload):
+    """A checkpoint with a valid checksum around any header and payload."""
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    return (b"PCLCKPT1" + len(header_bytes).to_bytes(8, "little")
+            + header_bytes + payload
+            + hashlib.sha256(header_bytes + payload).digest())
+
+
+model_shapes = st.tuples(st.integers(1, 6),
+                         st.lists(st.integers(1, 6), min_size=0, max_size=3),
+                         st.integers(1, 6), st.integers(0, 2**31))
+
+
+def _model(shape):
+    in_dim, hidden, out_dim, seed = shape
+    model = nn.Model([in_dim, *hidden, out_dim], seeds=[seed])
+    model.params[:] = np.random.default_rng(seed).standard_normal(
+        model.params.size) * 1e3
+    return model
+
+
+class TestCheckpointProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(shape=model_shapes)
+    def test_round_trip_bitwise(self, tmp_path_factory, shape):
+        model = _model(shape)
+        path = str(tmp_path_factory.mktemp("ckpt") / "m.ckpt")
+        data.write_checkpoint(model, path, meta={"step": 1})
+        back, meta = data.read_checkpoint(path)
+        assert back.dims == model.dims and back.seeds == model.seeds
+        assert back.params.tobytes() == model.params.tobytes()
+        assert meta == {"step": 1}
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=model_shapes, where=st.floats(0.0, 1.0),
+           flip=st.integers(1, 255), cut=st.integers(1, 64))
+    def test_flipped_byte_or_truncation_is_format_error(
+            self, tmp_path_factory, shape, where, flip, cut):
+        path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+        data.write_checkpoint(_model(shape), str(path))
+        blob = path.read_bytes()
+        flipped = bytearray(blob)
+        flipped[min(int(where * len(blob)), len(blob) - 1)] ^= flip
+        for bad in (bytes(flipped), blob[:-cut]):
+            path.write_bytes(bad)
+            with pytest.raises(data.FormatError):
+                data.read_checkpoint(str(path))
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=model_shapes, extra=st.integers(-3, 3).filter(bool))
+    def test_header_disagreeing_with_payload_is_format_error(
+            self, tmp_path_factory, shape, extra):
+        assume(shape[2] + extra >= 1)
+        path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+        data.write_checkpoint(_model(shape), str(path))
+        header, payload = _split_checkpoint(path.read_bytes())
+        header["out_dim"] += extra
+        path.write_bytes(_seal(header, payload))
+        with pytest.raises(data.FormatError):
             data.read_checkpoint(str(path))
 
 

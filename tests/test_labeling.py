@@ -6,21 +6,19 @@ from pseudocl import labeling
 
 class TestAssignPseudoLabels:
     def test_offset_added(self):
-        ps = labeling.assign_pseudo_labels(np.array([0, 2, 1, 0]), m=10, step=3)
-        assert ps.labels.tolist() == [10, 12, 11, 10]
-        assert ps.offset == 10 and ps.step == 3
+        labels = labeling.assign_pseudo_labels(np.array([0, 2, 1, 0]), m=10)
+        assert labels.tolist() == [10, 12, 11, 10]
 
     def test_zero_offset_is_identity(self):
         a = np.array([1, 0, 3])
-        ps = labeling.assign_pseudo_labels(a, m=0)
-        assert np.array_equal(ps.labels, a)
+        assert np.array_equal(labeling.assign_pseudo_labels(a, m=0), a)
 
     def test_labels_disjoint_from_old_classes(self):
         rng = np.random.default_rng(0)
         a = rng.integers(0, 5, 50)
-        ps = labeling.assign_pseudo_labels(a, m=15)
-        assert ps.labels.min() >= 15
-        assert ps.labels.max() < 20
+        labels = labeling.assign_pseudo_labels(a, m=15)
+        assert labels.min() >= 15
+        assert labels.max() < 20
 
     def test_negative_assignment_rejected(self):
         with pytest.raises(ValueError):

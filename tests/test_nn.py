@@ -10,21 +10,43 @@ def small_model(seed=0, in_dim=5, width=6, n_hidden=2, out_dim=5):
 
 def manual_forward(model, x):
     a = np.asarray(x, dtype=float)
-    for layer in model.hidden:
-        a = np.maximum(a @ layer.w + layer.b, 0.0)
-    return a @ model.head.w + model.head.b
+    for w, b in model.layers[:-1]:
+        a = np.maximum(a @ w + b, 0.0)
+    w, b = model.layers[-1]
+    return a @ w + b
+
+
+def head_only(w, b):
+    return nn.Model(w.shape, np.concatenate([np.ravel(w), b]))
+
+
+class TestModel:
+    def test_layers_are_views_into_params(self):
+        m = small_model()
+        m.params += 1.0
+        w, b = m.layers[0]
+        assert np.shares_memory(w, m.params) and np.shares_memory(b, m.params)
+        assert sum(w.size + b.size for w, b in m.layers) == m.params.size
+
+    def test_copy_is_independent(self):
+        m = small_model()
+        c = m.copy()
+        c.params[:] = 0.0
+        assert np.any(m.params != 0.0)
+
+    def test_wrong_param_count_rejected(self):
+        with pytest.raises(ValueError):
+            nn.Model([2, 3], np.zeros(8))
 
 
 class TestForward:
     def test_zero_weight_model_gives_zero_logits(self):
         m = small_model()
-        for layer in m.layers():
-            layer.w[:] = 0.0
-            layer.b[:] = 0.0
+        m.params[:] = 0.0
         assert np.all(nn.forward(m, np.array([1.0, -2.0, 3.0, 0.5, 7.0])) == 0.0)
 
     def test_identity_head_only_model(self):
-        m = nn.Model(hidden=[], head=nn.DenseLayer(np.eye(2), np.zeros(2)))
+        m = head_only(np.eye(2), np.zeros(2))
         assert np.allclose(nn.forward(m, np.array([1.0, 2.0])), [1.0, 2.0])
 
     def test_matches_manual_matrix_recomputation(self):
@@ -39,7 +61,7 @@ class TestForward:
 
 class TestExtractFeatures:
     def test_head_only_model_is_identity(self):
-        m = nn.Model(hidden=[], head=nn.DenseLayer(np.ones((3, 2)), np.zeros(2)))
+        m = head_only(np.ones((3, 2)), np.zeros(2))
         x = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(nn.extract_features(m, x), x)
 
@@ -54,8 +76,8 @@ class TestExtractFeatures:
         m = small_model(seed=5)
         x = np.random.default_rng(3).standard_normal(5)
         a = x
-        for layer in m.hidden:
-            a = np.maximum(a @ layer.w + layer.b, 0.0)
+        for w, b in m.layers[:-1]:
+            a = np.maximum(a @ w + b, 0.0)
         assert np.allclose(nn.extract_features(m, x), a, rtol=1e-14)
 
 
@@ -196,29 +218,30 @@ class TestCrossDistillation:
 def finite_diff_check(model, x, teacher, y, cfg, m, n, step=1e-6):
     loss, grads = nn.backward(model, x, teacher, y, cfg, m, n)
     max_rel = 0.0
-    pairs = list(zip(model.layers(), grads.hidden + [grads.head]))
-    for layer, g in pairs:
-        for arr, garr in ((layer.w, g.w), (layer.b, g.b)):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + step
-                lp, _ = nn.backward(model, x, teacher, y, cfg, m, n)
-                arr[idx] = orig - step
-                lm, _ = nn.backward(model, x, teacher, y, cfg, m, n)
-                arr[idx] = orig
-                fd = (lp - lm) / (2 * step)
-                denom = max(abs(fd), 1e-6)
-                max_rel = max(max_rel, abs(fd - garr[idx]) / denom)
+    p = model.params
+    for i in range(p.size):
+        orig = p[i]
+        p[i] = orig + step
+        lp, _ = nn.backward(model, x, teacher, y, cfg, m, n)
+        p[i] = orig - step
+        lm, _ = nn.backward(model, x, teacher, y, cfg, m, n)
+        p[i] = orig
+        fd = (lp - lm) / (2 * step)
+        denom = max(abs(fd), 1e-6)
+        max_rel = max(max_rel, abs(fd - grads[i]) / denom)
     return max_rel
+
+
+def grad_layers(model, grads):
+    """(w, b) gradient views, laid out as model.layers."""
+    return nn.Model(model.dims, grads).layers
 
 
 class TestBackward:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         model = nn.init_model(4, 5, 1, 5, seed=11)
-        assert model.n_params() <= 500
+        assert model.params.size <= 500
         x = rng.standard_normal((3, 4))
         teacher = rng.standard_normal((3, 3))
         y = rng.integers(0, 5, 3)
@@ -238,7 +261,8 @@ class TestBackward:
         one_hot = np.zeros_like(probs)
         one_hot[np.arange(6), y] = 1.0
         expected = (probs - one_hot).mean(axis=0)
-        assert np.allclose(grads.head.b, expected, atol=1e-12)
+        assert np.allclose(grad_layers(model, grads)[-1][1], expected,
+                           atol=1e-12)
 
     def test_duplicated_sample_keeps_mean_gradient(self):
         rng = np.random.default_rng(9)
@@ -250,8 +274,7 @@ class TestBackward:
         x2 = np.vstack([x, x])
         t2 = np.vstack([t, t])
         _, g2 = nn.backward(model, x2, t2, np.array([3, 3]), cfg, 2, 2)
-        assert np.allclose(g1.head.w, g2.head.w, atol=1e-14)
-        assert np.allclose(g1.hidden[0].w, g2.hidden[0].w, atol=1e-14)
+        assert np.allclose(g1, g2, atol=1e-14)
 
     def test_empty_batch_rejected(self):
         model = nn.init_model(4, 5, 1, 4, seed=14)
@@ -265,22 +288,19 @@ class TestSgdStep:
         model = small_model(seed=20)
         _, grads = nn.backward(model, np.ones((2, 5)), None,
                                np.array([0, 1]), nn.LossConfig(), 0, 5)
-        updated = nn.sgd_step(model, grads, lr=0.0, weight_decay=0.1)
-        for a, b in zip(model.layers(), updated.layers()):
-            assert np.array_equal(a.w, b.w)
-            assert np.array_equal(a.b, b.b)
+        before = model.params.copy()
+        nn.sgd_step(model, grads, lr=0.0, weight_decay=0.1)
+        assert np.array_equal(model.params, before)
 
     def test_plain_update_arithmetic(self):
-        m = nn.Model(hidden=[], head=nn.DenseLayer(np.array([[1.0]]), np.zeros(1)))
-        g = nn.GradientSet([], nn.DenseLayer(np.array([[1.0]]), np.zeros(1)))
-        out = nn.sgd_step(m, g, lr=0.1, weight_decay=0.0)
-        assert np.isclose(out.head.w[0, 0], 0.9)
+        m = head_only(np.array([[1.0]]), np.zeros(1))
+        nn.sgd_step(m, np.array([1.0, 0.0]), lr=0.1, weight_decay=0.0)
+        assert np.isclose(m.layers[-1][0][0, 0], 0.9)
 
     def test_decay_only_update(self):
-        m = nn.Model(hidden=[], head=nn.DenseLayer(np.array([[2.0]]), np.zeros(1)))
-        g = nn.GradientSet([], nn.DenseLayer(np.array([[0.0]]), np.zeros(1)))
-        out = nn.sgd_step(m, g, lr=0.1, weight_decay=0.5)
-        assert np.isclose(out.head.w[0, 0], 1.9)
+        m = head_only(np.array([[2.0]]), np.zeros(1))
+        nn.sgd_step(m, np.zeros(2), lr=0.1, weight_decay=0.5)
+        assert np.isclose(m.layers[-1][0][0, 0], 1.9)
 
 
 class TestExpandHead:
@@ -309,10 +329,11 @@ class TestWeightAlign:
         w = np.zeros((4, 4))
         w[:, :2] = np.array([[2.0, 2.0], [0, 0], [0, 0], [0, 0]])  # norms 2
         w[:, 2:] = np.array([[4.0, 4.0], [0, 0], [0, 0], [0, 0]])  # norms 4
-        m = nn.Model(hidden=[], head=nn.DenseLayer(w.copy(), np.zeros(4)))
+        m = head_only(w, np.zeros(4))
         out = nn.weight_align(m, 2, 2)
-        assert np.allclose(out.head.w[:, 2:], 0.5 * w[:, 2:])
-        norms = np.linalg.norm(out.head.w, axis=0)
+        head_w = out.layers[-1][0]
+        assert np.allclose(head_w[:, 2:], 0.5 * w[:, 2:])
+        norms = np.linalg.norm(head_w, axis=0)
         assert abs(norms[:2].mean() - norms[2:].mean()) < 1e-9
 
     def test_already_balanced_is_noop(self):
@@ -320,9 +341,9 @@ class TestWeightAlign:
         w = rng.standard_normal((4, 4))
         norms = np.linalg.norm(w, axis=0)
         w = w / norms  # all columns unit norm
-        m = nn.Model(hidden=[], head=nn.DenseLayer(w.copy(), np.zeros(4)))
+        m = head_only(w, np.zeros(4))
         out = nn.weight_align(m, 2, 2)
-        assert np.allclose(out.head.w, w, atol=1e-12)
+        assert np.allclose(out.layers[-1][0], w, atol=1e-12)
 
     def test_old_class_argmax_preserved(self):
         model = small_model(seed=40, out_dim=6)
@@ -334,7 +355,7 @@ class TestWeightAlign:
 
     def test_zero_new_rows_rejected(self):
         m = small_model(seed=41, out_dim=4)
-        m.head.w[:, 2:] = 0.0
+        m.layers[-1][0][:, 2:] = 0.0
         with pytest.raises(ValueError):
             nn.weight_align(m, 2, 2)
 
@@ -349,10 +370,7 @@ class TestDeterminism:
                 y = rng.integers(0, 3, 5)
                 _, g = nn.backward(model, x, None, y,
                                    nn.LossConfig(alpha_override=0.0), 0, 3)
-                model = nn.sgd_step(model, g, 0.05, 1e-5)
+                nn.sgd_step(model, g, 0.05, 1e-5)
             return model
 
-        a, b = train_once(), train_once()
-        for la, lb in zip(a.layers(), b.layers()):
-            assert np.array_equal(la.w, lb.w)
-            assert np.array_equal(la.b, lb.b)
+        assert np.array_equal(train_once().params, train_once().params)

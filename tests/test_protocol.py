@@ -67,8 +67,7 @@ class TestFirstTask:
         stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
         a = protocol.train_first_task(dataset, stream, cfg)
         b = protocol.train_first_task(dataset, stream, cfg)
-        for la, lb in zip(a.layers(), b.layers()):
-            assert np.array_equal(la.w, lb.w)
+        assert np.array_equal(a.params, b.params)
 
 
 class TestContinualStep:
@@ -201,9 +200,7 @@ class TestRunExperiment:
         a = protocol.run_experiment(fast_cfg(), dataset)
         b = protocol.run_experiment(fast_cfg(), dataset)
         assert a.reports == b.reports
-        for la, lb in zip(a.model.layers(), b.model.layers()):
-            assert np.array_equal(la.w, lb.w)
-            assert np.array_equal(la.b, lb.b)
+        assert np.array_equal(a.model.params, b.model.params)
 
     def test_seed_changes_results(self, dataset):
         a = protocol.run_experiment(fast_cfg(model_seed=0, shuffle_seed=0),
@@ -268,6 +265,35 @@ class TestRunExperiment:
             lines = fh.read().splitlines()
         assert len(lines) == 3  # header + steps 1 and 2
         assert not os.path.exists(os.path.join(out, "summary.csv"))
+
+    def test_divergence_names_step_and_keeps_finished_rows(self, dataset,
+                                                           tmp_path,
+                                                           monkeypatch):
+        out = str(tmp_path / "run")
+        real = nn.backward
+
+        def diverging(model, x, teacher, y, cfg, m, n):
+            loss, grads = real(model, x, teacher, y, cfg, m, n)
+            return (float("nan") if m else loss), grads
+
+        monkeypatch.setattr(nn, "backward", diverging)
+        with pytest.raises(protocol.ProtocolError,
+                           match="diverged at step 2, epoch 1 of 4"):
+            protocol.run_experiment(fast_cfg(), dataset, out_dir=out)
+        with open(os.path.join(out, "report.csv")) as fh:
+            lines = fh.read().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["step", "1"]
+
+    def test_non_finite_last_update_is_caught(self, dataset, monkeypatch):
+        # one batch, one epoch: no later loss sees the broken update
+        def blow_up(model, grads, lr, weight_decay=0.0):
+            model.params[0] = np.inf
+
+        monkeypatch.setattr(nn, "sgd_step", blow_up)
+        with pytest.raises(protocol.ProtocolError,
+                           match="step 1, epoch 1 of 1: non-finite parameters"):
+            protocol.run_experiment(fast_cfg(epochs=1, batch_size=1000),
+                                    dataset)
 
 
 class TestVariants:
