@@ -7,9 +7,8 @@ from .data import BlobSpec, Dataset, generate_gaussian_stream, load_dataset, sav
 from .labeling import ExemplarStore, assign_pseudo_labels, merge_replay, \
     select_exemplars_herding, select_exemplars_random
 from .metrics import StepReport, aggregate, ari, cluster_accuracy, hungarian, nmi
-from .nn import LossConfig, Model, backward, cross_distillation_loss, \
-    cross_entropy_pseudo, distillation_loss, expand_head, extract_features, \
-    forward, init_model, sgd_step, softened_probs, weight_align
+from .nn import Model, backward, expand_head, extract_features, forward, \
+    init_model, sgd_step, softened_probs, weight_align
 from .protocol import TaskStream, continual_step, run_experiment, run_sweep, \
     split_tasks, train_first_task
 

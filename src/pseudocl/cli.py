@@ -9,13 +9,11 @@ import sys
 
 import numpy as np
 
-from . import nn
 from .config import RunConfig, load_config, parse_variant, read_key_values
 from .data import (BlobSpec, generate_gaussian_stream, load_dataset,
-                   read_checkpoint, save_dataset)
-from .metrics import step_report
-from .protocol import (ProtocolError, run_experiment, run_sweep, sweep_config,
-                       variant_name)
+                   read_checkpoint, save_dataset, write_report)
+from .protocol import (ProtocolError, evaluate, run_experiment, run_sweep,
+                       sweep_config, variant_name)
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -41,9 +39,8 @@ def _load_blob_spec(path: str) -> BlobSpec:
     def coerce(field: str, raw: str):
         return int(raw) if _BLOB_FIELDS[field].startswith("int") else float(raw)
 
-    keys = {**{f: f for f in _BLOB_FIELDS},
-            **{f"blob.{f}": f for f in _BLOB_FIELDS}}
-    return BlobSpec(**read_key_values(path, keys, coerce))
+    return BlobSpec(**read_key_values(path, {f: f for f in _BLOB_FIELDS},
+                                      coerce))
 
 
 # argparse dest -> RunConfig field, for flags that set one field as given
@@ -155,18 +152,11 @@ def cmd_eval(args) -> int:
     if classes is None:
         raise UsageError("checkpoint carries no classes_seen metadata")
     eval_ids = dataset.ids_for_classes(np.array(classes), eval_split=True)
-    x = dataset.features_for(eval_ids)
-    preds = np.argmax(nn.forward(model, x), axis=1)
-    truth = dataset.sealed.reveal(dataset.positions(eval_ids))
-    rep = step_report(meta.get("step", 0), model.out_dim, preds, truth)
-    line = f"step={rep.step} classes={rep.classes_seen} acc={rep.acc!r} " \
-           f"nmi={rep.nmi!r} ari={rep.ari!r}"
-    print(line)
+    rep = evaluate(model, dataset, eval_ids, meta.get("step", 0))
+    print(f"step={rep.step} classes={rep.classes_seen} acc={rep.acc!r} "
+          f"nmi={rep.nmi!r} ari={rep.ari!r}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("step,classes_seen,acc,nmi,ari\n")
-            fh.write(f"{rep.step},{rep.classes_seen},{rep.acc!r},"
-                     f"{rep.nmi!r},{rep.ari!r}\n")
+        write_report([rep], args.out)
     return 0
 
 

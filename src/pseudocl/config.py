@@ -27,7 +27,6 @@ class RunConfig:
     batch_size: int = 32
     weight_decay: float = 1e-5
     temperature: float = 2.0
-    alpha_override: float | None = None
     hidden_width: int = 64
     n_hidden: int = 2
     pca_dim: int = 12
@@ -63,9 +62,6 @@ class RunConfig:
             raise ValueError("pca_dim must be >= 1")
         if self.n_restarts < 1:
             raise ValueError("n_restarts must be >= 1")
-        if self.alpha_override is not None \
-                and not 0.0 <= self.alpha_override <= 1.0:
-            raise ValueError("alpha_override must lie in [0, 1]")
 
 
 # dotted config key -> RunConfig field
@@ -85,7 +81,6 @@ CONFIG_KEYS = {
     "train.batch_size": "batch_size",
     "train.weight_decay": "weight_decay",
     "train.temperature": "temperature",
-    "train.alpha_override": "alpha_override",
     "model.hidden_width": "hidden_width",
     "model.n_hidden": "n_hidden",
     "cluster.pca_dim": "pca_dim",
@@ -96,7 +91,6 @@ CONFIG_KEYS = {
     "seeds.shuffle": "shuffle_seed",
 }
 
-_FIELD_TO_KEY = {v: k for k, v in CONFIG_KEYS.items()}
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
@@ -105,9 +99,6 @@ def coerce_field(field: str, raw: str):
     if field not in _FIELD_TYPES:
         raise ValueError(f"unknown config field {field!r}")
     kind = _FIELD_TYPES[field]
-    if kind == "float | None":
-        low = raw.strip().lower()
-        return None if low in ("none", "") else float(raw)
     if kind == "bool":
         low = raw.strip().lower()
         if low in ("true", "on", "yes", "1"):
@@ -160,8 +151,8 @@ def read_key_values(path: str, fields: dict[str, str], coerce) -> dict:
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
-    values = read_key_values(
-        path, {**{f: f for f in _FIELD_TYPES}, **CONFIG_KEYS}, coerce_field)
+    """Read a run config; only the dotted keys of CONFIG_KEYS are accepted."""
+    values = read_key_values(path, CONFIG_KEYS, coerce_field)
     if "variant" in values:
         variant, upl_k = parse_variant(values["variant"])
         values["variant"] = variant

@@ -7,8 +7,6 @@ before the head doubles as the feature extractor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -64,23 +62,6 @@ class Model:
         return Model(self.dims, self.params.copy(), self.seeds)
 
 
-@dataclass
-class LossConfig:
-    temperature: float = 2.0
-    alpha_override: float | None = None
-
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.alpha_override is not None and not 0.0 <= self.alpha_override <= 1.0:
-            raise ValueError("alpha_override must lie in [0, 1]")
-
-    def alpha(self, m: int, n: int) -> float:
-        if self.alpha_override is not None:
-            return self.alpha_override
-        return m / (m + n)
-
-
 def init_model(in_dim: int, hidden_width: int, n_hidden: int, out_dim: int,
                seed: int) -> Model:
     """Create a seeded MLP: in_dim -> hidden_width x n_hidden -> out_dim."""
@@ -94,23 +75,16 @@ def init_model(in_dim: int, hidden_width: int, n_hidden: int, out_dim: int,
     return model
 
 
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
-
-
 def extract_features(model: Model, x: np.ndarray) -> np.ndarray:
-    """Activations feeding the head; the model minus its final layer."""
-    xb, single = _as_batch(x)
-    if xb.shape[1] != model.in_dim:
-        raise ValueError(
-            f"input dim {xb.shape[1]} does not match model dim {model.in_dim}")
-    a = xb
+    """Activations feeding the head for rows ``x``; the model minus its
+    final layer."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2 or a.shape[1] != model.in_dim:
+        raise ValueError(f"input shape {a.shape} does not match rows of "
+                         f"model dim {model.in_dim}")
     for w, b in model.layers[:-1]:
         a = np.maximum(a @ w + b, 0.0)
-    return a[0] if single else a
+    return a
 
 
 def forward(model: Model, x: np.ndarray) -> np.ndarray:
@@ -128,41 +102,6 @@ def softened_probs(logits: np.ndarray, temperature: float) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def distillation_loss(student_logits: np.ndarray, teacher_logits: np.ndarray,
-                      temperature: float, m: int) -> float:
-    """Cross-entropy between softened teacher and student over old classes."""
-    if m < 1:
-        raise ValueError("need at least one old class")
-    s = np.asarray(student_logits, dtype=float)
-    t = np.asarray(teacher_logits, dtype=float)
-    if s.shape[-1] < m or t.shape[-1] < m:
-        raise ValueError("logit vectors shorter than m")
-    p = softened_probs(s[..., :m], temperature)
-    p_hat = softened_probs(t[..., :m], temperature)
-    return float(-np.sum(p_hat * np.log(p)))
-
-
-def cross_entropy_pseudo(logits: np.ndarray, pseudo_label: int) -> float:
-    logits = np.asarray(logits, dtype=float)
-    if not 0 <= pseudo_label < logits.shape[-1]:
-        raise ValueError(f"label {pseudo_label} out of range")
-    z = logits - np.max(logits)
-    log_probs = z - np.log(np.sum(np.exp(z)))
-    return float(-log_probs[pseudo_label])
-
-
-def cross_distillation_loss(student_logits: np.ndarray,
-                            teacher_logits: np.ndarray, pseudo_label: int,
-                            cfg: LossConfig, m: int, n: int) -> float:
-    """Convex combination of distillation and pseudo-label cross-entropy."""
-    alpha = cfg.alpha(m, n)
-    l_c = cross_entropy_pseudo(student_logits, pseudo_label)
-    if alpha == 0.0:
-        return l_c
-    l_d = distillation_loss(student_logits, teacher_logits, cfg.temperature, m)
-    return alpha * l_d + (1.0 - alpha) * l_c
-
-
 def _forward_cached(model: Model, x: np.ndarray):
     acts = [x]  # pre-head activations, acts[i] feeds layer i
     for w, b in model.layers[:-1]:
@@ -172,27 +111,26 @@ def _forward_cached(model: Model, x: np.ndarray):
 
 
 def backward(model: Model, x: np.ndarray, teacher_logits: np.ndarray | None,
-             pseudo_labels: np.ndarray, cfg: LossConfig, m: int,
-             n: int) -> tuple[float, np.ndarray]:
-    """Mean cross-distillation loss over a batch and its analytic gradients.
+             labels: np.ndarray, alpha: float, temperature: float,
+             m: int) -> tuple[float, np.ndarray]:
+    """Mean cross-distillation loss over the rows ``x`` and its gradient.
 
-    The gradient vector has the layout of ``model.params``.
-
-    With m == 0 (first task) the distillation term vanishes and
-    teacher_logits may be None.
+    L_CD = alpha * L_D + (1 - alpha) * L_C per row, where L_C is the
+    cross-entropy of ``labels`` over all logits and L_D the cross-entropy of
+    the temperature-softened teacher over the student's first ``m`` logits.
+    The gradient vector has the layout of ``model.params``. With alpha == 0
+    the distillation term vanishes and teacher_logits may be None.
     """
-    x, _ = _as_batch(x)
+    x = np.asarray(x, dtype=float)
     batch = x.shape[0]
     if batch == 0:
         raise ValueError("empty batch")
-    y = np.asarray(pseudo_labels, dtype=int)
+    y = np.asarray(labels, dtype=int)
     if y.shape != (batch,):
-        raise ValueError("pseudo label count does not match batch")
+        raise ValueError("label count does not match batch")
     out_dim = model.out_dim
     if np.any(y < 0) or np.any(y >= out_dim):
-        raise ValueError("pseudo label out of range")
-    alpha = cfg.alpha(m, n) if (m + n) > 0 else 0.0
-    temperature = cfg.temperature
+        raise ValueError("label out of range")
 
     acts, logits = _forward_cached(model, x)
 
@@ -210,10 +148,10 @@ def backward(model: Model, x: np.ndarray, teacher_logits: np.ndarray | None,
         if teacher_logits is None:
             raise ValueError("teacher logits required when alpha > 0")
         t = np.asarray(teacher_logits, dtype=float)
-        if t.ndim == 1:
-            t = t[None, :]
-        if t.shape[0] != batch or t.shape[1] < m:
-            raise ValueError("teacher logits shape mismatch")
+        if t.ndim != 2 or t.shape[0] != batch \
+                or not 1 <= m <= min(t.shape[1], out_dim):
+            raise ValueError(f"teacher logits of shape {t.shape} do not give "
+                             f"{m} old-class logits for {batch} rows")
         p = softened_probs(logits[:, :m], temperature)
         p_hat = softened_probs(t[:, :m], temperature)
         l_d = -np.sum(p_hat * np.log(p), axis=1)

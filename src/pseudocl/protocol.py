@@ -38,6 +38,10 @@ class TaskStream:
     tasks: list[Task]
     step_size: int
 
+    def eval_ids(self, step: int) -> np.ndarray:
+        """Held-out sample ids of tasks 1..step."""
+        return np.concatenate([t.eval_ids for t in self.tasks[:step]])
+
 
 @dataclass
 class ExperimentResult:
@@ -69,31 +73,35 @@ def split_tasks(dataset: Dataset, step_size: int,
     return TaskStream(tasks, step_size)
 
 
-def _slot_labels(true_labels: np.ndarray, classes: np.ndarray,
-                 offset: int) -> np.ndarray:
-    """Map original class ids onto head slots offset..offset+len(classes)-1."""
-    slot_of = {int(c): offset + i for i, c in enumerate(classes)}
-    return np.array([slot_of[int(y)] for y in true_labels])
+def _true_slots(dataset: Dataset, task: Task) -> np.ndarray:
+    """Reveal the true labels of ``task``'s training samples as slots
+    0..len(task.classes)-1, in the order of ``task.classes``."""
+    true = dataset.sealed.reveal(dataset.positions(task.train_ids))
+    order = np.argsort(task.classes)
+    return order[np.searchsorted(task.classes, true, sorter=order)]
 
 
 def _lr_at(cfg: RunConfig, epoch: int) -> float:
     return cfg.lr * cfg.lr_decay ** (epoch // cfg.lr_decay_period)
 
 
+# a diverging run overflows, and its softmax underflows to log(0), before
+# its loss turns non-finite; the finiteness checks report that as a
+# ProtocolError, not as numpy warnings
+@np.errstate(all="ignore")
 def _train(model: nn.Model, x: np.ndarray, y: np.ndarray,
            teacher: nn.Model | None, m: int, n: int, cfg: RunConfig,
            step: int, refresh=None) -> nn.Model:
-    """SGD over the merged set, in place; offline runs cfg.epochs, online
-    one pass. A non-finite loss or parameter raises ProtocolError.
+    """SGD on the cross-distillation loss over the merged set, in place;
+    offline runs cfg.epochs, online one pass. A non-finite loss or parameter
+    raises ProtocolError.
 
-    refresh, when given, is called at epoch boundaries and may return a
-    replacement label array (UPL pseudo-label updates).
+    The distillation weight is alpha = m / (m + n): 0 on the supervised
+    first task (m == 0, no teacher). refresh, when given, is called at epoch
+    boundaries and may return a replacement label array (UPL pseudo-label
+    updates).
     """
-    # the supervised first task has no teacher; any alpha override applies
-    # only to incremental steps
-    loss_cfg = nn.LossConfig(
-        temperature=cfg.temperature,
-        alpha_override=cfg.alpha_override if teacher is not None else None)
+    alpha = m / (m + n)
     epochs = 1 if cfg.mode == "online" else cfg.epochs
     base_seed = _seed(cfg.shuffle_seed, "task", step)
     y = y.copy()
@@ -111,7 +119,8 @@ def _train(model: nn.Model, x: np.ndarray, y: np.ndarray,
             idx = order[start:start + cfg.batch_size]
             xb, yb = x[idx], y[idx]
             tb = nn.forward(teacher, xb) if teacher is not None else None
-            loss, grads = nn.backward(model, xb, tb, yb, loss_cfg, m, n)
+            loss, grads = nn.backward(model, xb, tb, yb, alpha,
+                                      cfg.temperature, m)
             if not math.isfinite(loss):
                 raise ProtocolError(
                     f"training diverged at step {step}, epoch {epoch + 1} "
@@ -129,8 +138,7 @@ def train_first_task(dataset: Dataset, stream: TaskStream,
     """Supervised softmax training on task 1 (labels permitted here)."""
     task = stream.tasks[0]
     x = dataset.features_for(task.train_ids)
-    true = dataset.sealed.reveal(dataset.positions(task.train_ids))
-    y = _slot_labels(true, task.classes, 0)
+    y = _true_slots(dataset, task)
     model = nn.init_model(dataset.dim, cfg.hidden_width, cfg.n_hidden,
                           stream.step_size, cfg.model_seed)
     # pre-training is supervised and always multi-epoch, even in online mode
@@ -180,10 +188,9 @@ def _update_store(store: ExemplarStore, model: nn.Model, x: np.ndarray,
     return out
 
 
-def evaluate(model: nn.Model, dataset: Dataset, tasks: list[Task],
+def evaluate(model: nn.Model, dataset: Dataset, eval_ids: np.ndarray,
              step: int) -> StepReport:
-    """Cluster-quality metrics on held-out data of all classes seen so far."""
-    eval_ids = np.concatenate([t.eval_ids for t in tasks])
+    """Cluster-quality metrics of the model's predictions on ``eval_ids``."""
     x = dataset.features_for(eval_ids)
     preds = np.argmax(nn.forward(model, x), axis=1)
     truth = dataset.sealed.reveal(dataset.positions(eval_ids))
@@ -201,9 +208,8 @@ def continual_step(model: nn.Model, stream: TaskStream, step: int,
 
     reads_before = dataset.sealed.access_count
     if cfg.oracle_labels:
-        true = dataset.sealed.reveal(dataset.positions(task.train_ids))
-        labels = _slot_labels(true, task.classes, m)
-        assignments = labels - m
+        assignments = _true_slots(dataset, task)
+        labels = assignments + m
     else:
         feats = _variant_features(model, h1, x_train, cfg, step)
         km = kmeans(feats, n, seed=_seed(cfg.shuffle_seed, "cluster", step),
@@ -245,7 +251,7 @@ def continual_step(model: nn.Model, stream: TaskStream, step: int,
         if training_reads != 0:
             raise ProtocolError(
                 "ground-truth labels were read on the unsupervised path")
-    report = evaluate(model, dataset, stream.tasks[:step], step)
+    report = evaluate(model, dataset, stream.eval_ids(step), step)
     return model, store, report
 
 
@@ -262,12 +268,11 @@ def run_experiment(cfg: RunConfig, dataset: Dataset,
     try:
         model = train_first_task(dataset, stream, cfg)
         h1 = model.copy()
-        reports.append(evaluate(model, dataset, stream.tasks[:1], 1))
+        reports.append(evaluate(model, dataset, stream.eval_ids(1), 1))
 
         # exemplars for the supervised first task come from true classes
         task1 = stream.tasks[0]
-        true1 = dataset.sealed.reveal(dataset.positions(task1.train_ids))
-        slots1 = _slot_labels(true1, task1.classes, 0)
+        slots1 = _true_slots(dataset, task1)
         store = _update_store(ExemplarStore(cfg.q), model,
                               dataset.features_for(task1.train_ids),
                               slots1, slots1, task1.train_ids, cfg, 1)

@@ -114,22 +114,22 @@ def test_criterion_03_gradient_correctness():
         x = rng.standard_normal((3, 4))
         teacher = rng.standard_normal((3, 4))
         y = rng.integers(0, 6, 3)
-        cfg = nn.LossConfig(temperature=temp, alpha_override=alpha)
-        worst = max(worst, _max_grad_error(model, x, teacher, y, cfg, 4, 2))
+        worst = max(worst, _max_grad_error(model, x, teacher, y, alpha, temp,
+                                           4))
     ok = worst < 1e-4
     _verdict(3, "gradient correctness", ok, f"max relative error {worst:.2e}")
 
 
-def _max_grad_error(model, x, teacher, y, cfg, m, n, step=1e-6):
-    _, grads = nn.backward(model, x, teacher, y, cfg, m, n)
+def _max_grad_error(model, x, teacher, y, alpha, temperature, m, step=1e-6):
+    _, grads = nn.backward(model, x, teacher, y, alpha, temperature, m)
     worst = 0.0
     p = model.params
     for i in range(p.size):
         orig = p[i]
         p[i] = orig + step
-        lp, _ = nn.backward(model, x, teacher, y, cfg, m, n)
+        lp, _ = nn.backward(model, x, teacher, y, alpha, temperature, m)
         p[i] = orig - step
-        lm, _ = nn.backward(model, x, teacher, y, cfg, m, n)
+        lm, _ = nn.backward(model, x, teacher, y, alpha, temperature, m)
         p[i] = orig
         fd = (lp - lm) / (2 * step)
         worst = max(worst, abs(fd - grads[i]) / max(abs(fd), 1e-6))

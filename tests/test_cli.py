@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -44,13 +45,14 @@ class TestGenData:
         assert ds.dim == 4
         assert ds.seed == 5
 
-    def test_blob_prefix_accepted(self, tmp_path):
+    def test_blob_prefix_rejected(self, tmp_path, capsys):
+        # spec keys are the bare BlobSpec fields of configs/blobs.cfg
         spec = tmp_path / "s.cfg"
-        spec.write_text("\n".join(f"blob.{line}" if "=" in line else line
-                                  for line in BLOB_SPEC.splitlines()) + "\n")
+        spec.write_text("num_classes = 4\nblob.dim = 4\n")
         out = tmp_path / "d.csv"
-        assert cli.main(["gen-data", str(spec), str(out)]) == 0
-        assert load_dataset(str(out)).dim == 4
+        assert cli.main(["gen-data", str(spec), str(out)]) == 2
+        assert "s.cfg:2: unknown key 'blob.dim'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_spec_is_usage_error(self, tmp_path):
         spec = tmp_path / "s.cfg"
@@ -109,7 +111,9 @@ class TestRun:
     def test_diverging_run_names_step_and_epoch(self, workdir, tmp_path,
                                                 capsys):
         out = tmp_path / "run"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            # overflow on the way to divergence is no numpy warning
+            warnings.simplefilter("error", RuntimeWarning)
             code = cli.main(["run", str(workdir["cfg"]),
                              "--data", str(workdir["data"]), "--out", str(out),
                              "--lr", "1e6", "--epochs", "2"])
@@ -142,16 +146,16 @@ class TestSweep:
         assert len(lines) == 3
         assert capsys.readouterr().out.count("seed") >= 1
 
-    def test_float_axis_over_none_default(self, workdir, tmp_path):
+    def test_float_axis(self, workdir, tmp_path):
         out = tmp_path / "sweep"
         assert cli.main(["sweep", str(workdir["cfg"]),
                          "--data", str(workdir["data"]),
                          "--out", str(out),
-                         "--axis", "alpha_override=0.5"]) == 0
+                         "--axis", "temperature=1.5"]) == 0
         with open(out / "sweep.csv") as fh:
             assert len(fh.read().splitlines()) == 2
 
-    @pytest.mark.parametrize("axis", ["q=2,many", "alpha_override=1.5",
+    @pytest.mark.parametrize("axis", ["q=2,many", "temperature=0",
                                       "bias_correction=maybe"])
     def test_bad_axis_value_is_usage_error(self, workdir, tmp_path, capsys,
                                            axis):
@@ -204,7 +208,8 @@ class TestEval:
             final = fh.read().splitlines()[-1].split(",")
         assert np.isclose(acc, float(final[2]), atol=1e-12)
         with open(tmp_path / "eval.csv") as fh:
-            assert fh.readline().strip() == "step,classes_seen,acc,nmi,ari"
+            assert fh.read().splitlines() == ["step,classes_seen,acc,nmi,ari",
+                                              ",".join(final)]
 
     def test_corrupt_checkpoint_is_usage_error(self, workdir, tmp_path):
         bad = tmp_path / "bad.ckpt"

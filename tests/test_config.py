@@ -37,12 +37,6 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=field):
             config.RunConfig(**{field: value})
 
-    def test_alpha_override_bounds(self):
-        config.RunConfig(alpha_override=0.0)
-        config.RunConfig(alpha_override=1.0)
-        with pytest.raises(ValueError):
-            config.RunConfig(alpha_override=1.5)
-
 
 class TestParseVariant:
     def test_plain_variants(self):
@@ -87,11 +81,18 @@ seeds.model = 42
         cfg = config.load_config(path)
         assert cfg.variant == "ours" and cfg.upl_k == 5
 
-    def test_alpha_override_none_and_value(self, tmp_path):
-        path = write_cfg(tmp_path, "train.alpha_override = none\n")
-        assert config.load_config(path).alpha_override is None
-        path = write_cfg(tmp_path, "train.alpha_override = 0.25\n")
-        assert config.load_config(path).alpha_override == 0.25
+    def test_alpha_override_key_rejected(self, tmp_path):
+        # alpha is always m / (m + n): no key sets it
+        path = write_cfg(tmp_path, "run.q = 3\ntrain.alpha_override = 0.25\n")
+        with pytest.raises(ValueError,
+                           match=r"run\.cfg:2: unknown key 'train\.alpha_override'"):
+            config.load_config(path)
+
+    def test_bare_field_alias_rejected(self, tmp_path):
+        # only the dotted keys that dump_config writes are accepted
+        path = write_cfg(tmp_path, "train.epochs = 3\nepochs = 3\n")
+        with pytest.raises(ValueError, match=r"run\.cfg:2: unknown key 'epochs'"):
+            config.load_config(path)
 
     def test_bool_spellings(self, tmp_path):
         for word, want in (("on", True), ("off", False),

@@ -1,4 +1,4 @@
-"""The vectorised cluster/match hot paths against the loops they replaced.
+"""The vectorised hot paths against the loops they replaced.
 
 Each oracle below is the earlier loop implementation, kept here as the
 reference. Where the arithmetic is unchanged the results must be equal bit
@@ -8,7 +8,7 @@ for bit, not merely close: report.csv and every checkpoint depend on them.
 import numpy as np
 import pytest
 
-from pseudocl import clustering, data, labeling, metrics
+from pseudocl import clustering, data, labeling, metrics, protocol
 from test_acceptance import _herd_brute
 
 
@@ -270,3 +270,20 @@ class TestPositions:
         assert ds.positions(query).tolist() == [index[int(i)] for i in query]
         with pytest.raises(KeyError):
             ds.positions([ids[0], 1])
+
+
+class TestTrueSlots:
+    def test_matches_dict_lookup_with_one_label_read(self):
+        rng = np.random.default_rng(9)
+        labels = 7 * (np.arange(240) % 12) + 3  # class ids 3, 10, ..., 80
+        ds = data.Dataset(rng.permutation(240), rng.normal(size=(240, 2)),
+                          labels)
+        stream = protocol.split_tasks(ds, 4, arrangement_seed=5)
+        for task in stream.tasks:
+            true = ds.sealed._peek()[ds.positions(task.train_ids)]
+            slot_of = {int(c): i for i, c in enumerate(task.classes)}
+            want = np.array([slot_of[int(y)] for y in true])
+            before = ds.sealed.access_count
+            got = protocol._true_slots(ds, task)
+            assert ds.sealed.access_count == before + 1
+            assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -43,38 +43,42 @@ class TestForward:
     def test_zero_weight_model_gives_zero_logits(self):
         m = small_model()
         m.params[:] = 0.0
-        assert np.all(nn.forward(m, np.array([1.0, -2.0, 3.0, 0.5, 7.0])) == 0.0)
+        assert np.all(nn.forward(m, np.array([[1.0, -2.0, 3.0, 0.5, 7.0]])) == 0.0)
 
     def test_identity_head_only_model(self):
         m = head_only(np.eye(2), np.zeros(2))
-        assert np.allclose(nn.forward(m, np.array([1.0, 2.0])), [1.0, 2.0])
+        assert np.allclose(nn.forward(m, np.array([[1.0, 2.0]])), [[1.0, 2.0]])
 
     def test_matches_manual_matrix_recomputation(self):
         m = small_model(seed=3)
-        x = np.random.default_rng(1).standard_normal(5)
+        x = np.random.default_rng(1).standard_normal((3, 5))
         assert np.allclose(nn.forward(m, x), manual_forward(m, x), atol=0, rtol=1e-14)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            nn.forward(small_model(), np.ones(7))
+            nn.forward(small_model(), np.ones((1, 7)))
+
+    def test_single_row_vector_rejected(self):
+        with pytest.raises(ValueError):
+            nn.forward(small_model(), np.ones(5))
 
 
 class TestExtractFeatures:
     def test_head_only_model_is_identity(self):
         m = head_only(np.ones((3, 2)), np.zeros(2))
-        x = np.array([1.0, 2.0, 3.0])
+        x = np.array([[1.0, 2.0, 3.0]])
         assert np.array_equal(nn.extract_features(m, x), x)
 
     def test_unchanged_by_expand_head(self):
         m = small_model(seed=4)
-        x = np.random.default_rng(2).standard_normal(5)
+        x = np.random.default_rng(2).standard_normal((3, 5))
         before = nn.extract_features(m, x)
         after = nn.extract_features(nn.expand_head(m, 3, seed=9), x)
         assert np.array_equal(before, after)
 
     def test_matches_manual_recomputation(self):
         m = small_model(seed=5)
-        x = np.random.default_rng(3).standard_normal(5)
+        x = np.random.default_rng(3).standard_normal((3, 5))
         a = x
         for w, b in m.layers[:-1]:
             a = np.maximum(a @ w + b, 0.0)
@@ -120,11 +124,33 @@ class TestSoftenedProbs:
             nn.softened_probs(np.zeros(3), 0.0)
 
 
+def loss_of(student, teacher, label, alpha, temperature, m):
+    """backward's loss for one row through a head-only identity model, so
+    that the student logits are ``student``."""
+    student = np.asarray(student, dtype=float)
+    k = student.size
+    model = head_only(np.eye(k), np.zeros(k))
+    t = None if teacher is None else np.asarray(teacher, dtype=float)[None, :]
+    loss, _ = nn.backward(model, student[None, :], t, np.array([label]),
+                          alpha, temperature, m)
+    return loss
+
+
+def distillation_loss(student, teacher, temperature, m):
+    """The alpha = 1 end of backward's loss: L_D alone."""
+    return loss_of(student, teacher, 0, 1.0, temperature, m)
+
+
+def cross_entropy_pseudo(logits, label):
+    """The alpha = 0 end of backward's loss: L_C alone."""
+    return loss_of(logits, None, label, 0.0, 1.0, 0)
+
+
 class TestDistillationLoss:
     def test_equal_uniform_logits_give_log_m(self):
         for m in (2, 4, 7):
             logits = np.zeros(m + 2)
-            assert np.isclose(nn.distillation_loss(logits, logits, 2.0, m),
+            assert np.isclose(distillation_loss(logits, logits, 2.0, m),
                               np.log(m), atol=1e-12)
 
     def test_student_equals_teacher_gives_entropy(self):
@@ -132,7 +158,7 @@ class TestDistillationLoss:
         t = rng.standard_normal(6)
         p = nn.softened_probs(t[:4], 3.0)
         entropy = -np.sum(p * np.log(p))
-        assert np.isclose(nn.distillation_loss(t, t, 3.0, 4), entropy, atol=1e-12)
+        assert np.isclose(distillation_loss(t, t, 3.0, 4), entropy, atol=1e-12)
 
     def test_against_high_precision_oracle(self):
         from mpmath import mp, exp as mpexp, log as mplog
@@ -143,7 +169,7 @@ class TestDistillationLoss:
         pt = [v / sum(pt) for v in pt]
         ps = [v / sum(ps) for v in ps]
         expected = float(-sum(a * mplog(b) for a, b in zip(pt, ps)))
-        got = nn.distillation_loss(np.array(student), np.array(teacher), 1.0, 2)
+        got = distillation_loss(np.array(student), np.array(teacher), 1.0, 2)
         assert np.isclose(got, expected, atol=1e-14)
 
     def test_lower_bounded_by_teacher_entropy(self):
@@ -153,22 +179,22 @@ class TestDistillationLoss:
             s = rng.standard_normal(5)
             p = nn.softened_probs(t[:3], 2.0)
             entropy = -np.sum(p * np.log(p))
-            assert nn.distillation_loss(s, t, 2.0, 3) >= entropy - 1e-12
+            assert distillation_loss(s, t, 2.0, 3) >= entropy - 1e-12
 
     def test_m_below_one_rejected(self):
         with pytest.raises(ValueError):
-            nn.distillation_loss(np.zeros(2), np.zeros(2), 1.0, 0)
+            distillation_loss(np.zeros(2), np.zeros(2), 1.0, 0)
 
 
 class TestCrossEntropyPseudo:
     def test_uniform_logits_give_log_k(self):
         for k in (3, 10):
-            assert np.isclose(nn.cross_entropy_pseudo(np.zeros(k), k - 1),
+            assert np.isclose(cross_entropy_pseudo(np.zeros(k), k - 1),
                               np.log(k), atol=1e-12)
 
     def test_peaked_logits_drive_loss_to_zero(self):
         logits = np.array([0.0, 100.0, 0.0])
-        assert nn.cross_entropy_pseudo(logits, 1) < 1e-12
+        assert cross_entropy_pseudo(logits, 1) < 1e-12
 
     def test_against_high_precision_oracle(self):
         from mpmath import mp, exp as mpexp, log as mplog
@@ -176,55 +202,57 @@ class TestCrossEntropyPseudo:
         logits = [2.0, 0.0, -1.0]
         zs = [mpexp(v) for v in logits]
         expected = float(-mplog(zs[1] / sum(zs)))
-        assert np.isclose(nn.cross_entropy_pseudo(np.array(logits), 1),
+        assert np.isclose(cross_entropy_pseudo(np.array(logits), 1),
                           expected, atol=1e-14)
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(ValueError):
-            nn.cross_entropy_pseudo(np.zeros(3), 3)
+            cross_entropy_pseudo(np.zeros(3), 3)
 
 
 class TestCrossDistillation:
-    def test_alpha_from_class_counts(self):
-        cfg = nn.LossConfig(temperature=1.0)
-        assert cfg.alpha(10, 10) == 0.5
-        assert cfg.alpha(50, 10) == 5 / 6
-
     def test_alpha_zero_endpoint_is_pseudo_ce(self):
         rng = np.random.default_rng(3)
         s, t = rng.standard_normal(5), rng.standard_normal(3)
-        cfg = nn.LossConfig(temperature=2.0, alpha_override=0.0)
-        assert nn.cross_distillation_loss(s, t, 2, cfg, 3, 2) == \
-            nn.cross_entropy_pseudo(s, 2)
+        assert loss_of(s, t, 2, 0.0, 2.0, 3) == cross_entropy_pseudo(s, 2)
 
     def test_alpha_one_endpoint_is_distillation(self):
         rng = np.random.default_rng(4)
         s, t = rng.standard_normal(5), rng.standard_normal(3)
-        cfg = nn.LossConfig(temperature=2.0, alpha_override=1.0)
-        assert nn.cross_distillation_loss(s, t, 2, cfg, 3, 2) == \
-            nn.distillation_loss(s, t, 2.0, 3)
+        z = s[:3] / 2.0
+        log_p = z - np.max(z) - np.log(np.sum(np.exp(z - np.max(z))))
+        expected = -np.sum(nn.softened_probs(t, 2.0) * log_p)
+        assert np.isclose(loss_of(s, t, 2, 1.0, 2.0, 3), expected, atol=1e-12)
 
     def test_convex_combination(self):
         rng = np.random.default_rng(5)
         s, t = rng.standard_normal(6), rng.standard_normal(4)
-        cfg = nn.LossConfig(temperature=1.5)
         m, n = 4, 2
-        expected = (m / 6) * nn.distillation_loss(s, t, 1.5, m) \
-            + (2 / 6) * nn.cross_entropy_pseudo(s, 5)
-        assert np.isclose(nn.cross_distillation_loss(s, t, 5, cfg, m, n),
-                          expected, atol=1e-12)
+        expected = (m / 6) * distillation_loss(s, t, 1.5, m) \
+            + (2 / 6) * cross_entropy_pseudo(s, 5)
+        assert np.isclose(loss_of(s, t, 5, m / (m + n), 1.5, m), expected,
+                          atol=1e-12)
+
+    def test_batch_loss_is_mean_of_row_losses(self):
+        rng = np.random.default_rng(6)
+        x, t = rng.standard_normal((4, 5)), rng.standard_normal((4, 3))
+        y = np.array([0, 4, 2, 2])
+        model = head_only(np.eye(5), np.zeros(5))
+        loss, _ = nn.backward(model, x, t, y, 0.6, 2.0, 3)
+        rows = [loss_of(x[i], t[i], y[i], 0.6, 2.0, 3) for i in range(4)]
+        assert np.isclose(loss, np.mean(rows), atol=1e-12)
 
 
-def finite_diff_check(model, x, teacher, y, cfg, m, n, step=1e-6):
-    loss, grads = nn.backward(model, x, teacher, y, cfg, m, n)
+def finite_diff_check(model, x, teacher, y, alpha, temperature, m, step=1e-6):
+    loss, grads = nn.backward(model, x, teacher, y, alpha, temperature, m)
     max_rel = 0.0
     p = model.params
     for i in range(p.size):
         orig = p[i]
         p[i] = orig + step
-        lp, _ = nn.backward(model, x, teacher, y, cfg, m, n)
+        lp, _ = nn.backward(model, x, teacher, y, alpha, temperature, m)
         p[i] = orig - step
-        lm, _ = nn.backward(model, x, teacher, y, cfg, m, n)
+        lm, _ = nn.backward(model, x, teacher, y, alpha, temperature, m)
         p[i] = orig
         fd = (lp - lm) / (2 * step)
         denom = max(abs(fd), 1e-6)
@@ -245,16 +273,14 @@ class TestBackward:
         x = rng.standard_normal((3, 4))
         teacher = rng.standard_normal((3, 3))
         y = rng.integers(0, 5, 3)
-        cfg = nn.LossConfig(temperature=2.0)
-        assert finite_diff_check(model, x, teacher, y, cfg, 3, 2) < 1e-4
+        assert finite_diff_check(model, x, teacher, y, 3 / 5, 2.0, 3) < 1e-4
 
     def test_alpha_zero_head_bias_gradient_closed_form(self):
         rng = np.random.default_rng(8)
         model = nn.init_model(4, 5, 1, 5, seed=12)
         x = rng.standard_normal((6, 4))
         y = rng.integers(0, 5, 6)
-        cfg = nn.LossConfig(temperature=1.0, alpha_override=0.0)
-        _, grads = nn.backward(model, x, None, y, cfg, 3, 2)
+        _, grads = nn.backward(model, x, None, y, 0.0, 1.0, 3)
         logits = nn.forward(model, x)
         probs = np.exp(logits - np.max(logits, axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
@@ -269,25 +295,36 @@ class TestBackward:
         model = nn.init_model(4, 5, 1, 4, seed=13)
         x = rng.standard_normal((1, 4))
         t = rng.standard_normal((1, 2))
-        cfg = nn.LossConfig(temperature=2.0)
-        _, g1 = nn.backward(model, x, t, np.array([3]), cfg, 2, 2)
+        _, g1 = nn.backward(model, x, t, np.array([3]), 0.5, 2.0, 2)
         x2 = np.vstack([x, x])
         t2 = np.vstack([t, t])
-        _, g2 = nn.backward(model, x2, t2, np.array([3, 3]), cfg, 2, 2)
+        _, g2 = nn.backward(model, x2, t2, np.array([3, 3]), 0.5, 2.0, 2)
         assert np.allclose(g1, g2, atol=1e-14)
 
     def test_empty_batch_rejected(self):
         model = nn.init_model(4, 5, 1, 4, seed=14)
         with pytest.raises(ValueError):
             nn.backward(model, np.empty((0, 4)), None, np.empty(0, dtype=int),
-                        nn.LossConfig(), 2, 2)
+                        0.5, 2.0, 2)
+
+
+    @pytest.mark.parametrize("teacher, m", [
+        (None, 2), (np.zeros(3), 2), (np.zeros((2, 3)), 2),
+        (np.zeros((1, 3)), 4), (np.zeros((1, 5)), 5), (np.zeros((1, 4)), 0)],
+        ids=["missing", "1-d", "other-batch", "m-over-teacher", "m-over-head",
+             "m-zero"])
+    def test_bad_teacher_rejected(self, teacher, m):
+        model = nn.init_model(4, 5, 1, 4, seed=15)
+        with pytest.raises(ValueError):
+            nn.backward(model, np.ones((1, 4)), teacher, np.array([0]),
+                        0.5, 2.0, m)
 
 
 class TestSgdStep:
     def test_zero_lr_is_identity(self):
         model = small_model(seed=20)
         _, grads = nn.backward(model, np.ones((2, 5)), None,
-                               np.array([0, 1]), nn.LossConfig(), 0, 5)
+                               np.array([0, 1]), 0.0, 2.0, 0)
         before = model.params.copy()
         nn.sgd_step(model, grads, lr=0.0, weight_decay=0.1)
         assert np.array_equal(model.params, before)
@@ -368,8 +405,7 @@ class TestDeterminism:
             for _ in range(10):
                 x = rng.standard_normal((5, 4))
                 y = rng.integers(0, 3, 5)
-                _, g = nn.backward(model, x, None, y,
-                                   nn.LossConfig(alpha_override=0.0), 0, 3)
+                _, g = nn.backward(model, x, None, y, 0.0, 2.0, 0)
                 nn.sgd_step(model, g, 0.05, 1e-5)
             return model
 

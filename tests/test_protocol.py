@@ -58,7 +58,7 @@ class TestFirstTask:
         cfg = fast_cfg(epochs=10)
         stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
         model = protocol.train_first_task(dataset, stream, cfg)
-        rep = protocol.evaluate(model, dataset, stream.tasks[:1], 1)
+        rep = protocol.evaluate(model, dataset, stream.eval_ids(1), 1)
         assert model.out_dim == 2
         assert rep.acc > 0.9
 
@@ -190,6 +190,22 @@ class TestContinualStep:
 
 
 class TestRunExperiment:
+    def test_alpha_is_old_class_share(self, dataset, monkeypatch):
+        # step s trains with m = (s - 1) * n old classes of m + n = s * n,
+        # so alpha = (s - 1) / s; the supervised first task gets 0
+        seen = {}
+        real = nn.backward
+
+        def recording(model, x, teacher, y, alpha, temperature, m):
+            step = model.out_dim // 2
+            seen.setdefault(step, set()).add((alpha, temperature, m))
+            return real(model, x, teacher, y, alpha, temperature, m)
+
+        monkeypatch.setattr(nn, "backward", recording)
+        protocol.run_experiment(fast_cfg(temperature=1.5), dataset)
+        assert seen == {1: {(0.0, 1.5, 0)}, 2: {(1 / 2, 1.5, 2)},
+                        3: {(2 / 3, 1.5, 4)}}
+
     def test_report_sequence(self, dataset):
         result = protocol.run_experiment(fast_cfg(), dataset)
         assert [r.step for r in result.reports] == [1, 2, 3]
@@ -272,8 +288,8 @@ class TestRunExperiment:
         out = str(tmp_path / "run")
         real = nn.backward
 
-        def diverging(model, x, teacher, y, cfg, m, n):
-            loss, grads = real(model, x, teacher, y, cfg, m, n)
+        def diverging(model, x, teacher, y, alpha, temperature, m):
+            loss, grads = real(model, x, teacher, y, alpha, temperature, m)
             return (float("nan") if m else loss), grads
 
         monkeypatch.setattr(nn, "backward", diverging)
