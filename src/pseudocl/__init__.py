@@ -6,7 +6,7 @@ from .config import RunConfig, load_config
 from .data import BlobSpec, Dataset, generate_gaussian_stream, load_dataset, save_dataset
 from .labeling import ExemplarStore, assign_pseudo_labels, merge_replay, \
     select_exemplars_herding, select_exemplars_random
-from .metrics import StepReport, aggregate, ari, cluster_accuracy, hungarian, nmi
+from .metrics import StepReport, ari, cluster_accuracy, hungarian, nmi
 from .nn import Model, backward, expand_head, extract_features, forward, \
     init_model, sgd_step, softened_probs, weight_align
 from .protocol import TaskStream, continual_step, run_experiment, run_sweep, \

@@ -21,7 +21,6 @@ class ClusterResult:
 class PcaBasis:
     components: np.ndarray         # (d_out, d), orthonormal rows
     mean: np.ndarray               # (d,)
-    explained_variance: np.ndarray  # (d_out,), non-increasing
 
 
 def _validate_points(points: np.ndarray, k: int) -> np.ndarray:
@@ -171,7 +170,7 @@ def pca_fit(points: np.ndarray, d_out: int) -> PcaBasis:
         pivot = np.argmax(np.abs(row))
         if row[pivot] < 0:
             row *= -1.0
-    return PcaBasis(components, mean, evals[order])
+    return PcaBasis(components, mean)
 
 
 def pca_project(basis: PcaBasis, point: np.ndarray) -> np.ndarray:

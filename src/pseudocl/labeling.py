@@ -10,20 +10,11 @@ import numpy as np
 @dataclass
 class ExemplarStore:
     q: int
-    ids: list[int] = field(default_factory=list)
-    labels: list[int] = field(default_factory=list)
+    ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+    labels: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def class_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for y in self.labels:
-            counts[y] = counts.get(y, 0) + 1
-        return counts
-
-    def copy(self) -> "ExemplarStore":
-        return ExemplarStore(self.q, list(self.ids), list(self.labels))
 
 
 def assign_pseudo_labels(assignments: np.ndarray, m: int) -> np.ndarray:
@@ -57,51 +48,39 @@ def _herd_cluster(feats: np.ndarray, q: int) -> list[int]:
     return picked
 
 
+def _select(assignments: np.ndarray, pseudo_labels: np.ndarray, q: int,
+            sample_ids: np.ndarray | None, pick) -> ExemplarStore:
+    """Exemplars of every cluster in ascending cluster id; ``pick(members)``
+    returns the chosen rows of one cluster's row indices."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    assignments = np.asarray(assignments, dtype=int)
+    if sample_ids is None:
+        sample_ids = np.arange(len(assignments))
+    # the leading empty part keeps the rows int-typed for an empty input
+    rows = np.concatenate([np.empty(0, dtype=int)] + [
+        pick(np.flatnonzero(assignments == j)) for j in np.unique(assignments)])
+    return ExemplarStore(q, np.asarray(sample_ids, dtype=int)[rows],
+                         np.asarray(pseudo_labels, dtype=int)[rows])
+
+
 def select_exemplars_herding(features: np.ndarray, assignments: np.ndarray,
                              pseudo_labels: np.ndarray, q: int,
                              sample_ids: np.ndarray | None = None) -> ExemplarStore:
     """Per-cluster greedy herding toward the cluster mean, q picks each."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
     features = np.asarray(features, dtype=float)
-    assignments = np.asarray(assignments, dtype=int)
-    pseudo_labels = np.asarray(pseudo_labels, dtype=int)
-    if sample_ids is None:
-        sample_ids = np.arange(len(assignments))
-    store = ExemplarStore(q)
-    for j in np.unique(assignments):
-        members = np.flatnonzero(assignments == j)
-        if members.size == 0:
-            raise ValueError(f"cluster {j} is empty")
-        local = _herd_cluster(features[members], q)
-        for li in local:
-            gi = members[li]
-            store.ids.append(int(sample_ids[gi]))
-            store.labels.append(int(pseudo_labels[gi]))
-    return store
+    return _select(assignments, pseudo_labels, q, sample_ids,
+                   lambda members: members[_herd_cluster(features[members], q)])
 
 
-def select_exemplars_random(features: np.ndarray, assignments: np.ndarray,
-                            pseudo_labels: np.ndarray, q: int, seed: int,
+def select_exemplars_random(assignments: np.ndarray, pseudo_labels: np.ndarray,
+                            q: int, seed: int,
                             sample_ids: np.ndarray | None = None) -> ExemplarStore:
     """Uniform without-replacement pick of min(q, cluster size) per cluster."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    assignments = np.asarray(assignments, dtype=int)
-    pseudo_labels = np.asarray(pseudo_labels, dtype=int)
-    if sample_ids is None:
-        sample_ids = np.arange(len(assignments))
     rng = np.random.default_rng(seed)
-    store = ExemplarStore(q)
-    for j in np.unique(assignments):
-        members = np.flatnonzero(assignments == j)
-        if members.size == 0:
-            raise ValueError(f"cluster {j} is empty")
-        chosen = rng.choice(members, size=min(q, members.size), replace=False)
-        for gi in chosen:
-            store.ids.append(int(sample_ids[gi]))
-            store.labels.append(int(pseudo_labels[gi]))
-    return store
+    return _select(assignments, pseudo_labels, q, sample_ids,
+                   lambda members: rng.choice(members, size=min(q, members.size),
+                                              replace=False))
 
 
 def merge_replay(x_new: np.ndarray, y_new: np.ndarray, x_old: np.ndarray,
@@ -112,14 +91,8 @@ def merge_replay(x_new: np.ndarray, y_new: np.ndarray, x_old: np.ndarray,
     The third return value maps each output row to its index in x_new,
     or -1 for replayed exemplar rows.
     """
-    x_new = np.asarray(x_new, dtype=float)
-    y_new = np.asarray(y_new, dtype=int)
-    origin = np.arange(len(x_new))
-    if len(x_old):
-        x = np.vstack([x_new, np.asarray(x_old, dtype=float)])
-        y = np.concatenate([y_new, np.asarray(y_old, dtype=int)])
-        origin = np.concatenate([origin, np.full(len(x_old), -1)])
-    else:
-        x, y = x_new, y_new
+    x = np.vstack([x_new, x_old]).astype(float)
+    y = np.concatenate([y_new, y_old]).astype(int)
+    origin = np.concatenate([np.arange(len(x_new)), np.full(len(x_old), -1)])
     perm = np.random.default_rng(seed).permutation(len(x))
     return x[perm], y[perm], origin[perm]

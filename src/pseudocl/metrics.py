@@ -146,16 +146,3 @@ def step_report(step: int, classes_seen: int, pred, truth) -> StepReport:
                       acc=cluster_accuracy(pred, truth),
                       nmi=nmi(pred, truth), ari=ari(pred, truth))
 
-
-def aggregate(reports: list[StepReport]) -> dict[str, float]:
-    """Avg = mean over given reports, Last = final report, per metric."""
-    if not reports:
-        raise ValueError("no reports to aggregate")
-    return {
-        "avg_acc": float(np.mean([r.acc for r in reports])),
-        "last_acc": reports[-1].acc,
-        "avg_nmi": float(np.mean([r.nmi for r in reports])),
-        "last_nmi": reports[-1].nmi,
-        "avg_ari": float(np.mean([r.ari for r in reports])),
-        "last_ari": reports[-1].ari,
-    }

@@ -18,7 +18,7 @@ from .data import (Dataset, ensure_dir, write_checkpoint, write_report,
                    write_summary)
 from .labeling import (ExemplarStore, assign_pseudo_labels, merge_replay,
                        select_exemplars_herding, select_exemplars_random)
-from .metrics import StepReport, aggregate, step_report
+from .metrics import StepReport, step_report
 
 
 class ProtocolError(ValueError):
@@ -174,18 +174,16 @@ def _update_store(store: ExemplarStore, model: nn.Model, x: np.ndarray,
                   step: int) -> ExemplarStore:
     if cfg.exemplar_policy == "none":
         return store
-    feats = nn.extract_features(model, x)
     if cfg.exemplar_policy == "herding":
-        picked = select_exemplars_herding(feats, assignments, labels, cfg.q,
+        picked = select_exemplars_herding(nn.extract_features(model, x),
+                                          assignments, labels, cfg.q,
                                           sample_ids)
     else:
-        picked = select_exemplars_random(feats, assignments, labels, cfg.q,
+        picked = select_exemplars_random(assignments, labels, cfg.q,
                                          _seed(cfg.shuffle_seed, "random-ex",
                                                step), sample_ids)
-    out = store.copy()
-    out.ids.extend(picked.ids)
-    out.labels.extend(picked.labels)
-    return out
+    return ExemplarStore(store.q, np.concatenate([store.ids, picked.ids]),
+                         np.concatenate([store.labels, picked.labels]))
 
 
 def evaluate(model: nn.Model, dataset: Dataset, eval_ids: np.ndarray,
@@ -220,21 +218,24 @@ def continual_step(model: nn.Model, stream: TaskStream, step: int,
     teacher = model.copy()
     model = nn.expand_head(model, n, _seed(cfg.model_seed, "expand", step))
 
-    x_old = dataset.features_for(store.ids) if len(store) else np.empty((0, dataset.dim))
-    y_old = np.asarray(store.labels, dtype=int)
     merge_seed = _seed(cfg.shuffle_seed, "merge", step)
-    x, y, origin = merge_replay(x_train, labels, x_old, y_old, merge_seed)
+    x, y, origin = merge_replay(x_train, labels,
+                                dataset.features_for(store.ids), store.labels,
+                                merge_seed)
 
     def refresh(current: nn.Model, y_now: np.ndarray, epoch: int) -> np.ndarray:
         # re-cluster current-task data with the in-training extractor;
-        # exemplar labels stay fixed
+        # replayed labels stay fixed, and this step's exemplars are picked
+        # from and labelled by the last clustering
+        nonlocal assignments, labels
         f = nn.extract_features(current, x_train)
         km2 = kmeans(f, n, seed=_seed(cfg.shuffle_seed, "cluster", step, epoch),
                      n_restarts=cfg.n_restarts)
-        fresh = assign_pseudo_labels(km2.assignments, m)
+        assignments = km2.assignments
+        labels = assign_pseudo_labels(assignments, m)
         out = y_now.copy()
         new_rows = origin >= 0
-        out[new_rows] = fresh[origin[new_rows]]
+        out[new_rows] = labels[origin[new_rows]]
         return out
 
     model = _train(model, x, y, teacher, m, n, cfg, step,
@@ -296,12 +297,11 @@ def run_experiment(cfg: RunConfig, dataset: Dataset,
 def summarize(reports: list[StepReport], cfg: RunConfig) -> dict:
     """Avg over incremental steps (all steps when only task 1 exists)."""
     scored = [r for r in reports if r.step >= 2] or reports
-    agg = aggregate(scored)
     return {
-        "avg_acc": agg["avg_acc"],
+        "avg_acc": float(np.mean([r.acc for r in scored])),
         "last_acc": reports[-1].acc,
-        "avg_nmi": agg["avg_nmi"],
-        "avg_ari": agg["avg_ari"],
+        "avg_nmi": float(np.mean([r.nmi for r in scored])),
+        "avg_ari": float(np.mean([r.ari for r in scored])),
         "seed": cfg.model_seed,
         "variant": variant_name(cfg),
     }
@@ -322,7 +322,8 @@ def _persist_step(out_dir, model, store, stream, step) -> None:
     write_checkpoint(model, os.path.join(out_dir, f"step_{step}.ckpt"),
                      meta={"step": step, "classes_seen": seen})
     with open(os.path.join(out_dir, f"exemplars_step_{step}.json"), "w") as fh:
-        json.dump({"q": store.q, "ids": store.ids, "labels": store.labels}, fh)
+        json.dump({"q": store.q, "ids": store.ids.tolist(),
+                   "labels": store.labels.tolist()}, fh)
 
 
 def _persist_reports(out_dir, reports, cfg, summary=None) -> None:

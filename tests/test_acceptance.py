@@ -169,7 +169,7 @@ def test_criterion_05_herding_oracle():
         feats = rng.standard_normal((size, 3))
         store = labeling.select_exemplars_herding(
             feats, np.zeros(size, dtype=int), np.zeros(size, dtype=int), q)
-        if store.ids != _herd_brute(feats, q):
+        if store.ids.tolist() != _herd_brute(feats, q):
             mismatches += 1
         first = labeling.select_exemplars_herding(
             feats, np.zeros(size, dtype=int), np.zeros(size, dtype=int), 1)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudocl import config
 
@@ -131,3 +133,32 @@ class TestDumpConfig:
         with open(path) as fh:
             keys = {line.split("=")[0].strip() for line in fh if line.strip()}
         assert keys == set(config.CONFIG_KEYS)
+
+
+positive = st.integers(1, 10**6)
+any_int = st.integers(-10**9, 10**9)
+any_float = st.floats(allow_nan=False)
+positive_float = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+
+run_configs = st.builds(
+    config.RunConfig,
+    mode=st.sampled_from(config.MODES),
+    variant=st.sampled_from(config.VARIANTS),
+    upl_k=st.integers(0, 10**6),
+    exemplar_policy=st.sampled_from(config.EXEMPLAR_POLICIES),
+    q=positive, step_size=positive, bias_correction=st.booleans(),
+    oracle_labels=st.booleans(), epochs=positive, lr=positive_float,
+    lr_decay=any_float, lr_decay_period=positive, batch_size=positive,
+    weight_decay=any_float, temperature=positive_float, hidden_width=positive,
+    n_hidden=any_int, pca_dim=positive, n_restarts=positive,
+    normalize_features=st.booleans(), arrangement_seed=any_int,
+    model_seed=any_int, shuffle_seed=any_int)
+
+
+class TestDumpConfigProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=run_configs)
+    def test_any_valid_config_round_trips(self, tmp_path_factory, cfg):
+        path = str(tmp_path_factory.mktemp("cfg") / "dumped.cfg")
+        config.dump_config(cfg, path)
+        assert config.load_config(path) == cfg

@@ -72,6 +72,31 @@ def herd_loop_oracle(feats, q):
     return picked
 
 
+def herding_append_oracle(features, assignments, pseudo_labels, q,
+                          sample_ids):
+    """The per-sample append loop of the list-backed exemplar store."""
+    ids, labels = [], []
+    for j in np.unique(assignments):
+        members = np.flatnonzero(assignments == j)
+        for li in labeling._herd_cluster(features[members], q):
+            gi = members[li]
+            ids.append(int(sample_ids[gi]))
+            labels.append(int(pseudo_labels[gi]))
+    return ids, labels
+
+
+def random_append_oracle(assignments, pseudo_labels, q, seed, sample_ids):
+    rng = np.random.default_rng(seed)
+    ids, labels = [], []
+    for j in np.unique(assignments):
+        members = np.flatnonzero(assignments == j)
+        chosen = rng.choice(members, size=min(q, members.size), replace=False)
+        for gi in chosen:
+            ids.append(int(sample_ids[gi]))
+            labels.append(int(pseudo_labels[gi]))
+    return ids, labels
+
+
 def hungarian_oracle(cost):
     c = np.asarray(cost, dtype=float)
     n = c.shape[0]
@@ -231,6 +256,56 @@ class TestHerding:
         for d in (1, 3, 17):
             feats = rng.integers(-2, 3, size=(60, d)).astype(float)
             assert labeling._herd_cluster(feats, 25) == herd_loop_oracle(feats, 25)
+
+
+class TestSelectExemplars:
+    def cases(self):
+        """Non-contiguous cluster ids, clusters smaller and larger than q,
+        and sample ids that are not row numbers."""
+        rng = np.random.default_rng(10)
+        for trial in range(20):
+            n = int(rng.integers(1, 80))
+            cluster_ids = rng.choice(50, size=int(rng.integers(1, 6)),
+                                     replace=False)
+            assignments = rng.choice(cluster_ids, size=n)
+            pseudo_labels = assignments + 3 * trial
+            sample_ids = rng.permutation(10 * n)[:n] + 1000
+            yield (rng.normal(size=(n, 4)), assignments, pseudo_labels,
+                   int(rng.integers(1, 12)), sample_ids)
+
+    @staticmethod
+    def check(store, want, q):
+        assert store.q == q
+        assert store.ids.dtype == store.labels.dtype == np.dtype(int)
+        assert (store.ids.tolist(), store.labels.tolist()) == want
+
+    def test_herding_matches_append_loop(self):
+        for feats, a, labels, q, sample_ids in self.cases():
+            self.check(labeling.select_exemplars_herding(feats, a, labels, q,
+                                                         sample_ids),
+                       herding_append_oracle(feats, a, labels, q, sample_ids),
+                       q)
+
+    def test_random_matches_append_loop(self):
+        for seed, (_, a, labels, q, sample_ids) in enumerate(self.cases()):
+            self.check(labeling.select_exemplars_random(a, labels, q, seed,
+                                                        sample_ids),
+                       random_append_oracle(a, labels, q, seed, sample_ids), q)
+
+    def test_default_sample_ids_are_row_numbers(self):
+        a = np.array([4, 9, 4, 9, 4])
+        feats = np.arange(5.0)[:, None]
+        self.check(labeling.select_exemplars_herding(feats, a, a, 2),
+                   herding_append_oracle(feats, a, a, 2, np.arange(5)), 2)
+        self.check(labeling.select_exemplars_random(a, a, 2, 0),
+                   random_append_oracle(a, a, 2, 0, np.arange(5)), 2)
+
+    def test_empty_input_gives_empty_store(self):
+        none = np.empty(0, dtype=int)
+        self.check(labeling.select_exemplars_herding(np.empty((0, 3)), none,
+                                                     none, 4), ([], []), 4)
+        self.check(labeling.select_exemplars_random(none, none, 4, 0),
+                   ([], []), 4)
 
 
 class TestHungarian:

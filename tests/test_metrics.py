@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudocl import metrics
 
@@ -265,22 +267,26 @@ class TestReports:
         assert rep.acc == 0.5 and rep.nmi == 0.0
         assert np.isclose(rep.ari, -0.5, atol=1e-12)
 
-    def test_aggregate_single_report(self):
-        rep = metrics.StepReport(1, 5, 0.8, 0.6, 0.4)
-        agg = metrics.aggregate([rep])
-        assert agg["avg_acc"] == agg["last_acc"] == 0.8
-        assert agg["avg_nmi"] == 0.6 and agg["avg_ari"] == 0.4
 
-    def test_aggregate_mean_and_last(self):
-        reps = [metrics.StepReport(1, 5, 0.2, 0.1, 0.0),
-                metrics.StepReport(2, 10, 0.4, 0.3, 0.2),
-                metrics.StepReport(3, 15, 0.6, 0.5, 0.4)]
-        agg = metrics.aggregate(reps)
-        assert np.isclose(agg["avg_acc"], 0.4)
-        assert agg["last_acc"] == 0.6
-        assert np.isclose(agg["avg_nmi"], 0.3)
-        assert agg["last_ari"] == 0.4
+@st.composite
+def relabelled_partitions(draw):
+    """Two labelings of the same samples and a permutation of label values."""
+    n = draw(st.integers(2, 60))
+    k = draw(st.integers(1, 8))
+    labels = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+    perm = draw(st.permutations(range(k)))
+    return (np.array(draw(labels)), np.array(draw(labels)), np.array(perm))
 
-    def test_aggregate_empty_rejected(self):
-        with pytest.raises(ValueError):
-            metrics.aggregate([])
+
+class TestRelabelInvariance:
+    @settings(max_examples=100, deadline=None)
+    @given(case=relabelled_partitions())
+    def test_permuting_either_labeling_keeps_scores(self, case):
+        pred, truth, perm = case
+        for score in (metrics.cluster_accuracy, metrics.nmi, metrics.ari):
+            base = score(pred, truth)
+            # the sums run in another order, so the last bits may move
+            assert np.isclose(score(perm[pred], truth), base,
+                              rtol=1e-12, atol=1e-12)
+            assert np.isclose(score(pred, perm[truth]), base,
+                              rtol=1e-12, atol=1e-12)

@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from pseudocl import nn, protocol
 from pseudocl.config import RunConfig
 from pseudocl.data import BlobSpec, generate_gaussian_stream
 from pseudocl.labeling import ExemplarStore
+from pseudocl.metrics import StepReport
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +90,20 @@ class TestContinualStep:
         result = protocol.run_experiment(cfg, dataset)
         # 3 tasks x 2 classes x q exemplars
         assert len(result.store) == 6 * cfg.q
-        counts = result.store.class_counts()
-        assert set(counts) == set(range(6))
-        assert all(v == cfg.q for v in counts.values())
+        labels, counts = np.unique(result.store.labels, return_counts=True)
+        assert labels.tolist() == list(range(6))
+        assert counts.tolist() == [cfg.q] * 6
+
+    def test_step_leaves_passed_store_unchanged(self, dataset):
+        cfg = fast_cfg()
+        stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        model = protocol.train_first_task(dataset, stream, cfg)
+        store = ExemplarStore(cfg.q, np.array([3, 1]), np.array([0, 1]))
+        _, grown, _ = protocol.continual_step(model, stream, 2, store,
+                                              dataset, cfg, model.copy())
+        assert store.ids.tolist() == [3, 1] and store.labels.tolist() == [0, 1]
+        assert grown.ids[:2].tolist() == [3, 1]
+        assert len(grown) == 2 + 2 * cfg.q
 
     def test_unsupervised_path_never_reads_labels(self, dataset):
         cfg = fast_cfg()
@@ -182,6 +195,39 @@ class TestContinualStep:
         # per incremental step: one initial clustering plus refreshes at
         # epochs 2 and 4; two incremental steps
         assert len(calls) == 2 * 3
+
+    def test_upl_exemplars_follow_last_clustering(self, dataset,
+                                                  monkeypatch):
+        # k-means may number its clusters differently at each refresh, so a
+        # step's exemplars must be labelled by the clustering training ended
+        # on; here the refreshes number them in reverse
+        clusterings = []
+        real_kmeans = protocol.kmeans
+
+        def renumbering_kmeans(points, k, **kwargs):
+            result = real_kmeans(points, k, **kwargs)
+            if clusterings:
+                result = replace(result, assignments=k - 1 - result.assignments)
+            clusterings.append(result.assignments)
+            return result
+
+        monkeypatch.setattr(protocol, "kmeans", renumbering_kmeans)
+        cfg = fast_cfg(epochs=5, upl_k=2)
+        stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        model = protocol.train_first_task(dataset, stream, cfg)
+        h1 = model.copy()
+        store = ExemplarStore(cfg.q)
+        for step in (2, 3):
+            clusterings.clear()
+            model, grown, _ = protocol.continual_step(model, stream, step,
+                                                      store, dataset, cfg, h1)
+            assert len(clusterings) == 3  # the first and two refreshes
+            train_ids = stream.tasks[step - 1].train_ids.tolist()
+            rows = [train_ids.index(i) for i in grown.ids[len(store):]]
+            m = (step - 1) * 2
+            assert grown.labels[len(store):].tolist() == \
+                (m + clusterings[-1][rows]).tolist()
+            store = grown
 
     def test_upl_zero_matches_fixed_labels(self, dataset):
         a = protocol.run_experiment(fast_cfg(upl_k=0), dataset)
@@ -371,3 +417,23 @@ class TestSeedDerivation:
         assert a == protocol._seed(0, "task", 2)
         assert a != protocol._seed(0, "task", 3)
         assert a != protocol._seed(1, "task", 2)
+
+
+class TestSummarize:
+    def test_single_report(self):
+        rep = StepReport(1, 5, 0.8, 0.6, 0.4)
+        summary = protocol.summarize([rep], fast_cfg())
+        assert summary["avg_acc"] == summary["last_acc"] == 0.8
+        assert summary["avg_nmi"] == 0.6 and summary["avg_ari"] == 0.4
+
+    def test_mean_and_last(self):
+        reps = [StepReport(1, 5, 0.9, 0.9, 0.9),
+                StepReport(2, 10, 0.2, 0.1, 0.0),
+                StepReport(3, 15, 0.4, 0.3, 0.2),
+                StepReport(4, 20, 0.6, 0.5, 0.4)]
+        summary = protocol.summarize(reps, fast_cfg(model_seed=3))
+        assert np.isclose(summary["avg_acc"], 0.4)
+        assert summary["last_acc"] == 0.6
+        assert np.isclose(summary["avg_nmi"], 0.3)
+        assert np.isclose(summary["avg_ari"], 0.2)
+        assert summary["seed"] == 3 and summary["variant"] == "ours"
