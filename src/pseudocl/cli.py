@@ -136,10 +136,15 @@ def cmd_sweep(args) -> int:
                      repeats=args.repeats, jobs=args.jobs)
     print(f"{axis:>12} {'seed':>6} {'avg_acc':>8} {'last_acc':>9}")
     for row in rows:
-        print(f"{str(row['value']):>12} {row['seed']:>6} "
-              f"{row['avg_acc']:>8.4f} {row['last_acc']:>9.4f}")
+        if row["error"] is None:
+            print(f"{str(row['value']):>12} {row['seed']:>6} "
+                  f"{row['avg_acc']:>8.4f} {row['last_acc']:>9.4f}")
+        else:
+            print(f"error: {axis}={row['value']} seed {row['seed']}: "
+                  f"{row['error']}", file=sys.stderr)
     print(f"sweep directory: {out_dir}")
-    return 0
+    failed = any(row["error"] is not None for row in rows)
+    return RUNTIME_ERROR if failed else 0
 
 
 def cmd_eval(args) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 VARIANTS = ("ours", "ffe", "scratch", "pca")
@@ -40,6 +41,10 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind == "float" and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.variant not in VARIANTS:
@@ -109,7 +114,10 @@ def coerce_field(field: str, raw: str):
     if kind == "int":
         return int(raw)
     if kind == "float":
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"{field} must be finite, got {raw.strip()!r}")
+        return value
     return raw.strip()
 
 

@@ -83,13 +83,17 @@ def extract_features(model: Model, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"input shape {a.shape} does not match rows of "
                          f"model dim {model.in_dim}")
     for w, b in model.layers[:-1]:
-        a = np.maximum(a @ w + b, 0.0)
+        a = a @ w
+        a += b
+        np.maximum(a, 0.0, out=a)
     return a
 
 
 def forward(model: Model, x: np.ndarray) -> np.ndarray:
     w, b = model.layers[-1]
-    return extract_features(model, x) @ w + b
+    logits = extract_features(model, x) @ w
+    logits += b
+    return logits
 
 
 def softened_probs(logits: np.ndarray, temperature: float) -> np.ndarray:
@@ -105,21 +109,29 @@ def softened_probs(logits: np.ndarray, temperature: float) -> np.ndarray:
 def _forward_cached(model: Model, x: np.ndarray):
     acts = [x]  # pre-head activations, acts[i] feeds layer i
     for w, b in model.layers[:-1]:
-        acts.append(np.maximum(acts[-1] @ w + b, 0.0))
+        a = acts[-1] @ w
+        a += b
+        acts.append(np.maximum(a, 0.0, out=a))
     w, b = model.layers[-1]
-    return acts, acts[-1] @ w + b
+    logits = acts[-1] @ w
+    logits += b
+    return acts, logits
 
 
-def backward(model: Model, x: np.ndarray, teacher_logits: np.ndarray | None,
+def backward(model: Model, x: np.ndarray, teacher_probs: np.ndarray | None,
              labels: np.ndarray, alpha: float, temperature: float,
              m: int) -> tuple[float, np.ndarray]:
     """Mean cross-distillation loss over the rows ``x`` and its gradient.
 
     L_CD = alpha * L_D + (1 - alpha) * L_C per row, where L_C is the
     cross-entropy of ``labels`` over all logits and L_D the cross-entropy of
-    the temperature-softened teacher over the student's first ``m`` logits.
-    The gradient vector has the layout of ``model.params``. With alpha == 0
-    the distillation term vanishes and teacher_logits may be None.
+    the teacher's probabilities over the student's temperature-softened first
+    ``m`` logits. ``teacher_probs`` has shape (len(x), m): row i is
+    ``softened_probs`` of the teacher's first m logits for row i of x at
+    ``temperature``, so a frozen teacher's rows can be computed once and
+    sliced per batch. The gradient vector has the layout of ``model.params``.
+    With alpha == 0 the distillation term vanishes and teacher_probs may be
+    None.
     """
     x = np.asarray(x, dtype=float)
     batch = x.shape[0]
@@ -128,48 +140,54 @@ def backward(model: Model, x: np.ndarray, teacher_logits: np.ndarray | None,
     y = np.asarray(labels, dtype=int)
     if y.shape != (batch,):
         raise ValueError("label count does not match batch")
-    out_dim = model.out_dim
-    if np.any(y < 0) or np.any(y >= out_dim):
+    if y.min() < 0 or y.max() >= model.out_dim:
         raise ValueError("label out of range")
+    if alpha > 0.0:
+        if teacher_probs is None:
+            raise ValueError("teacher probabilities required when alpha > 0")
+        p_hat = np.asarray(teacher_probs, dtype=float)
+        if p_hat.shape != (batch, m) or not 1 <= m <= model.out_dim:
+            raise ValueError(f"teacher probabilities of shape {p_hat.shape} "
+                             f"are not {m} old-class columns for {batch} "
+                             f"rows of a {model.out_dim}-class head")
 
     acts, logits = _forward_cached(model, x)
 
-    # cross-entropy term over all logits at T=1
-    z = logits - np.max(logits, axis=1, keepdims=True)
-    log_probs = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
-    probs = np.exp(log_probs)
-    l_c = -log_probs[np.arange(batch), y]
-    one_hot = np.zeros_like(probs)
-    one_hot[np.arange(batch), y] = 1.0
-    d_logits = (1.0 - alpha) * (probs - one_hot) / batch
+    # cross-entropy term over all logits at T=1; d_logits starts as its
+    # gradient, softmax minus one-hot, scaled to the batch mean
+    z = logits - logits.max(axis=1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    rows = np.arange(batch)
+    l_c = -z[rows, y]
+    d_logits = np.exp(z)
+    d_logits[rows, y] -= 1.0
+    d_logits *= 1.0 - alpha
+    d_logits /= batch
 
-    l_d = np.zeros(batch)
+    l_d = 0.0
     if alpha > 0.0:
-        if teacher_logits is None:
-            raise ValueError("teacher logits required when alpha > 0")
-        t = np.asarray(teacher_logits, dtype=float)
-        if t.ndim != 2 or t.shape[0] != batch \
-                or not 1 <= m <= min(t.shape[1], out_dim):
-            raise ValueError(f"teacher logits of shape {t.shape} do not give "
-                             f"{m} old-class logits for {batch} rows")
-        p = softened_probs(logits[:, :m], temperature)
-        p_hat = softened_probs(t[:, :m], temperature)
-        l_d = -np.sum(p_hat * np.log(p), axis=1)
-        d_logits[:, :m] += alpha * (p - p_hat) / (temperature * batch)
+        p = logits[:, :m] / temperature
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        l_d = -(p_hat * np.log(p)).sum(axis=1)
+        p -= p_hat
+        p *= alpha
+        p /= temperature * batch
+        d_logits[:, :m] += p
 
-    loss = float(np.mean(alpha * l_d + (1.0 - alpha) * l_c))
+    loss = float((alpha * l_d + (1.0 - alpha) * l_c).sum() / batch)
 
-    # backprop from the head down; delta is d loss / d pre-activation
-    grads = np.empty_like(model.params)
-    grad_layers = _layer_views(model.dims, grads)
+    # backprop from the head down; delta is d loss / d pre-activation.
+    # pieces collects each layer's bias and weight gradient, head first
+    pieces = []
     delta = d_logits
     for i in range(len(model.layers) - 1, -1, -1):
-        g_w, g_b = grad_layers[i]
-        g_w[...] = acts[i].T @ delta
-        g_b[...] = delta.sum(axis=0)
+        pieces += [delta.sum(axis=0), (acts[i].T @ delta).ravel()]
         if i:
-            delta = (delta @ model.layers[i][0].T) * (acts[i] > 0)
-    return loss, grads
+            delta = delta @ model.layers[i][0].T
+            delta *= acts[i] > 0
+    return loss, np.concatenate(pieces[::-1])
 
 
 def sgd_step(model: Model, grads: np.ndarray, lr: float,
@@ -177,7 +195,10 @@ def sgd_step(model: Model, grads: np.ndarray, lr: float,
     """In place: params <- params - lr * (grads + weight_decay * params)."""
     if grads.shape != model.params.shape:
         raise ValueError("gradient shape does not match model parameters")
-    model.params -= lr * (grads + weight_decay * model.params)
+    step = weight_decay * model.params
+    step += grads
+    step *= lr
+    model.params -= step
 
 
 def expand_head(model: Model, n_new: int, seed: int) -> Model:

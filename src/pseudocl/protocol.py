@@ -105,6 +105,17 @@ def _train(model: nn.Model, x: np.ndarray, y: np.ndarray,
     epochs = 1 if cfg.mode == "online" else cfg.epochs
     base_seed = _seed(cfg.shuffle_seed, "task", step)
     y = y.copy()
+    p_hat = None
+    if teacher is not None:
+        # the teacher is frozen for the step, so its softened old-class
+        # probabilities are computed once. Row blocks of batch_size keep the
+        # matrix shapes of a training batch: one product over all rows can
+        # take another BLAS kernel that rounds differently.
+        p_hat = np.empty((len(x), m))
+        for start in range(0, len(x), cfg.batch_size):
+            block = nn.forward(teacher, x[start:start + cfg.batch_size])
+            p_hat[start:start + cfg.batch_size] = nn.softened_probs(
+                block[:, :m], cfg.temperature)
     for epoch in range(epochs):
         if refresh is not None and epoch > 0 and cfg.upl_k > 0 \
                 and epoch % cfg.upl_k == 0:
@@ -117,10 +128,9 @@ def _train(model: nn.Model, x: np.ndarray, y: np.ndarray,
                 _seed(base_seed, "epoch", epoch)).permutation(len(x))
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            xb, yb = x[idx], y[idx]
-            tb = nn.forward(teacher, xb) if teacher is not None else None
-            loss, grads = nn.backward(model, xb, tb, yb, alpha,
-                                      cfg.temperature, m)
+            loss, grads = nn.backward(model, x[idx],
+                                      None if p_hat is None else p_hat[idx],
+                                      y[idx], alpha, cfg.temperature, m)
             if not math.isfinite(loss):
                 raise ProtocolError(
                     f"training diverged at step {step}, epoch {epoch + 1} "
@@ -336,7 +346,13 @@ def _persist_reports(out_dir, reports, cfg, summary=None) -> None:
 
 def run_sweep(base_cfg: RunConfig, dataset: Dataset, axis: str, values: list,
               out_dir: str, repeats: int = 1, jobs: int = 1) -> list[dict]:
-    """One experiment per (axis value, repetition); aggregated CSV on disk."""
+    """One experiment per (axis value, repetition); aggregated CSV on disk.
+
+    A failed run does not stop the others: its row carries the value, seed
+    and variant, None for every metric and the error message under "error",
+    which is None on the rows of finished runs. sweep.csv leaves a failed
+    row's metric fields empty.
+    """
     if not values:
         raise ProtocolError("empty sweep axis")
     ensure_dir(out_dir)
@@ -360,12 +376,16 @@ def run_sweep(base_cfg: RunConfig, dataset: Dataset, axis: str, values: list,
                    for cfg, value, run_dir in jobs_list]
 
     with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
-        fh.write(f"{axis},seed,variant,avg_acc,last_acc,avg_nmi,avg_ari\n")
+        fh.write(f"{axis},seed,variant,{','.join(_SWEEP_METRICS)}\n")
         for row in results:
+            cells = ("" if row[key] is None else repr(row[key])
+                     for key in _SWEEP_METRICS)
             fh.write(f"{row['value']},{row['seed']},{row['variant']},"
-                     f"{row['avg_acc']!r},{row['last_acc']!r},"
-                     f"{row['avg_nmi']!r},{row['avg_ari']!r}\n")
+                     f"{','.join(cells)}\n")
     return results
+
+
+_SWEEP_METRICS = ("avg_acc", "last_acc", "avg_nmi", "avg_ari")
 
 
 def sweep_config(cfg: RunConfig, axis: str, value) -> RunConfig:
@@ -383,7 +403,10 @@ def sweep_config(cfg: RunConfig, axis: str, value) -> RunConfig:
 
 
 def _sweep_child(cfg: RunConfig, dataset: Dataset, value, run_dir: str) -> dict:
-    result = run_experiment(cfg, dataset, out_dir=run_dir)
-    row = dict(result.summary)
-    row["value"] = value
-    return row
+    try:
+        result = run_experiment(cfg, dataset, out_dir=run_dir)
+    except Exception as exc:  # noqa: BLE001 - the other runs' rows must survive
+        return {"value": value, "seed": cfg.model_seed,
+                "variant": variant_name(cfg), "error": str(exc),
+                **dict.fromkeys(_SWEEP_METRICS)}
+    return {**result.summary, "value": value, "error": None}

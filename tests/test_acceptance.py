@@ -112,7 +112,7 @@ def test_criterion_03_gradient_correctness():
         model = nn.init_model(4, 8, 1, 6, seed=300 + trial)
         assert model.params.size <= 500
         x = rng.standard_normal((3, 4))
-        teacher = rng.standard_normal((3, 4))
+        teacher = nn.softened_probs(rng.standard_normal((3, 4)), temp)
         y = rng.integers(0, 6, 3)
         worst = max(worst, _max_grad_error(model, x, teacher, y, alpha, temp,
                                            4))

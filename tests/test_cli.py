@@ -108,6 +108,16 @@ class TestRun:
         assert cli.main(["run", str(bad),
                          "--data", str(workdir["data"])]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_config_float_is_usage_error(self, workdir, tmp_path,
+                                                    capsys, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"run.q = 3\ntrain.lr = {value}\n")
+        assert cli.main(["run", str(bad), "--data", str(workdir["data"]),
+                         "--out", str(tmp_path / "run")]) == 2
+        assert "bad.cfg:2: key 'train.lr'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_diverging_run_names_step_and_epoch(self, workdir, tmp_path,
                                                 capsys):
         out = tmp_path / "run"
@@ -182,6 +192,23 @@ class TestSweep:
                          "--axis", "q=1", flag, "0"]) == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_run_keeps_finished_rows(self, workdir, tmp_path, capsys,
+                                            jobs):
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", str(workdir["cfg"]),
+                         "--data", str(workdir["data"]), "--out", str(out),
+                         "--axis", "lr=0.1,1000000", "--epochs", "2",
+                         "--jobs", jobs]) == 1
+        header, done, failed = (out / "sweep.csv").read_text().splitlines()
+        assert header == "lr,seed,variant,avg_acc,last_acc,avg_nmi,avg_ari"
+        assert done.startswith("0.1,0,ours,")
+        assert all(done.split(",")[3:])
+        assert failed == "1000000,0,ours,,,,"
+        err = capsys.readouterr().err
+        assert "lr=1000000 seed 0: training diverged at step" in err
+        assert "lr=0.1" not in err
 
     def test_malformed_axis_is_usage_error(self, workdir, tmp_path):
         assert cli.main(["sweep", str(workdir["cfg"]),

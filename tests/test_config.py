@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 from pseudocl import config
 
 
+FLOAT_FIELDS = ["lr", "lr_decay", "weight_decay", "temperature"]
+
+
 def write_cfg(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)
@@ -38,6 +41,12 @@ class TestRunConfig:
     def test_out_of_range_field_named(self, field, value):
         with pytest.raises(ValueError, match=field):
             config.RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            config.RunConfig(**{field: float(value)})
 
 
 class TestParseVariant:
@@ -112,6 +121,16 @@ seeds.model = 42
         with pytest.raises(ValueError, match=r"run\.cfg:2: key 'train\.epochs'"):
             config.load_config(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_non_finite_float_names_line_and_key(self, tmp_path, field,
+                                                 value):
+        key = next(k for k, f in config.CONFIG_KEYS.items() if f == field)
+        path = write_cfg(tmp_path, f"run.q = 3\n{key} = {value}\n")
+        with pytest.raises(ValueError,
+                           match=rf"run\.cfg:2: key '{key}': .*finite"):
+            config.load_config(path)
+
     def test_overrides_win(self, tmp_path):
         path = write_cfg(tmp_path, "train.epochs = 7\n")
         cfg = config.load_config(path, overrides={"epochs": 3})
@@ -137,8 +156,9 @@ class TestDumpConfig:
 
 positive = st.integers(1, 10**6)
 any_int = st.integers(-10**9, 10**9)
-any_float = st.floats(allow_nan=False)
-positive_float = st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+any_float = st.floats(allow_nan=False, allow_infinity=False)
+positive_float = st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
+                           allow_infinity=False)
 
 run_configs = st.builds(
     config.RunConfig,

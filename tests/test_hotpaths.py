@@ -8,7 +8,8 @@ for bit, not merely close: report.csv and every checkpoint depend on them.
 import numpy as np
 import pytest
 
-from pseudocl import clustering, data, labeling, metrics, protocol
+from pseudocl import clustering, data, labeling, metrics, nn, protocol
+from pseudocl.config import RunConfig
 from test_acceptance import _herd_brute
 
 
@@ -153,6 +154,55 @@ def nmi_terms_oracle(table):
             if nij > 0:
                 mi += (nij / n) * np.log(n * nij / (ni[i] * nj[j]))
     return mi
+
+
+def backward_oracle(model, x, teacher_logits, labels, alpha, temperature, m):
+    """nn.backward before it took the teacher's probabilities: teacher
+    logits in, a one-hot matrix and fresh gradient views on every call."""
+    batch = x.shape[0]
+    acts, logits = nn._forward_cached(model, x)
+    z = logits - np.max(logits, axis=1, keepdims=True)
+    log_probs = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+    probs = np.exp(log_probs)
+    l_c = -log_probs[np.arange(batch), labels]
+    one_hot = np.zeros_like(probs)
+    one_hot[np.arange(batch), labels] = 1.0
+    d_logits = (1.0 - alpha) * (probs - one_hot) / batch
+    l_d = np.zeros(batch)
+    if alpha > 0.0:
+        p = nn.softened_probs(logits[:, :m], temperature)
+        p_hat = nn.softened_probs(teacher_logits[:, :m], temperature)
+        l_d = -np.sum(p_hat * np.log(p), axis=1)
+        d_logits[:, :m] += alpha * (p - p_hat) / (temperature * batch)
+    loss = float(np.mean(alpha * l_d + (1.0 - alpha) * l_c))
+    grads = np.empty_like(model.params)
+    grad_layers = nn._layer_views(model.dims, grads)
+    delta = d_logits
+    for i in range(len(model.layers) - 1, -1, -1):
+        g_w, g_b = grad_layers[i]
+        g_w[...] = acts[i].T @ delta
+        g_b[...] = delta.sum(axis=0)
+        if i:
+            delta = (delta @ model.layers[i][0].T) * (acts[i] > 0)
+    return loss, grads
+
+
+def train_oracle(model, x, y, teacher, m, n, cfg, step):
+    """The offline loop of protocol._train with a fresh teacher forward for
+    every minibatch."""
+    alpha = m / (m + n)
+    base_seed = protocol._seed(cfg.shuffle_seed, "task", step)
+    for epoch in range(cfg.epochs):
+        lr = protocol._lr_at(cfg, epoch)
+        order = np.random.default_rng(
+            protocol._seed(base_seed, "epoch", epoch)).permutation(len(x))
+        for start in range(0, len(order), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            xb = x[idx]
+            _, grads = backward_oracle(model, xb, nn.forward(teacher, xb),
+                                       y[idx], alpha, cfg.temperature, m)
+            nn.sgd_step(model, grads, lr, cfg.weight_decay)
+    return model
 
 
 class TestAssign:
@@ -362,3 +412,74 @@ class TestTrueSlots:
             got = protocol._true_slots(ds, task)
             assert ds.sealed.access_count == before + 1
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestLeanBackward:
+    def test_same_bytes_as_oracle(self):
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            n_hidden = trial % 3
+            m = int(rng.integers(1, 8))
+            model = nn.init_model(6, 9, n_hidden, m + int(rng.integers(1, 5)),
+                                  seed=trial)
+            batch = int(rng.integers(1, 40))
+            x = rng.normal(size=(batch, 6)) * 3.0
+            t = rng.normal(size=(batch, m + 2)) * 3.0
+            y = rng.integers(0, model.out_dim, batch)
+            alpha, temp = (0.0, 1.0) if trial % 4 == 0 else (m / (m + 2), 2.0)
+            want = backward_oracle(model, x, t, y, alpha, temp, m)
+            got = nn.backward(model, x, nn.softened_probs(t[:, :m], temp), y,
+                              alpha, temp, m)
+            assert repr(got[0]) == repr(want[0])
+            assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestTrainLoop:
+    """_train forwards the frozen teacher once per step; the per-batch loop
+    it replaced is the oracle. A step trains m + 5 classes with a teacher of
+    m, at the widths of the benchmark's standard run."""
+    BATCH = 32
+
+    def step_inputs(self, m, rows):
+        rng = np.random.default_rng(rows)
+        teacher = nn.init_model(16, 64, 2, m, seed=3)
+        x = rng.normal(size=(rows, 16)) * 2.0
+        y = rng.integers(0, m + 5, rows)
+        cfg = RunConfig(epochs=4, lr_decay_period=2, batch_size=self.BATCH)
+        return nn.expand_head(teacher, 5, seed=4), x, y, teacher, cfg
+
+    def train_both(self, m, rest):
+        student, x, y, teacher, cfg = self.step_inputs(m, 5 * self.BATCH
+                                                       + rest)
+        got = protocol._train(student.copy(), x, y, teacher, m, 5, cfg, 2)
+        want = train_oracle(student.copy(), x, y, teacher, m, 5, cfg, 2)
+        return got.params, want.params
+
+    @pytest.mark.parametrize("m, rest", [(5, 0), (10, 0), (15, 0), (5, 2),
+                                         (5, BATCH - 1), (15, 2)])
+    def test_params_match_per_batch_loop(self, m, rest):
+        got, want = self.train_both(m, rest)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m, rest", [(5, 1), (10, 2), (10, 3)])
+    def test_partial_last_batch_within_rounding(self, m, rest):
+        # the oracle forwards each epoch's last `rest` rows as one product,
+        # and the teacher's rows that fall in the BLAS kernel's row tail can
+        # round differently from the same rows in a full block: a single
+        # row goes to a matrix-vector kernel, and with a 10-wide head
+        # OpenBLAS's tail rows differ in the last bit
+        got, want = self.train_both(m, rest)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_teacher_forwarded_once_per_step(self, monkeypatch):
+        student, x, y, teacher, cfg = self.step_inputs(5, 5 * self.BATCH + 2)
+        rows = []
+        real = nn.forward
+
+        def counting(model, xb):
+            rows.append(len(xb))
+            return real(model, xb)
+
+        monkeypatch.setattr(nn, "forward", counting)
+        protocol._train(student, x, y, teacher, 5, 5, cfg, 2)
+        assert sum(rows) == len(x)

@@ -126,11 +126,12 @@ class TestSoftenedProbs:
 
 def loss_of(student, teacher, label, alpha, temperature, m):
     """backward's loss for one row through a head-only identity model, so
-    that the student logits are ``student``."""
+    that the student logits are ``student``; ``teacher`` holds logits."""
     student = np.asarray(student, dtype=float)
     k = student.size
     model = head_only(np.eye(k), np.zeros(k))
-    t = None if teacher is None else np.asarray(teacher, dtype=float)[None, :]
+    t = None if teacher is None else nn.softened_probs(
+        np.asarray(teacher, dtype=float)[None, :m], temperature)
     loss, _ = nn.backward(model, student[None, :], t, np.array([label]),
                           alpha, temperature, m)
     return loss
@@ -183,7 +184,8 @@ class TestDistillationLoss:
 
     def test_m_below_one_rejected(self):
         with pytest.raises(ValueError):
-            distillation_loss(np.zeros(2), np.zeros(2), 1.0, 0)
+            nn.backward(head_only(np.eye(2), np.zeros(2)), np.zeros((1, 2)),
+                        np.empty((1, 0)), np.array([0]), 1.0, 1.0, 0)
 
 
 class TestCrossEntropyPseudo:
@@ -238,7 +240,8 @@ class TestCrossDistillation:
         x, t = rng.standard_normal((4, 5)), rng.standard_normal((4, 3))
         y = np.array([0, 4, 2, 2])
         model = head_only(np.eye(5), np.zeros(5))
-        loss, _ = nn.backward(model, x, t, y, 0.6, 2.0, 3)
+        loss, _ = nn.backward(model, x, nn.softened_probs(t, 2.0), y, 0.6,
+                              2.0, 3)
         rows = [loss_of(x[i], t[i], y[i], 0.6, 2.0, 3) for i in range(4)]
         assert np.isclose(loss, np.mean(rows), atol=1e-12)
 
@@ -271,7 +274,7 @@ class TestBackward:
         model = nn.init_model(4, 5, 1, 5, seed=11)
         assert model.params.size <= 500
         x = rng.standard_normal((3, 4))
-        teacher = rng.standard_normal((3, 3))
+        teacher = nn.softened_probs(rng.standard_normal((3, 3)), 2.0)
         y = rng.integers(0, 5, 3)
         assert finite_diff_check(model, x, teacher, y, 3 / 5, 2.0, 3) < 1e-4
 
@@ -294,7 +297,7 @@ class TestBackward:
         rng = np.random.default_rng(9)
         model = nn.init_model(4, 5, 1, 4, seed=13)
         x = rng.standard_normal((1, 4))
-        t = rng.standard_normal((1, 2))
+        t = nn.softened_probs(rng.standard_normal((1, 2)), 2.0)
         _, g1 = nn.backward(model, x, t, np.array([3]), 0.5, 2.0, 2)
         x2 = np.vstack([x, x])
         t2 = np.vstack([t, t])
@@ -309,10 +312,11 @@ class TestBackward:
 
 
     @pytest.mark.parametrize("teacher, m", [
-        (None, 2), (np.zeros(3), 2), (np.zeros((2, 3)), 2),
-        (np.zeros((1, 3)), 4), (np.zeros((1, 5)), 5), (np.zeros((1, 4)), 0)],
+        (None, 2), (np.full(2, 0.5), 2), (np.full((2, 2), 0.5), 2),
+        (np.full((1, 3), 1 / 3), 4), (np.full((1, 5), 0.2), 5),
+        (np.zeros((1, 0)), 0), (np.full((1, 3), 1 / 3), 2)],
         ids=["missing", "1-d", "other-batch", "m-over-teacher", "m-over-head",
-             "m-zero"])
+             "m-zero", "wider-than-m"])
     def test_bad_teacher_rejected(self, teacher, m):
         model = nn.init_model(4, 5, 1, 4, seed=15)
         with pytest.raises(ValueError):
