@@ -10,8 +10,8 @@ import sys
 import numpy as np
 
 from .config import RunConfig, load_config, parse_variant, read_key_values
-from .data import (BlobSpec, generate_gaussian_stream, load_dataset,
-                   read_checkpoint, save_dataset, write_report)
+from .data import (BlobSpec, _read_table, generate_gaussian_stream,
+                   load_dataset, read_checkpoint, save_dataset, write_report)
 from .protocol import (ProtocolError, evaluate, run_experiment, run_sweep,
                        sweep_config, variant_name)
 
@@ -156,6 +156,11 @@ def cmd_eval(args) -> int:
     classes = meta.get("classes_seen")
     if classes is None:
         raise UsageError("checkpoint carries no classes_seen metadata")
+    if dataset.dim != model.in_dim:
+        raise UsageError(f"dataset dim {dataset.dim} != model input {model.in_dim}")
+    missing = np.setdiff1d(classes, dataset.classes()).tolist()
+    if missing:
+        raise UsageError(f"dataset lacks classes_seen {missing}")
     eval_ids = dataset.ids_for_classes(np.array(classes), eval_split=True)
     rep = evaluate(model, dataset, eval_ids, meta.get("step", 0))
     print(f"step={rep.step} classes={rep.classes_seen} acc={rep.acc!r} "
@@ -166,23 +171,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report_path = os.path.join(args.run_dir, "report.csv")
-    with open(report_path) as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].split(",")
-    print(" ".join(f"{h:>12}" for h in header))
-    for line in lines[1:]:
-        cells = []
-        for c in line.split(","):
-            try:
-                cells.append(f"{float(c):>12.4f}" if "." in c else f"{c:>12}")
-            except ValueError:
-                cells.append(f"{c:>12}")
-        print(" ".join(cells))
+    header, rows = _read_table(os.path.join(args.run_dir, "report.csv"))
+    for row in [header, *rows]:
+        print(" ".join(f"{float(c):>12.4f}" if "." in c else f"{c:>12}"
+                       for c in row))
     summary_path = os.path.join(args.run_dir, "summary.csv")
     if os.path.exists(summary_path):
-        with open(summary_path) as fh:
-            keys, vals = (l.split(",") for l in fh.read().splitlines()[:2])
+        keys, (vals,) = _read_table(summary_path)
         print("; ".join(f"{k}={v}" for k, v in zip(keys, vals)))
     return 0
 

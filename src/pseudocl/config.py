@@ -6,6 +6,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .data import _write_atomic
+
 VARIANTS = ("ours", "ffe", "scratch", "pca")
 MODES = ("offline", "online")
 EXEMPLAR_POLICIES = ("herding", "random", "none")
@@ -53,6 +55,8 @@ class RunConfig:
             raise ValueError(f"unknown exemplar policy {self.exemplar_policy!r}")
         if self.upl_k < 0:
             raise ValueError("upl_k must be >= 0")
+        if self.upl_k > 0 and self.variant != "ours":
+            raise ValueError(f"upl_k needs variant 'ours', not {self.variant!r}")
         if self.q < 1 or self.step_size < 1 or self.epochs < 1:
             raise ValueError("q, step_size and epochs must be positive")
         if self.batch_size < 1 or self.lr_decay_period < 1:
@@ -173,6 +177,5 @@ def load_config(path: str, overrides: dict | None = None) -> RunConfig:
 
 def dump_config(cfg: RunConfig, path: str) -> None:
     """Write the fully resolved configuration, one dotted key per line."""
-    with open(path, "w") as fh:
-        for key in sorted(CONFIG_KEYS):
-            fh.write(f"{key} = {getattr(cfg, CONFIG_KEYS[key])}\n")
+    _write_atomic(path, (f"{key} = {getattr(cfg, CONFIG_KEYS[key])}\n"
+                         for key in sorted(CONFIG_KEYS)))

@@ -14,8 +14,8 @@ import numpy as np
 from . import nn
 from .clustering import kmeans, pca_fit, pca_project
 from .config import RunConfig, coerce_field, dump_config, parse_variant
-from .data import (Dataset, ensure_dir, write_checkpoint, write_report,
-                   write_summary)
+from .data import (Dataset, _write_atomic, _write_table, write_checkpoint,
+                   write_report, write_summary)
 from .labeling import (ExemplarStore, assign_pseudo_labels, merge_replay,
                        select_exemplars_herding, select_exemplars_random)
 from .metrics import StepReport, step_report
@@ -49,7 +49,6 @@ class ExperimentResult:
     summary: dict
     model: nn.Model
     store: ExemplarStore
-    run_dir: str | None = None
 
 
 def _seed(*parts) -> int:
@@ -271,7 +270,7 @@ def run_experiment(cfg: RunConfig, dataset: Dataset,
     """Full protocol: split, supervised first task, N-1 incremental steps."""
     cfg.validate()
     if out_dir:
-        ensure_dir(out_dir)
+        os.makedirs(out_dir, exist_ok=True)
         dump_config(cfg, os.path.join(out_dir, "config.txt"))
     stream = split_tasks(dataset, cfg.step_size, cfg.arrangement_seed)
 
@@ -301,7 +300,7 @@ def run_experiment(cfg: RunConfig, dataset: Dataset,
         raise
     summary = summarize(reports, cfg)
     _persist_reports(out_dir, reports, cfg, summary)
-    return ExperimentResult(reports, summary, model, store, out_dir)
+    return ExperimentResult(reports, summary, model, store)
 
 
 def summarize(reports: list[StepReport], cfg: RunConfig) -> dict:
@@ -331,9 +330,9 @@ def _persist_step(out_dir, model, store, stream, step) -> None:
     seen = [int(c) for t in stream.tasks[:step] for c in t.classes]
     write_checkpoint(model, os.path.join(out_dir, f"step_{step}.ckpt"),
                      meta={"step": step, "classes_seen": seen})
-    with open(os.path.join(out_dir, f"exemplars_step_{step}.json"), "w") as fh:
-        json.dump({"q": store.q, "ids": store.ids.tolist(),
-                   "labels": store.labels.tolist()}, fh)
+    _write_atomic(os.path.join(out_dir, f"exemplars_step_{step}.json"),
+                  [json.dumps({"q": store.q, "ids": store.ids.tolist(),
+                               "labels": store.labels.tolist()})])
 
 
 def _persist_reports(out_dir, reports, cfg, summary=None) -> None:
@@ -355,7 +354,7 @@ def run_sweep(base_cfg: RunConfig, dataset: Dataset, axis: str, values: list,
     """
     if not values:
         raise ProtocolError("empty sweep axis")
-    ensure_dir(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     jobs_list = []
     for value in values:
         for rep in range(repeats):
@@ -375,13 +374,10 @@ def run_sweep(base_cfg: RunConfig, dataset: Dataset, axis: str, values: list,
         results = [_sweep_child(cfg, dataset, value, run_dir)
                    for cfg, value, run_dir in jobs_list]
 
-    with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
-        fh.write(f"{axis},seed,variant,{','.join(_SWEEP_METRICS)}\n")
-        for row in results:
-            cells = ("" if row[key] is None else repr(row[key])
-                     for key in _SWEEP_METRICS)
-            fh.write(f"{row['value']},{row['seed']},{row['variant']},"
-                     f"{','.join(cells)}\n")
+    _write_table(os.path.join(out_dir, "sweep.csv"),
+                 [axis, "seed", "variant", *_SWEEP_METRICS],
+                 ([row["value"], row["seed"], row["variant"],
+                   *(row[key] for key in _SWEEP_METRICS)] for row in results))
     return results
 
 

@@ -118,6 +118,15 @@ class TestRun:
         assert "bad.cfg:2: key 'train.lr'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_upl_with_other_variant_is_usage_error(self, workdir, tmp_path,
+                                                   capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("run.variant = pca\nrun.upl_k = 2\n")
+        assert cli.main(["run", str(bad), "--data", str(workdir["data"]),
+                         "--out", str(tmp_path / "run")]) == 2
+        assert "upl_k" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_diverging_run_names_step_and_epoch(self, workdir, tmp_path,
                                                 capsys):
         out = tmp_path / "run"
@@ -237,6 +246,27 @@ class TestEval:
         with open(tmp_path / "eval.csv") as fh:
             assert fh.read().splitlines() == ["step,classes_seen,acc,nmi,ari",
                                               ",".join(final)]
+
+    @pytest.mark.parametrize("spec_line, message", [
+        ("dim = 5", "dataset dim 5 != model input 4"),
+        ("num_classes = 2", "dataset lacks classes_seen ["),
+    ], ids=["dim", "classes"])
+    def test_mismatched_dataset_is_usage_error(self, workdir, tmp_path, capsys,
+                                               spec_line, message):
+        out = tmp_path / "run"
+        assert cli.main(["run", str(workdir["cfg"]),
+                         "--data", str(workdir["data"]),
+                         "--out", str(out)]) == 0
+        other_spec = tmp_path / "other.cfg"
+        key = spec_line.split(" =")[0]
+        other_spec.write_text("".join(
+            spec_line + "\n" if line.startswith(key + " ") else line + "\n"
+            for line in BLOB_SPEC.splitlines()))
+        other = tmp_path / "other.csv"
+        assert cli.main(["gen-data", str(other_spec), str(other)]) == 0
+        capsys.readouterr()
+        assert cli.main(["eval", str(out / "step_2.ckpt"), str(other)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_corrupt_checkpoint_is_usage_error(self, workdir, tmp_path):
         bad = tmp_path / "bad.ckpt"

@@ -42,6 +42,11 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=field):
             config.RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("variant", ["ffe", "scratch", "pca"])
+    def test_upl_needs_variant_ours(self, variant):
+        with pytest.raises(ValueError, match="upl_k"):
+            config.RunConfig(variant=variant, upl_k=2)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", FLOAT_FIELDS)
     def test_non_finite_float_rejected(self, field, value):
@@ -160,8 +165,15 @@ any_float = st.floats(allow_nan=False, allow_infinity=False)
 positive_float = st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
                            allow_infinity=False)
 
+def valid_run_config(**fields):
+    # upl_k > 0 is valid with variant "ours" only
+    if fields["variant"] != "ours":
+        fields["upl_k"] = 0
+    return config.RunConfig(**fields)
+
+
 run_configs = st.builds(
-    config.RunConfig,
+    valid_run_config,
     mode=st.sampled_from(config.MODES),
     variant=st.sampled_from(config.VARIANTS),
     upl_k=st.integers(0, 10**6),

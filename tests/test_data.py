@@ -181,6 +181,15 @@ class TestCsvRoundTrip:
         with pytest.raises(data.FormatError, match=r"bad\.csv:3"):
             data.load_dataset(str(path))
 
+    @pytest.mark.parametrize("bad_row", ["1,0,oops", "1,0,1.0,2.0"],
+                             ids=["bad-value", "field-count"])
+    def test_error_line_counts_comment_lines(self, tmp_path, bad_row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# seed=3\nid,label,f0\n0,0,1.0\n{bad_row}\n"
+                        "2,1,1.0\n")
+        with pytest.raises(data.FormatError, match=r"bad\.csv:4: "):
+            data.load_dataset(str(path))
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -317,6 +326,19 @@ class TestReportFiles:
         assert float(got[2]) == 1 / 3  # repr round-trips exactly
         assert float(got[3]) == 0.1234567890123456
         assert float(got[4]) == -0.5
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "report.csv"
+        data.write_report([metrics.StepReport(1, 5, 0.5, 0.25, 0.125)],
+                          str(path))
+        before = path.read_bytes()
+        # the second report has no fields, so the write raises after its
+        # first row has gone to the temporary file
+        with pytest.raises(AttributeError):
+            data.write_report([metrics.StepReport(1, 5, 1.0, 1.0, 1.0),
+                               object()], str(path))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv"]
 
     def test_summary_layout(self, tmp_path):
         path = tmp_path / "summary.csv"

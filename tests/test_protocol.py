@@ -299,6 +299,11 @@ class TestRunExperiment:
         assert lines[0] == "step,classes_seen,acc,nmi,ari"
         assert len(lines) == 4
 
+    def test_finished_run_leaves_no_temporary_file(self, dataset, tmp_path):
+        out = tmp_path / "run"
+        protocol.run_experiment(fast_cfg(), dataset, out_dir=str(out))
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
     def test_checkpoint_reloads_to_same_predictions(self, dataset, tmp_path):
         from pseudocl.data import read_checkpoint
         out = str(tmp_path / "run")
