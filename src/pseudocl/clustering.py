@@ -137,15 +137,18 @@ def _kmeans_single(x: np.ndarray, k: int, seed: int, max_iter: int,
                          it, converged, trace)
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 300,
-           tol: float = 1e-6, n_restarts: int = 1) -> ClusterResult:
+_MAX_ITER = 300  # Lloyd iterations per restart
+
+
+def kmeans(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
+           n_restarts: int = 1) -> ClusterResult:
     """Lloyd iterations from k-means++ init; deterministic given seed."""
     x = _validate_points(points, k)
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
     best: ClusterResult | None = None
     for r in range(n_restarts):
-        res = _kmeans_single(x, k, seed + r, max_iter, tol)
+        res = _kmeans_single(x, k, seed + r, _MAX_ITER, tol)
         if best is None or res.objective < best.objective:
             best = res
     return best  # type: ignore[return-value]

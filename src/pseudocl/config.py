@@ -47,30 +47,26 @@ class RunConfig:
             value = getattr(self, name)
             if kind == "float" and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            if name in _LOWEST and value < _LOWEST[name]:
+                raise ValueError(
+                    f"{name} must be >= {_LOWEST[name]}, got {value!r}")
+            if name in _POSITIVE and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.exemplar_policy not in EXEMPLAR_POLICIES:
             raise ValueError(f"unknown exemplar policy {self.exemplar_policy!r}")
-        if self.upl_k < 0:
-            raise ValueError("upl_k must be >= 0")
         if self.upl_k > 0 and self.variant != "ours":
             raise ValueError(f"upl_k needs variant 'ours', not {self.variant!r}")
-        if self.q < 1 or self.step_size < 1 or self.epochs < 1:
-            raise ValueError("q, step_size and epochs must be positive")
-        if self.batch_size < 1 or self.lr_decay_period < 1:
-            raise ValueError("batch_size and lr_decay_period must be positive")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.hidden_width < 1:
-            raise ValueError("hidden_width must be >= 1")
-        if self.pca_dim < 1:
-            raise ValueError("pca_dim must be >= 1")
-        if self.n_restarts < 1:
-            raise ValueError("n_restarts must be >= 1")
+        # a refresh fires at epochs K, 2K, ... below epochs, and an online
+        # step trains one epoch
+        if self.upl_k > 0 and (self.mode != "offline"
+                               or self.upl_k >= self.epochs):
+            raise ValueError(f"upl_k = {self.upl_k} never refreshes: it needs "
+                             f"offline mode and upl_k < epochs, got mode "
+                             f"{self.mode!r} and epochs {self.epochs}")
 
 
 # dotted config key -> RunConfig field
@@ -101,6 +97,13 @@ CONFIG_KEYS = {
 }
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# least allowed value of each bounded numeric field, and the fields that
+# must be above zero
+_LOWEST = {"upl_k": 0, "q": 1, "step_size": 1, "epochs": 1, "batch_size": 1,
+           "lr_decay_period": 1, "weight_decay": 0, "hidden_width": 1,
+           "n_hidden": 0, "pca_dim": 1, "n_restarts": 1, "arrangement_seed": 0,
+           "model_seed": 0}
+_POSITIVE = ("lr", "lr_decay", "temperature")
 
 
 def coerce_field(field: str, raw: str):

@@ -175,7 +175,11 @@ def load_dataset(path: str) -> Dataset:
         line, lineno = fh.readline(), 1
         while line.startswith("#"):
             if "seed=" in line:
-                seed = int(line.split("seed=")[1])
+                try:
+                    seed = int(line.split("seed=")[1])
+                except ValueError:
+                    raise FormatError(f"{path}:{lineno}: bad seed comment "
+                                      f"{line.rstrip()!r}") from None
             line, lineno = fh.readline(), lineno + 1
         header = line.rstrip("\n").split(",")
         d = len(header) - 2

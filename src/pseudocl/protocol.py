@@ -1,5 +1,5 @@
-"""The class-incremental loop: task splitting, supervised first task,
-pseudo-label continual steps, feature-extractor variants and sweeps."""
+"""The class-incremental loop: task splitting, one step function for every
+task (supervised first, pseudo-labelled after), variants and sweeps."""
 
 from __future__ import annotations
 
@@ -92,16 +92,18 @@ def _train(model: nn.Model, x: np.ndarray, y: np.ndarray,
            teacher: nn.Model | None, m: int, n: int, cfg: RunConfig,
            step: int, refresh=None) -> nn.Model:
     """SGD on the cross-distillation loss over the merged set, in place;
-    offline runs cfg.epochs, online one pass. A non-finite loss or parameter
-    raises ProtocolError.
+    cfg.epochs passes, or one pass on an online incremental step (the
+    supervised first task always trains cfg.epochs). A non-finite loss or
+    parameter raises ProtocolError.
 
     The distillation weight is alpha = m / (m + n): 0 on the supervised
-    first task (m == 0, no teacher). refresh, when given, is called at epoch
-    boundaries and may return a replacement label array (UPL pseudo-label
+    first task (m == 0, no teacher). refresh, when given, is called every
+    cfg.upl_k epochs and returns a replacement label array (UPL pseudo-label
     updates).
     """
     alpha = m / (m + n)
-    epochs = 1 if cfg.mode == "online" else cfg.epochs
+    one_pass = cfg.mode == "online" and m > 0
+    epochs = 1 if one_pass else cfg.epochs
     base_seed = _seed(cfg.shuffle_seed, "task", step)
     y = y.copy()
     p_hat = None
@@ -116,11 +118,10 @@ def _train(model: nn.Model, x: np.ndarray, y: np.ndarray,
             p_hat[start:start + cfg.batch_size] = nn.softened_probs(
                 block[:, :m], cfg.temperature)
     for epoch in range(epochs):
-        if refresh is not None and epoch > 0 and cfg.upl_k > 0 \
-                and epoch % cfg.upl_k == 0:
+        if refresh is not None and epoch > 0 and epoch % cfg.upl_k == 0:
             y = refresh(model, y, epoch)
         lr = _lr_at(cfg, epoch)
-        if cfg.mode == "online":
+        if one_pass:
             order = np.arange(len(x))  # merged order already shuffled
         else:
             order = np.random.default_rng(
@@ -140,19 +141,6 @@ def _train(model: nn.Model, x: np.ndarray, y: np.ndarray,
         raise ProtocolError(f"training diverged at step {step}, epoch "
                             f"{epochs} of {epochs}: non-finite parameters")
     return model
-
-
-def train_first_task(dataset: Dataset, stream: TaskStream,
-                     cfg: RunConfig) -> nn.Model:
-    """Supervised softmax training on task 1 (labels permitted here)."""
-    task = stream.tasks[0]
-    x = dataset.features_for(task.train_ids)
-    y = _true_slots(dataset, task)
-    model = nn.init_model(dataset.dim, cfg.hidden_width, cfg.n_hidden,
-                          stream.step_size, cfg.model_seed)
-    # pre-training is supervised and always multi-epoch, even in online mode
-    first_cfg = cfg if cfg.mode == "offline" else replace(cfg, mode="offline")
-    return _train(model, x, y, None, 0, stream.step_size, first_cfg, 1)
 
 
 def _variant_features(model: nn.Model, h1: nn.Model, x: np.ndarray,
@@ -204,43 +192,53 @@ def evaluate(model: nn.Model, dataset: Dataset, eval_ids: np.ndarray,
     return step_report(step, model.out_dim, preds, truth)
 
 
-def continual_step(model: nn.Model, stream: TaskStream, step: int,
+def continual_step(model: nn.Model | None, stream: TaskStream, step: int,
                    store: ExemplarStore, dataset: Dataset, cfg: RunConfig,
-                   h1: nn.Model) -> tuple[nn.Model, ExemplarStore, StepReport]:
-    """One unsupervised incremental step: cluster, pseudo-label, train."""
+                   h1: nn.Model | None
+                   ) -> tuple[nn.Model, ExemplarStore, StepReport]:
+    """One step of the protocol: label the task, train, pick exemplars and
+    evaluate. Step 1 (model None) builds the model and, like every step of
+    an oracle run, trains on the true labels; any other step clusters the
+    task with a feature extractor and must read no label until evaluation.
+
+    The passed model is left as it is: expand_head and weight_align each
+    build a new model, so it can serve as the teacher (and as h1) uncopied.
+    """
     task = stream.tasks[step - 1]
     n = stream.step_size
     m = (step - 1) * n
     x_train = dataset.features_for(task.train_ids)
+    supervised = model is None or cfg.oracle_labels
+
+    def cluster(feats: np.ndarray, *tag) -> np.ndarray:
+        seed = _seed(cfg.shuffle_seed, "cluster", step, *tag)
+        return kmeans(feats, n, seed=seed, n_restarts=cfg.n_restarts).assignments
 
     reads_before = dataset.sealed.access_count
-    if cfg.oracle_labels:
+    if supervised:
         assignments = _true_slots(dataset, task)
-        labels = assignments + m
     else:
-        feats = _variant_features(model, h1, x_train, cfg, step)
-        km = kmeans(feats, n, seed=_seed(cfg.shuffle_seed, "cluster", step),
-                    n_restarts=cfg.n_restarts)
-        assignments = km.assignments
-        labels = assign_pseudo_labels(assignments, m)
+        assignments = cluster(_variant_features(model, h1, x_train, cfg, step))
+    labels = assign_pseudo_labels(assignments, m)
 
-    teacher = model.copy()
-    model = nn.expand_head(model, n, _seed(cfg.model_seed, "expand", step))
-
-    merge_seed = _seed(cfg.shuffle_seed, "merge", step)
-    x, y, origin = merge_replay(x_train, labels,
-                                dataset.features_for(store.ids), store.labels,
-                                merge_seed)
+    teacher = model
+    if model is None:
+        model = nn.init_model(dataset.dim, cfg.hidden_width, cfg.n_hidden, n,
+                              cfg.model_seed)
+        x, y = x_train, labels
+    else:
+        model = nn.expand_head(model, n, _seed(cfg.model_seed, "expand", step))
+        x, y, origin = merge_replay(x_train, labels,
+                                    dataset.features_for(store.ids),
+                                    store.labels,
+                                    _seed(cfg.shuffle_seed, "merge", step))
 
     def refresh(current: nn.Model, y_now: np.ndarray, epoch: int) -> np.ndarray:
         # re-cluster current-task data with the in-training extractor;
         # replayed labels stay fixed, and this step's exemplars are picked
         # from and labelled by the last clustering
         nonlocal assignments, labels
-        f = nn.extract_features(current, x_train)
-        km2 = kmeans(f, n, seed=_seed(cfg.shuffle_seed, "cluster", step, epoch),
-                     n_restarts=cfg.n_restarts)
-        assignments = km2.assignments
+        assignments = cluster(nn.extract_features(current, x_train), epoch)
         labels = assign_pseudo_labels(assignments, m)
         out = y_now.copy()
         new_rows = origin >= 0
@@ -248,15 +246,14 @@ def continual_step(model: nn.Model, stream: TaskStream, step: int,
         return out
 
     model = _train(model, x, y, teacher, m, n, cfg, step,
-                   refresh=refresh if (cfg.upl_k > 0 and not cfg.oracle_labels)
-                   else None)
+                   refresh=None if supervised or cfg.upl_k == 0 else refresh)
 
-    if cfg.bias_correction:
+    if cfg.bias_correction and m > 0:
         model = nn.weight_align(model, m, n)
 
     store = _update_store(store, model, x_train, assignments, labels,
                           task.train_ids, cfg, step)
-    if not cfg.oracle_labels:
+    if not supervised:
         training_reads = dataset.sealed.access_count - reads_before
         if training_reads != 0:
             raise ProtocolError(
@@ -267,7 +264,7 @@ def continual_step(model: nn.Model, stream: TaskStream, step: int,
 
 def run_experiment(cfg: RunConfig, dataset: Dataset,
                    out_dir: str | None = None) -> ExperimentResult:
-    """Full protocol: split, supervised first task, N-1 incremental steps."""
+    """Full protocol: split, then one continual_step per task."""
     cfg.validate()
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -275,31 +272,21 @@ def run_experiment(cfg: RunConfig, dataset: Dataset,
     stream = split_tasks(dataset, cfg.step_size, cfg.arrangement_seed)
 
     reports: list[StepReport] = []
+    model = h1 = None
+    store = ExemplarStore(cfg.q)
     try:
-        model = train_first_task(dataset, stream, cfg)
-        h1 = model.copy()
-        reports.append(evaluate(model, dataset, stream.eval_ids(1), 1))
-
-        # exemplars for the supervised first task come from true classes
-        task1 = stream.tasks[0]
-        slots1 = _true_slots(dataset, task1)
-        store = _update_store(ExemplarStore(cfg.q), model,
-                              dataset.features_for(task1.train_ids),
-                              slots1, slots1, task1.train_ids, cfg, 1)
-        _persist_step(out_dir, model, store, stream, 1)
-
-        # continual_step itself audits the sealed-label counter on the
-        # unsupervised training path and raises on any read
-        for step in range(2, len(stream.tasks) + 1):
+        for step in range(1, len(stream.tasks) + 1):
             model, store, rep = continual_step(model, stream, step, store,
                                                dataset, cfg, h1)
+            if step == 1:
+                h1 = model  # the first-task extractor, which ffe keeps
             reports.append(rep)
             _persist_step(out_dir, model, store, stream, step)
     except Exception:
-        _persist_reports(out_dir, reports, cfg)  # partial report survives
+        _persist_reports(out_dir, reports)  # partial report survives
         raise
     summary = summarize(reports, cfg)
-    _persist_reports(out_dir, reports, cfg, summary)
+    _persist_reports(out_dir, reports, summary)
     return ExperimentResult(reports, summary, model, store)
 
 
@@ -335,7 +322,7 @@ def _persist_step(out_dir, model, store, stream, step) -> None:
                                "labels": store.labels.tolist()})])
 
 
-def _persist_reports(out_dir, reports, cfg, summary=None) -> None:
+def _persist_reports(out_dir, reports, summary=None) -> None:
     if not out_dir:
         return
     write_report(reports, os.path.join(out_dir, "report.csv"))

@@ -127,6 +127,24 @@ class TestRun:
         assert "upl_k" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("extra, flags, field", [
+        ("", ["--seed", "-1"], "model_seed"),
+        ("", ["--variant", "upl-2", "--mode", "online"], "upl_k"),
+        ("", ["--variant", "upl-3"], "upl_k"),
+        ("run.variant = upl-3\n", [], "upl_k"),
+        ("model.n_hidden = -1\n", [], "n_hidden")],
+        ids=["seed-flag", "upl-online-flag", "upl-at-epochs-flag",
+             "upl-at-epochs-file", "n_hidden-file"])
+    def test_out_of_range_setting_is_usage_error(self, tmp_path, workdir,
+                                                 capsys, extra, flags, field):
+        # RUN_CFG trains 3 epochs, so upl-3 would never refresh
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RUN_CFG + extra)
+        assert cli.main(["run", str(cfg), "--data", str(workdir["data"]),
+                         "--out", str(tmp_path / "run"), *flags]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_diverging_run_names_step_and_epoch(self, workdir, tmp_path,
                                                 capsys):
         out = tmp_path / "run"
@@ -183,6 +201,16 @@ class TestSweep:
                          "--out", str(tmp_path / "s"),
                          "--axis", axis]) == 2
         assert axis.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_upl_axis_that_never_refreshes_is_usage_error(self, workdir,
+                                                          tmp_path, capsys):
+        # RUN_CFG trains 3 epochs: upl-2 refreshes once, upl-3 never
+        assert cli.main(["sweep", str(workdir["cfg"]),
+                         "--data", str(workdir["data"]),
+                         "--out", str(tmp_path / "s"),
+                         "--axis", "variant=upl-2,upl-3"]) == 2
+        assert "upl_k" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
     def test_unknown_axis_is_usage_error(self, workdir, tmp_path, capsys):

@@ -37,15 +37,31 @@ class TestRunConfig:
             config.RunConfig(temperature=0.0)
 
     @pytest.mark.parametrize("field, value", [
-        ("hidden_width", 0), ("lr", -1.0), ("pca_dim", 0), ("n_restarts", 0)])
+        ("hidden_width", 0), ("lr", -1.0), ("pca_dim", 0), ("n_restarts", 0),
+        ("n_hidden", -1), ("model_seed", -1), ("arrangement_seed", -1),
+        ("lr_decay", 0.0), ("lr_decay", -0.1), ("weight_decay", -1e-5)])
     def test_out_of_range_field_named(self, field, value):
         with pytest.raises(ValueError, match=field):
             config.RunConfig(**{field: value})
+
+    def test_range_edges_accepted(self):
+        cfg = config.RunConfig(n_hidden=0, model_seed=0, arrangement_seed=0,
+                               weight_decay=0.0, shuffle_seed=-1, epochs=4,
+                               upl_k=3)
+        assert cfg.n_hidden == 0 and cfg.upl_k == 3
 
     @pytest.mark.parametrize("variant", ["ffe", "scratch", "pca"])
     def test_upl_needs_variant_ours(self, variant):
         with pytest.raises(ValueError, match="upl_k"):
             config.RunConfig(variant=variant, upl_k=2)
+
+    @pytest.mark.parametrize("fields", [
+        dict(mode="online", upl_k=2), dict(epochs=4, upl_k=4),
+        dict(epochs=4, upl_k=9)], ids=["online", "at-epochs", "above-epochs"])
+    def test_upl_that_never_refreshes_rejected(self, fields):
+        # a refresh fires only at epochs K, 2K, ... below epochs, offline
+        with pytest.raises(ValueError, match="upl_k"):
+            config.RunConfig(**fields)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", FLOAT_FIELDS)
@@ -96,6 +112,11 @@ seeds.model = 42
         path = write_cfg(tmp_path, "run.variant = upl-5\n")
         cfg = config.load_config(path)
         assert cfg.variant == "ours" and cfg.upl_k == 5
+
+    def test_upl_at_epochs_rejected(self, tmp_path):
+        path = write_cfg(tmp_path, "train.epochs = 4\nrun.variant = upl-4\n")
+        with pytest.raises(ValueError, match="upl_k"):
+            config.load_config(path)
 
     def test_alpha_override_key_rejected(self, tmp_path):
         # alpha is always m / (m + n): no key sets it
@@ -161,14 +182,17 @@ class TestDumpConfig:
 
 positive = st.integers(1, 10**6)
 any_int = st.integers(-10**9, 10**9)
-any_float = st.floats(allow_nan=False, allow_infinity=False)
+non_negative = st.integers(0, 10**9)
+non_negative_float = st.floats(min_value=0.0, allow_nan=False,
+                               allow_infinity=False)
 positive_float = st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
                            allow_infinity=False)
 
 def valid_run_config(**fields):
-    # upl_k > 0 is valid with variant "ours" only
-    if fields["variant"] != "ours":
+    # upl_k > 0 is valid with variant "ours", offline, below epochs only
+    if fields["variant"] != "ours" or fields["mode"] != "offline":
         fields["upl_k"] = 0
+    fields["upl_k"] %= fields["epochs"]
     return config.RunConfig(**fields)
 
 
@@ -180,11 +204,12 @@ run_configs = st.builds(
     exemplar_policy=st.sampled_from(config.EXEMPLAR_POLICIES),
     q=positive, step_size=positive, bias_correction=st.booleans(),
     oracle_labels=st.booleans(), epochs=positive, lr=positive_float,
-    lr_decay=any_float, lr_decay_period=positive, batch_size=positive,
-    weight_decay=any_float, temperature=positive_float, hidden_width=positive,
-    n_hidden=any_int, pca_dim=positive, n_restarts=positive,
-    normalize_features=st.booleans(), arrangement_seed=any_int,
-    model_seed=any_int, shuffle_seed=any_int)
+    lr_decay=positive_float, lr_decay_period=positive, batch_size=positive,
+    weight_decay=non_negative_float, temperature=positive_float,
+    hidden_width=positive, n_hidden=non_negative, pca_dim=positive,
+    n_restarts=positive, normalize_features=st.booleans(),
+    arrangement_seed=non_negative, model_seed=non_negative,
+    shuffle_seed=any_int)
 
 
 class TestDumpConfigProperties:

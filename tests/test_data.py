@@ -190,6 +190,12 @@ class TestCsvRoundTrip:
         with pytest.raises(data.FormatError, match=r"bad\.csv:4: "):
             data.load_dataset(str(path))
 
+    def test_bad_seed_comment_reports_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# generated\n# seed=abc\nid,label,f0\n0,0,1.0\n")
+        with pytest.raises(data.FormatError, match=r"bad\.csv:2: .*seed=abc"):
+            data.load_dataset(str(path))
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

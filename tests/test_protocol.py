@@ -26,6 +26,13 @@ def fast_cfg(**kw):
     return RunConfig(**base)
 
 
+def first_task(dataset, stream, cfg):
+    """The model after step 1, the supervised first task."""
+    model, _, _ = protocol.continual_step(None, stream, 1, ExemplarStore(cfg.q),
+                                          dataset, cfg, None)
+    return model
+
+
 class TestSplitTasks:
     def test_chunking_and_coverage(self, dataset):
         stream = protocol.split_tasks(dataset, 2, arrangement_seed=1993)
@@ -59,7 +66,7 @@ class TestFirstTask:
     def test_supervised_first_task_learns(self, dataset):
         cfg = fast_cfg(epochs=10)
         stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = protocol.train_first_task(dataset, stream, cfg)
+        model = first_task(dataset, stream, cfg)
         rep = protocol.evaluate(model, dataset, stream.eval_ids(1), 1)
         assert model.out_dim == 2
         assert rep.acc > 0.9
@@ -67,16 +74,31 @@ class TestFirstTask:
     def test_deterministic(self, dataset):
         cfg = fast_cfg()
         stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        a = protocol.train_first_task(dataset, stream, cfg)
-        b = protocol.train_first_task(dataset, stream, cfg)
+        a = first_task(dataset, stream, cfg)
+        b = first_task(dataset, stream, cfg)
         assert np.array_equal(a.params, b.params)
+
+    def test_online_mode_still_trains_every_epoch(self, dataset, monkeypatch):
+        cfg = fast_cfg(mode="online", exemplar_policy="none")
+        stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        calls = []
+        real_step = nn.sgd_step
+
+        def counting_step(*args, **kwargs):
+            calls.append(1)
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "sgd_step", counting_step)
+        first_task(dataset, stream, cfg)
+        n_train = len(stream.tasks[0].train_ids)
+        assert len(calls) == cfg.epochs * math.ceil(n_train / cfg.batch_size)
 
 
 class TestContinualStep:
     def test_head_growth_and_report(self, dataset):
         cfg = fast_cfg()
         stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = protocol.train_first_task(dataset, stream, cfg)
+        model = first_task(dataset, stream, cfg)
         h1 = model.copy()
         store = ExemplarStore(cfg.q)
         model, store, rep = protocol.continual_step(
@@ -84,6 +106,18 @@ class TestContinualStep:
         assert model.out_dim == 4
         assert rep.step == 2 and rep.classes_seen == 4
         assert 0.0 <= rep.acc <= 1.0
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_step_leaves_passed_model_unchanged(self, dataset, oracle):
+        # no step copies the model it is given: expand_head and
+        # weight_align each build a new one, and training updates that
+        cfg = fast_cfg(oracle_labels=oracle)
+        stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        model = first_task(dataset, stream, cfg)
+        before = model.params.tobytes()
+        protocol.continual_step(model, stream, 2, ExemplarStore(cfg.q),
+                                dataset, cfg, model)
+        assert model.params.tobytes() == before
 
     def test_exemplar_store_grows_per_step(self, dataset):
         cfg = fast_cfg()
@@ -97,7 +131,7 @@ class TestContinualStep:
     def test_step_leaves_passed_store_unchanged(self, dataset):
         cfg = fast_cfg()
         stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = protocol.train_first_task(dataset, stream, cfg)
+        model = first_task(dataset, stream, cfg)
         store = ExemplarStore(cfg.q, np.array([3, 1]), np.array([0, 1]))
         _, grown, _ = protocol.continual_step(model, stream, 2, store,
                                               dataset, cfg, model.copy())
@@ -108,7 +142,7 @@ class TestContinualStep:
     def test_unsupervised_path_never_reads_labels(self, dataset):
         cfg = fast_cfg()
         stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = protocol.train_first_task(dataset, stream, cfg)
+        model = first_task(dataset, stream, cfg)
         h1 = model.copy()
         before = dataset.sealed.access_count
         model, _, _ = protocol.continual_step(
@@ -119,7 +153,7 @@ class TestContinualStep:
     def test_label_read_during_training_raises(self, dataset, monkeypatch):
         cfg = fast_cfg()
         stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = protocol.train_first_task(dataset, stream, cfg)
+        model = first_task(dataset, stream, cfg)
         h1 = model.copy()
         real_kmeans = protocol.kmeans
 
@@ -141,7 +175,7 @@ class TestContinualStep:
     def test_online_mode_single_pass_update_count(self, dataset, monkeypatch):
         cfg = fast_cfg(mode="online", exemplar_policy="none")
         stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = protocol.train_first_task(dataset, stream, cfg)
+        model = first_task(dataset, stream, cfg)
         h1 = model.copy()
         calls = []
         real_step = nn.sgd_step
@@ -159,7 +193,7 @@ class TestContinualStep:
     def test_offline_mode_epoch_passes(self, dataset, monkeypatch):
         cfg = fast_cfg(exemplar_policy="none")
         stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = protocol.train_first_task(dataset, stream, cfg)
+        model = first_task(dataset, stream, cfg)
         h1 = model.copy()
         calls = []
         real_step = nn.sgd_step
@@ -214,7 +248,7 @@ class TestContinualStep:
         monkeypatch.setattr(protocol, "kmeans", renumbering_kmeans)
         cfg = fast_cfg(epochs=5, upl_k=2)
         stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = protocol.train_first_task(dataset, stream, cfg)
+        model = first_task(dataset, stream, cfg)
         h1 = model.copy()
         store = ExemplarStore(cfg.q)
         for step in (2, 3):
@@ -373,7 +407,7 @@ class TestVariants:
 
     def test_variant_name(self):
         assert protocol.variant_name(fast_cfg()) == "ours"
-        assert protocol.variant_name(fast_cfg(upl_k=7)) == "upl-7"
+        assert protocol.variant_name(fast_cfg(upl_k=3)) == "upl-3"
         assert protocol.variant_name(fast_cfg(oracle_labels=True)) == "oracle"
 
 
