@@ -24,11 +24,11 @@ class UsageError(Exception):
 
 
 def _load_inputs(args):
-    """Config and dataset problems are usage errors (exit 2)."""
+    """Unreadable or invalid config and dataset are usage errors (exit 2)."""
     try:
         cfg = load_config(args.config, overrides=_config_overrides(args))
         dataset = load_dataset(args.data)
-    except (ValueError, FileNotFoundError, TypeError) as exc:
+    except (ValueError, OSError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
     return cfg, dataset
 
@@ -101,7 +101,7 @@ def _print_report(reports, summary) -> None:
 def cmd_gen_data(args) -> int:
     try:
         spec = _load_blob_spec(args.specfile)
-    except (ValueError, FileNotFoundError, TypeError) as exc:
+    except (ValueError, OSError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
     save_dataset(generate_gaussian_stream(spec), args.out)
     print(f"wrote {args.out}")
@@ -151,7 +151,7 @@ def cmd_eval(args) -> int:
     try:
         model, meta = read_checkpoint(args.checkpoint)
         dataset = load_dataset(args.data)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         raise UsageError(str(exc)) from exc
     classes = meta.get("classes_seen")
     if classes is None:
@@ -161,8 +161,7 @@ def cmd_eval(args) -> int:
     missing = np.setdiff1d(classes, dataset.classes()).tolist()
     if missing:
         raise UsageError(f"dataset lacks classes_seen {missing}")
-    eval_ids = dataset.ids_for_classes(np.array(classes), eval_split=True)
-    rep = evaluate(model, dataset, eval_ids, meta.get("step", 0))
+    rep = evaluate(model, dataset, classes, meta.get("step", 0))
     print(f"step={rep.step} classes={rep.classes_seen} acc={rep.acc!r} "
           f"nmi={rep.nmi!r} ari={rep.ari!r}")
     if args.out:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -45,8 +46,15 @@ class BlobSpec:
     noise_std: float | None = None
 
     def __post_init__(self):
-        if self.separation <= 0 or self.std <= 0:
-            raise ValueError("separation and std must be positive")
+        for name in ("separation", "std"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if self.noise_std is not None and not 0 <= self.noise_std < math.inf:
+            raise ValueError(
+                f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.num_classes < 1 or self.dim < 1 or self.samples_per_class < 1:
             raise ValueError("counts must be positive")
         if self.signal_dims is not None and not 1 <= self.signal_dims <= self.dim:
@@ -81,6 +89,10 @@ class Dataset:
             raise FormatError("features must be a nonempty 2-D array with one id per row")
         if len(labels) != len(ids):
             raise FormatError("label count mismatch")
+        finite = np.isfinite(features).all(axis=1)
+        if not finite.all():
+            raise FormatError(
+                f"sample {ids[~finite][0]} has a non-finite feature")
         if len(np.unique(ids)) != len(ids):
             raise FormatError("duplicate sample ids")
         self.ids = ids
@@ -203,8 +215,11 @@ def load_dataset(path: str) -> Dataset:
                 raise FormatError(f"{path}: {exc}") from exc
     if len(rows) == 0:
         raise FormatError(f"{path}: no records")
-    return Dataset(rows["id"].copy(), rows["f"].copy(), rows["label"].copy(),
-                   seed=seed)
+    try:
+        return Dataset(rows["id"].copy(), rows["f"].copy(),
+                       rows["label"].copy(), seed=seed)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def write_checkpoint(model: Model, path: str, meta: dict | None = None) -> None:

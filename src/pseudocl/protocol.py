@@ -26,24 +26,6 @@ class ProtocolError(ValueError):
 
 
 @dataclass
-class Task:
-    index: int                # 1-based task number
-    classes: np.ndarray       # original class ids, arrangement order
-    train_ids: np.ndarray
-    eval_ids: np.ndarray
-
-
-@dataclass
-class TaskStream:
-    tasks: list[Task]
-    step_size: int
-
-    def eval_ids(self, step: int) -> np.ndarray:
-        """Held-out sample ids of tasks 1..step."""
-        return np.concatenate([t.eval_ids for t in self.tasks[:step]])
-
-
-@dataclass
 class ExperimentResult:
     reports: list[StepReport]
     summary: dict
@@ -56,28 +38,24 @@ def _seed(*parts) -> int:
 
 
 def split_tasks(dataset: Dataset, step_size: int,
-                arrangement_seed: int) -> TaskStream:
-    """Shuffle classes with the arrangement seed, chunk into fixed-size tasks."""
+                arrangement_seed: int) -> np.ndarray:
+    """The class arrangement: classes shuffled with the arrangement seed, as
+    a (T, step_size) array whose row t-1 holds task t's classes."""
     classes = dataset.classes()
     if len(classes) % step_size != 0:
         raise ProtocolError(
             f"{len(classes)} classes not divisible by step size {step_size}")
     perm = np.random.default_rng(arrangement_seed).permutation(classes)
-    tasks = []
-    for t, start in enumerate(range(0, len(perm), step_size), start=1):
-        group = perm[start:start + step_size]
-        tasks.append(Task(index=t, classes=group,
-                          train_ids=dataset.ids_for_classes(group, False),
-                          eval_ids=dataset.ids_for_classes(group, True)))
-    return TaskStream(tasks, step_size)
+    return perm.reshape(-1, step_size)
 
 
-def _true_slots(dataset: Dataset, task: Task) -> np.ndarray:
-    """Reveal the true labels of ``task``'s training samples as slots
-    0..len(task.classes)-1, in the order of ``task.classes``."""
-    true = dataset.sealed.reveal(dataset.positions(task.train_ids))
-    order = np.argsort(task.classes)
-    return order[np.searchsorted(task.classes, true, sorter=order)]
+def _true_slots(dataset: Dataset, classes: np.ndarray,
+                ids: np.ndarray) -> np.ndarray:
+    """Reveal the true labels of samples ``ids`` as slots
+    0..len(classes)-1, in the order of ``classes``."""
+    true = dataset.sealed.reveal(dataset.positions(ids))
+    order = np.argsort(classes)
+    return order[np.searchsorted(classes, true, sorter=order)]
 
 
 def _lr_at(cfg: RunConfig, epoch: int) -> float:
@@ -183,16 +161,18 @@ def _update_store(store: ExemplarStore, model: nn.Model, x: np.ndarray,
                          np.concatenate([store.labels, picked.labels]))
 
 
-def evaluate(model: nn.Model, dataset: Dataset, eval_ids: np.ndarray,
+def evaluate(model: nn.Model, dataset: Dataset, classes,
              step: int) -> StepReport:
-    """Cluster-quality metrics of the model's predictions on ``eval_ids``."""
+    """Cluster-quality metrics of the model's predictions on the held-out
+    samples of ``classes``, the classes seen so far."""
+    eval_ids = dataset.ids_for_classes(classes, eval_split=True)
     x = dataset.features_for(eval_ids)
     preds = np.argmax(nn.forward(model, x), axis=1)
     truth = dataset.sealed.reveal(dataset.positions(eval_ids))
     return step_report(step, model.out_dim, preds, truth)
 
 
-def continual_step(model: nn.Model | None, stream: TaskStream, step: int,
+def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
                    store: ExemplarStore, dataset: Dataset, cfg: RunConfig,
                    h1: nn.Model | None
                    ) -> tuple[nn.Model, ExemplarStore, StepReport]:
@@ -204,10 +184,11 @@ def continual_step(model: nn.Model | None, stream: TaskStream, step: int,
     The passed model is left as it is: expand_head and weight_align each
     build a new model, so it can serve as the teacher (and as h1) uncopied.
     """
-    task = stream.tasks[step - 1]
-    n = stream.step_size
+    classes = tasks[step - 1]
+    n = len(classes)
     m = (step - 1) * n
-    x_train = dataset.features_for(task.train_ids)
+    train_ids = dataset.ids_for_classes(classes, eval_split=False)
+    x_train = dataset.features_for(train_ids)
     supervised = model is None or cfg.oracle_labels
 
     def cluster(feats: np.ndarray, *tag) -> np.ndarray:
@@ -216,7 +197,7 @@ def continual_step(model: nn.Model | None, stream: TaskStream, step: int,
 
     reads_before = dataset.sealed.access_count
     if supervised:
-        assignments = _true_slots(dataset, task)
+        assignments = _true_slots(dataset, classes, train_ids)
     else:
         assignments = cluster(_variant_features(model, h1, x_train, cfg, step))
     labels = assign_pseudo_labels(assignments, m)
@@ -252,13 +233,13 @@ def continual_step(model: nn.Model | None, stream: TaskStream, step: int,
         model = nn.weight_align(model, m, n)
 
     store = _update_store(store, model, x_train, assignments, labels,
-                          task.train_ids, cfg, step)
+                          train_ids, cfg, step)
     if not supervised:
         training_reads = dataset.sealed.access_count - reads_before
         if training_reads != 0:
             raise ProtocolError(
                 "ground-truth labels were read on the unsupervised path")
-    report = evaluate(model, dataset, stream.eval_ids(step), step)
+    report = evaluate(model, dataset, tasks[:step], step)
     return model, store, report
 
 
@@ -269,19 +250,19 @@ def run_experiment(cfg: RunConfig, dataset: Dataset,
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         dump_config(cfg, os.path.join(out_dir, "config.txt"))
-    stream = split_tasks(dataset, cfg.step_size, cfg.arrangement_seed)
+    tasks = split_tasks(dataset, cfg.step_size, cfg.arrangement_seed)
 
     reports: list[StepReport] = []
     model = h1 = None
     store = ExemplarStore(cfg.q)
     try:
-        for step in range(1, len(stream.tasks) + 1):
-            model, store, rep = continual_step(model, stream, step, store,
+        for step in range(1, len(tasks) + 1):
+            model, store, rep = continual_step(model, tasks, step, store,
                                                dataset, cfg, h1)
             if step == 1:
                 h1 = model  # the first-task extractor, which ffe keeps
             reports.append(rep)
-            _persist_step(out_dir, model, store, stream, step)
+            _persist_step(out_dir, model, store, tasks, step)
     except Exception:
         _persist_reports(out_dir, reports)  # partial report survives
         raise
@@ -311,12 +292,12 @@ def variant_name(cfg: RunConfig) -> str:
     return cfg.variant
 
 
-def _persist_step(out_dir, model, store, stream, step) -> None:
+def _persist_step(out_dir, model, store, tasks, step) -> None:
     if not out_dir:
         return
-    seen = [int(c) for t in stream.tasks[:step] for c in t.classes]
     write_checkpoint(model, os.path.join(out_dir, f"step_{step}.ckpt"),
-                     meta={"step": step, "classes_seen": seen})
+                     meta={"step": step,
+                           "classes_seen": tasks[:step].ravel().tolist()})
     _write_atomic(os.path.join(out_dir, f"exemplars_step_{step}.json"),
                   [json.dumps({"q": store.q, "ids": store.ids.tolist(),
                                "labels": store.labels.tolist()})])

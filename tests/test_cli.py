@@ -63,6 +63,26 @@ class TestGenData:
     def test_missing_spec_is_usage_error(self, tmp_path):
         assert cli.main(["gen-data", str(tmp_path / "nope.cfg"),
                          str(tmp_path / "d.csv")]) == 2
+        # a directory is an unreadable spec too
+        assert cli.main(["gen-data", str(tmp_path),
+                         str(tmp_path / "d.csv")]) == 2
+
+    @pytest.mark.parametrize("line", ["std = nan", "separation = inf",
+                                      "noise_std = -2.0", "seed = -1"])
+    def test_bad_spec_value_is_usage_error(self, tmp_path, capsys, line):
+        key = line.split(" =")[0]
+        spec = tmp_path / "s.cfg"
+        kept = [kv for kv in BLOB_SPEC.splitlines()
+                if not kv.startswith(key + " ")]
+        spec.write_text("\n".join(kept + [line]) + "\n")
+        out = tmp_path / "d.csv"
+        assert cli.main(["gen-data", str(spec), str(out)]) == 2
+        assert f"error: {key} must" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_output_is_runtime_error(self, workdir, tmp_path):
+        # a directory cannot be replaced by the dataset file
+        assert cli.main(["gen-data", str(workdir["spec"]), str(tmp_path)]) == 1
 
 
 class TestRun:
@@ -101,6 +121,23 @@ class TestRun:
     def test_missing_data_is_usage_error(self, workdir, tmp_path):
         assert cli.main(["run", str(workdir["cfg"]),
                          "--data", str(tmp_path / "missing.csv")]) == 2
+        # a directory is an unreadable dataset or config too
+        assert cli.main(["run", str(workdir["cfg"]),
+                         "--data", str(tmp_path)]) == 2
+        assert cli.main(["run", str(tmp_path),
+                         "--data", str(workdir["data"])]) == 2
+
+    def test_non_finite_feature_is_usage_error(self, workdir, tmp_path,
+                                               capsys):
+        lines = workdir["data"].read_text().splitlines()
+        row = lines[5].split(",")
+        lines[5] = ",".join(row[:2] + ["nan"] + row[3:])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert cli.main(["run", str(workdir["cfg"]), "--data", str(bad),
+                         "--out", str(tmp_path / "run")]) == 2
+        assert (f"bad.csv: sample {row[0]} has a non-finite feature"
+                in capsys.readouterr().err)
 
     def test_bad_config_is_usage_error(self, workdir, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -254,37 +291,47 @@ class TestSweep:
                          "--axis", "q"]) == 2
 
 
+@pytest.fixture(scope="module")
+def run_dir(workdir):
+    """A finished two-step run of RUN_CFG on the workdir dataset."""
+    out = workdir["root"] / "run"
+    assert cli.main(["run", str(workdir["cfg"]),
+                     "--data", str(workdir["data"]), "--out", str(out)]) == 0
+    return out
+
+
 class TestEval:
-    def test_checkpoint_round_trip_matches_report(self, workdir, tmp_path,
-                                                  capsys):
-        out = tmp_path / "run"
-        assert cli.main(["run", str(workdir["cfg"]),
-                         "--data", str(workdir["data"]),
-                         "--out", str(out)]) == 0
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_checkpoint_round_trip_matches_report(self, workdir, run_dir,
+                                                  tmp_path, capsys, step):
+        # eval scores a checkpoint by the rule run used at that step
         capsys.readouterr()
-        code = cli.main(["eval", str(out / "step_2.ckpt"),
+        code = cli.main(["eval", str(run_dir / f"step_{step}.ckpt"),
                          str(workdir["data"]),
                          "--out", str(tmp_path / "eval.csv")])
         assert code == 0
         line = capsys.readouterr().out
         acc = float(line.split("acc=")[1].split()[0])
-        with open(out / "report.csv") as fh:
-            final = fh.read().splitlines()[-1].split(",")
-        assert np.isclose(acc, float(final[2]), atol=1e-12)
+        with open(run_dir / "report.csv") as fh:
+            row = fh.read().splitlines()[step].split(",")
+        assert np.isclose(acc, float(row[2]), atol=1e-12)
         with open(tmp_path / "eval.csv") as fh:
             assert fh.read().splitlines() == ["step,classes_seen,acc,nmi,ari",
-                                              ",".join(final)]
+                                              ",".join(row)]
+
+    def test_unreadable_input_is_usage_error(self, workdir, run_dir,
+                                             tmp_path):
+        ckpt = str(run_dir / "step_2.ckpt")
+        assert cli.main(["eval", str(tmp_path), str(workdir["data"])]) == 2
+        assert cli.main(["eval", ckpt, str(tmp_path)]) == 2
+        assert cli.main(["eval", ckpt, str(tmp_path / "missing.csv")]) == 2
 
     @pytest.mark.parametrize("spec_line, message", [
         ("dim = 5", "dataset dim 5 != model input 4"),
         ("num_classes = 2", "dataset lacks classes_seen ["),
     ], ids=["dim", "classes"])
-    def test_mismatched_dataset_is_usage_error(self, workdir, tmp_path, capsys,
+    def test_mismatched_dataset_is_usage_error(self, run_dir, tmp_path, capsys,
                                                spec_line, message):
-        out = tmp_path / "run"
-        assert cli.main(["run", str(workdir["cfg"]),
-                         "--data", str(workdir["data"]),
-                         "--out", str(out)]) == 0
         other_spec = tmp_path / "other.cfg"
         key = spec_line.split(" =")[0]
         other_spec.write_text("".join(
@@ -293,7 +340,8 @@ class TestEval:
         other = tmp_path / "other.csv"
         assert cli.main(["gen-data", str(other_spec), str(other)]) == 0
         capsys.readouterr()
-        assert cli.main(["eval", str(out / "step_2.ckpt"), str(other)]) == 2
+        assert cli.main(["eval", str(run_dir / "step_2.ckpt"),
+                         str(other)]) == 2
         assert message in capsys.readouterr().err
 
     def test_corrupt_checkpoint_is_usage_error(self, workdir, tmp_path):

@@ -29,6 +29,15 @@ class TestBlobSpec:
         with pytest.raises(ValueError):
             tiny_spec(separation=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("std", float("nan")), ("std", float("inf")),
+        ("separation", float("nan")), ("separation", float("inf")),
+        ("noise_std", -2.0), ("noise_std", float("nan")),
+        ("noise_std", float("inf")), ("seed", -1)])
+    def test_bad_value_rejected_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            tiny_spec(**{field: value})
+
     def test_signal_dims_bounds(self):
         with pytest.raises(ValueError):
             tiny_spec(signal_dims=4)
@@ -122,6 +131,14 @@ class TestDataset:
         with pytest.raises(data.FormatError):
             data.Dataset(np.array([]), np.zeros((0, 2)), np.array([]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_feature_rejected_naming_sample(self, bad):
+        features = np.zeros((6, 2))
+        features[[2, 4], 1] = bad
+        with pytest.raises(data.FormatError,
+                           match="^sample 12 has a non-finite feature"):
+            data.Dataset(np.arange(10, 16), features, np.arange(6) % 2)
+
 
 class TestSealedLabels:
     def test_access_counter(self):
@@ -194,6 +211,16 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("# generated\n# seed=abc\nid,label,f0\n0,0,1.0\n")
         with pytest.raises(data.FormatError, match=r"bad\.csv:2: .*seed=abc"):
+            data.load_dataset(str(path))
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0,1.0\n1,0,nan\n2,1,1.0\n", "sample 1 has a non-finite feature"),
+        ("0,0,1.0\n0,1,2.0\n", "duplicate sample ids")],
+        ids=["non-finite", "duplicate-id"])
+    def test_dataset_errors_name_file(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,label,f0\n" + rows)
+        with pytest.raises(data.FormatError, match=rf"bad\.csv: {message}"):
             data.load_dataset(str(path))
 
     def test_empty_file_rejected(self, tmp_path):

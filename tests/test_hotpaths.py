@@ -403,13 +403,13 @@ class TestTrueSlots:
         labels = 7 * (np.arange(240) % 12) + 3  # class ids 3, 10, ..., 80
         ds = data.Dataset(rng.permutation(240), rng.normal(size=(240, 2)),
                           labels)
-        stream = protocol.split_tasks(ds, 4, arrangement_seed=5)
-        for task in stream.tasks:
-            true = ds.sealed._peek()[ds.positions(task.train_ids)]
-            slot_of = {int(c): i for i, c in enumerate(task.classes)}
+        for classes in protocol.split_tasks(ds, 4, arrangement_seed=5):
+            ids = ds.ids_for_classes(classes, eval_split=False)
+            true = ds.sealed._peek()[ds.positions(ids)]
+            slot_of = {int(c): i for i, c in enumerate(classes)}
             want = np.array([slot_of[int(y)] for y in true])
             before = ds.sealed.access_count
-            got = protocol._true_slots(ds, task)
+            got = protocol._true_slots(ds, classes, ids)
             assert ds.sealed.access_count == before + 1
             assert got.dtype == want.dtype and np.array_equal(got, want)
 

@@ -26,36 +26,29 @@ def fast_cfg(**kw):
     return RunConfig(**base)
 
 
-def first_task(dataset, stream, cfg):
+def first_task(dataset, tasks, cfg):
     """The model after step 1, the supervised first task."""
-    model, _, _ = protocol.continual_step(None, stream, 1, ExemplarStore(cfg.q),
+    model, _, _ = protocol.continual_step(None, tasks, 1, ExemplarStore(cfg.q),
                                           dataset, cfg, None)
     return model
 
 
 class TestSplitTasks:
     def test_chunking_and_coverage(self, dataset):
-        stream = protocol.split_tasks(dataset, 2, arrangement_seed=1993)
-        assert len(stream.tasks) == 3
-        seen = np.concatenate([t.classes for t in stream.tasks])
-        assert sorted(seen.tolist()) == [0, 1, 2, 3, 4, 5]
-        for t, task in enumerate(stream.tasks, start=1):
-            assert task.index == t
-            assert len(task.classes) == 2
+        tasks = protocol.split_tasks(dataset, 2, arrangement_seed=1993)
+        assert tasks.shape == (3, 2)
+        assert np.issubdtype(tasks.dtype, np.integer)
+        assert sorted(tasks.ravel().tolist()) == [0, 1, 2, 3, 4, 5]
 
     def test_arrangement_seed_controls_order(self, dataset):
         a = protocol.split_tasks(dataset, 2, arrangement_seed=1)
         b = protocol.split_tasks(dataset, 2, arrangement_seed=1)
         c = protocol.split_tasks(dataset, 2, arrangement_seed=2)
-        assert all(np.array_equal(x.classes, y.classes)
-                   for x, y in zip(a.tasks, b.tasks))
-        assert any(not np.array_equal(x.classes, y.classes)
-                   for x, y in zip(a.tasks, c.tasks))
-
-    def test_train_eval_ids_disjoint(self, dataset):
-        stream = protocol.split_tasks(dataset, 3, arrangement_seed=0)
-        for task in stream.tasks:
-            assert len(set(task.train_ids) & set(task.eval_ids)) == 0
+        # row t-1 holds task t's classes, in the seed's permutation order
+        perm = np.random.default_rng(1).permutation(dataset.classes())
+        assert a.ravel().tolist() == perm.tolist()
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_indivisible_rejected(self, dataset):
         with pytest.raises(protocol.ProtocolError):
@@ -65,22 +58,22 @@ class TestSplitTasks:
 class TestFirstTask:
     def test_supervised_first_task_learns(self, dataset):
         cfg = fast_cfg(epochs=10)
-        stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = first_task(dataset, stream, cfg)
-        rep = protocol.evaluate(model, dataset, stream.eval_ids(1), 1)
+        tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        model = first_task(dataset, tasks, cfg)
+        rep = protocol.evaluate(model, dataset, tasks[:1], 1)
         assert model.out_dim == 2
         assert rep.acc > 0.9
 
     def test_deterministic(self, dataset):
         cfg = fast_cfg()
-        stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        a = first_task(dataset, stream, cfg)
-        b = first_task(dataset, stream, cfg)
+        tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        a = first_task(dataset, tasks, cfg)
+        b = first_task(dataset, tasks, cfg)
         assert np.array_equal(a.params, b.params)
 
     def test_online_mode_still_trains_every_epoch(self, dataset, monkeypatch):
         cfg = fast_cfg(mode="online", exemplar_policy="none")
-        stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
         calls = []
         real_step = nn.sgd_step
 
@@ -89,20 +82,20 @@ class TestFirstTask:
             return real_step(*args, **kwargs)
 
         monkeypatch.setattr(nn, "sgd_step", counting_step)
-        first_task(dataset, stream, cfg)
-        n_train = len(stream.tasks[0].train_ids)
+        first_task(dataset, tasks, cfg)
+        n_train = len(dataset.ids_for_classes(tasks[0], eval_split=False))
         assert len(calls) == cfg.epochs * math.ceil(n_train / cfg.batch_size)
 
 
 class TestContinualStep:
     def test_head_growth_and_report(self, dataset):
         cfg = fast_cfg()
-        stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = first_task(dataset, stream, cfg)
+        tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        model = first_task(dataset, tasks, cfg)
         h1 = model.copy()
         store = ExemplarStore(cfg.q)
         model, store, rep = protocol.continual_step(
-            model, stream, 2, store, dataset, cfg, h1)
+            model, tasks, 2, store, dataset, cfg, h1)
         assert model.out_dim == 4
         assert rep.step == 2 and rep.classes_seen == 4
         assert 0.0 <= rep.acc <= 1.0
@@ -112,10 +105,10 @@ class TestContinualStep:
         # no step copies the model it is given: expand_head and
         # weight_align each build a new one, and training updates that
         cfg = fast_cfg(oracle_labels=oracle)
-        stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = first_task(dataset, stream, cfg)
+        tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        model = first_task(dataset, tasks, cfg)
         before = model.params.tobytes()
-        protocol.continual_step(model, stream, 2, ExemplarStore(cfg.q),
+        protocol.continual_step(model, tasks, 2, ExemplarStore(cfg.q),
                                 dataset, cfg, model)
         assert model.params.tobytes() == before
 
@@ -130,10 +123,10 @@ class TestContinualStep:
 
     def test_step_leaves_passed_store_unchanged(self, dataset):
         cfg = fast_cfg()
-        stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = first_task(dataset, stream, cfg)
+        tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        model = first_task(dataset, tasks, cfg)
         store = ExemplarStore(cfg.q, np.array([3, 1]), np.array([0, 1]))
-        _, grown, _ = protocol.continual_step(model, stream, 2, store,
+        _, grown, _ = protocol.continual_step(model, tasks, 2, store,
                                               dataset, cfg, model.copy())
         assert store.ids.tolist() == [3, 1] and store.labels.tolist() == [0, 1]
         assert grown.ids[:2].tolist() == [3, 1]
@@ -141,19 +134,19 @@ class TestContinualStep:
 
     def test_unsupervised_path_never_reads_labels(self, dataset):
         cfg = fast_cfg()
-        stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = first_task(dataset, stream, cfg)
+        tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        model = first_task(dataset, tasks, cfg)
         h1 = model.copy()
         before = dataset.sealed.access_count
         model, _, _ = protocol.continual_step(
-            model, stream, 2, ExemplarStore(cfg.q), dataset, cfg, h1)
+            model, tasks, 2, ExemplarStore(cfg.q), dataset, cfg, h1)
         # exactly one read: the evaluator's
         assert dataset.sealed.access_count == before + 1
 
     def test_label_read_during_training_raises(self, dataset, monkeypatch):
         cfg = fast_cfg()
-        stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = first_task(dataset, stream, cfg)
+        tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        model = first_task(dataset, tasks, cfg)
         h1 = model.copy()
         real_kmeans = protocol.kmeans
 
@@ -163,7 +156,7 @@ class TestContinualStep:
 
         monkeypatch.setattr(protocol, "kmeans", leaky_kmeans)
         with pytest.raises(protocol.ProtocolError, match="unsupervised"):
-            protocol.continual_step(model, stream, 2, ExemplarStore(cfg.q),
+            protocol.continual_step(model, tasks, 2, ExemplarStore(cfg.q),
                                     dataset, cfg, h1)
 
     def test_oracle_path_may_read_labels(self, dataset):
@@ -174,8 +167,8 @@ class TestContinualStep:
 
     def test_online_mode_single_pass_update_count(self, dataset, monkeypatch):
         cfg = fast_cfg(mode="online", exemplar_policy="none")
-        stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = first_task(dataset, stream, cfg)
+        tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        model = first_task(dataset, tasks, cfg)
         h1 = model.copy()
         calls = []
         real_step = nn.sgd_step
@@ -185,15 +178,15 @@ class TestContinualStep:
             return real_step(*args, **kwargs)
 
         monkeypatch.setattr(nn, "sgd_step", counting_step)
-        protocol.continual_step(model, stream, 2, ExemplarStore(cfg.q),
+        protocol.continual_step(model, tasks, 2, ExemplarStore(cfg.q),
                                 dataset, cfg, h1)
-        n_train = len(stream.tasks[1].train_ids)
+        n_train = len(dataset.ids_for_classes(tasks[1], eval_split=False))
         assert len(calls) == math.ceil(n_train / cfg.batch_size)
 
     def test_offline_mode_epoch_passes(self, dataset, monkeypatch):
         cfg = fast_cfg(exemplar_policy="none")
-        stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = first_task(dataset, stream, cfg)
+        tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        model = first_task(dataset, tasks, cfg)
         h1 = model.copy()
         calls = []
         real_step = nn.sgd_step
@@ -203,9 +196,9 @@ class TestContinualStep:
             return real_step(*args, **kwargs)
 
         monkeypatch.setattr(nn, "sgd_step", counting_step)
-        protocol.continual_step(model, stream, 2, ExemplarStore(cfg.q),
+        protocol.continual_step(model, tasks, 2, ExemplarStore(cfg.q),
                                 dataset, cfg, h1)
-        n_train = len(stream.tasks[1].train_ids)
+        n_train = len(dataset.ids_for_classes(tasks[1], eval_split=False))
         assert len(calls) == cfg.epochs * math.ceil(n_train / cfg.batch_size)
 
     def test_ours_and_ffe_identical_at_step_two(self, dataset):
@@ -247,16 +240,17 @@ class TestContinualStep:
 
         monkeypatch.setattr(protocol, "kmeans", renumbering_kmeans)
         cfg = fast_cfg(epochs=5, upl_k=2)
-        stream = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = first_task(dataset, stream, cfg)
+        tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        model = first_task(dataset, tasks, cfg)
         h1 = model.copy()
         store = ExemplarStore(cfg.q)
         for step in (2, 3):
             clusterings.clear()
-            model, grown, _ = protocol.continual_step(model, stream, step,
+            model, grown, _ = protocol.continual_step(model, tasks, step,
                                                       store, dataset, cfg, h1)
             assert len(clusterings) == 3  # the first and two refreshes
-            train_ids = stream.tasks[step - 1].train_ids.tolist()
+            train_ids = dataset.ids_for_classes(tasks[step - 1],
+                                                eval_split=False).tolist()
             rows = [train_ids.index(i) for i in grown.ids[len(store):]]
             m = (step - 1) * 2
             assert grown.labels[len(store):].tolist() == \
@@ -354,10 +348,10 @@ class TestRunExperiment:
         out = str(tmp_path / "run")
         real = protocol.continual_step
 
-        def failing(model, stream, step, *args, **kwargs):
+        def failing(model, tasks, step, *args, **kwargs):
             if step == 3:
                 raise RuntimeError("boom")
-            return real(model, stream, step, *args, **kwargs)
+            return real(model, tasks, step, *args, **kwargs)
 
         monkeypatch.setattr(protocol, "continual_step", failing)
         with pytest.raises(RuntimeError):
