@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, load_config, parse_variant, read_key_values
-from .data import (BlobSpec, _read_table, generate_gaussian_stream,
+from .data import (BlobSpec, Dataset, _read_table, generate_gaussian_stream,
                    load_dataset, read_checkpoint, save_dataset, write_report)
 from .protocol import (ProtocolError, evaluate, run_experiment, run_sweep,
                        sweep_config, variant_name)
@@ -31,6 +31,15 @@ def _load_inputs(args):
     except (ValueError, OSError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
     return cfg, dataset
+
+
+def _check_step_size(cfg: RunConfig, dataset: Dataset) -> None:
+    """Every task has step_size classes, so it must divide the class count."""
+    n_classes = len(dataset.classes())
+    if n_classes % cfg.step_size:
+        raise UsageError(f"step_size {cfg.step_size} does not divide the "
+                         f"dataset's {n_classes} classes")
+
 
 _BLOB_FIELDS = {f.name: f.type for f in dataclasses.fields(BlobSpec)}
 
@@ -110,6 +119,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_run(args) -> int:
     cfg, dataset = _load_inputs(args)
+    _check_step_size(cfg, dataset)
     out_dir = args.out or _default_out(cfg, "run")
     result = run_experiment(cfg, dataset, out_dir=out_dir)
     _print_report(result.reports, result.summary)
@@ -128,7 +138,7 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in raw.split(",") if v.strip()]
     try:
         for value in values:
-            sweep_config(cfg, axis, value)
+            _check_step_size(sweep_config(cfg, axis, value), dataset)
     except ProtocolError as exc:  # unknown axis, or a value its field rejects
         raise UsageError(str(exc)) from exc
     out_dir = args.out or _default_out(cfg, f"sweep_{axis}")

@@ -53,10 +53,18 @@ class BlobSpec:
         if self.noise_std is not None and not 0 <= self.noise_std < math.inf:
             raise ValueError(
                 f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if self.noise_std is not None and self.signal_dims is None:
+            # without signal_dims every dim carries signal, so no dim
+            # would carry noise_std noise
+            raise ValueError("noise_std must come with signal_dims")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.num_classes < 1 or self.dim < 1 or self.samples_per_class < 1:
-            raise ValueError("counts must be positive")
+        # the stratified split needs two samples for one training sample
+        for name, least in (("num_classes", 1), ("dim", 1),
+                            ("samples_per_class", 2)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if self.signal_dims is not None and not 1 <= self.signal_dims <= self.dim:
             raise ValueError("signal_dims must lie in [1, dim]")
 
@@ -103,8 +111,11 @@ class Dataset:
         self._sorted_ids = ids[self._order]
         self.is_eval = _stratified_eval_mask(labels, EVAL_FRACTION, SPLIT_SEED)
         for c in np.unique(labels):
-            if not np.any(self.is_eval & (labels == c)):
+            in_class = labels == c
+            if not np.any(self.is_eval & in_class):
                 raise FormatError(f"class {c} has no eval sample")
+            if np.all(self.is_eval[in_class]):
+                raise FormatError(f"class {c} has no training sample")
 
     def __len__(self) -> int:
         return len(self.ids)

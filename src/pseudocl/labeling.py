@@ -28,59 +28,101 @@ def assign_pseudo_labels(assignments: np.ndarray, m: int) -> np.ndarray:
     return a + m
 
 
-def _herd_cluster(feats: np.ndarray, q: int) -> list[int]:
-    """Greedy herding over one cluster's features; local indices returned."""
-    mu = feats.mean(axis=0)
-    picked: list[int] = []
-    running = np.zeros_like(mu)
-    available = np.arange(feats.shape[0])
-    for k in range(1, min(q, feats.shape[0]) + 1):
-        diff = mu - (running + feats[available]) / k
-        # row-by-row BLAS dot products: the same rounding as
-        # np.linalg.norm of each row on its own, which a reduction along
-        # axis 1 does not reproduce
-        dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
-        pos = int(np.argmin(dist))  # first minimum: lowest index wins ties
-        best = int(available[pos])
-        picked.append(best)
-        available = np.delete(available, pos)
-        running = running + feats[best]
-    return picked
-
-
-def _select(assignments: np.ndarray, pseudo_labels: np.ndarray, q: int,
-            sample_ids: np.ndarray | None, pick) -> ExemplarStore:
-    """Exemplars of every cluster in ascending cluster id; ``pick(members)``
-    returns the chosen rows of one cluster's row indices."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    assignments = np.asarray(assignments, dtype=int)
-    if sample_ids is None:
-        sample_ids = np.arange(len(assignments))
-    # the leading empty part keeps the rows int-typed for an empty input
-    rows = np.concatenate([np.empty(0, dtype=int)] + [
-        pick(np.flatnonzero(assignments == j)) for j in np.unique(assignments)])
-    return ExemplarStore(q, np.asarray(sample_ids, dtype=int)[rows],
-                         np.asarray(pseudo_labels, dtype=int)[rows])
+def _store(q: int, rows: np.ndarray, pseudo_labels: np.ndarray,
+           sample_ids: np.ndarray | None) -> ExemplarStore:
+    """The exemplars at row indices ``rows``; a row is its own sample id
+    when no ids are given."""
+    ids = rows if sample_ids is None else np.asarray(sample_ids, dtype=int)[rows]
+    return ExemplarStore(q, ids, np.asarray(pseudo_labels, dtype=int)[rows])
 
 
 def select_exemplars_herding(features: np.ndarray, assignments: np.ndarray,
                              pseudo_labels: np.ndarray, q: int,
                              sample_ids: np.ndarray | None = None) -> ExemplarStore:
-    """Per-cluster greedy herding toward the cluster mean, q picks each."""
+    """Per-cluster greedy herding toward the cluster mean, q picks each.
+
+    Pick k of a cluster with mean mu and running sum r of its k - 1 picks
+    is the available row f minimising |mu - (r + f) / k|, computed row by
+    row as below; ties go to the lowest row. All clusters run in one pass
+    of min(q, largest cluster) rounds over flat (n, d) arrays, in ascending
+    cluster id.
+
+    Each round screens with the centred form: for g = f - mu and S the sum
+    of the centred picks, k^2 |mu - (r + f) / k|^2 = |S|^2 + 2 S.g + |g|^2,
+    so the key 2 S.g + |g|^2 orders a cluster's rows by distance. With R
+    the largest row norm in the cluster, the key's rounding error is below
+    8 (d + k + 8) k^2 eps R^2, and that of k^2 times the squared exact
+    distance below 4 (d + 10) k^2 eps R^2, which also covers the last bit
+    of the square root. Twice their sum is below
+    32 (d + k + 10) k^2 eps R^2, so a row whose key exceeds its cluster's
+    smallest key by more than that cannot be the first minimum; only the
+    remaining rows get the exact distance. Features must be finite.
+    """
+    if q < 1:
+        raise ValueError("q must be >= 1")
     features = np.asarray(features, dtype=float)
-    return _select(assignments, pseudo_labels, q, sample_ids,
-                   lambda members: members[_herd_cluster(features[members], q)])
+    clusters, cluster_of, sizes = np.unique(
+        np.asarray(assignments, dtype=int), return_inverse=True,
+        return_counts=True)
+    order = np.argsort(cluster_of, kind="stable")
+    cluster_of = cluster_of[order]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    # each cluster's rows in index order, as one contiguous block, so the
+    # block mean sums in the same order as features[assignments == j].mean(0)
+    grouped = features[order]
+    mu = np.empty((len(clusters), features.shape[1]))
+    for j, (lo, hi) in enumerate(zip(starts, ends)):
+        mu[j] = grouped[lo:hi].mean(axis=0)
+    centred = grouped - mu[cluster_of]
+    sq = np.einsum("ij,ij->i", centred, centred)
+    norm2 = np.maximum.reduceat(np.einsum("ij,ij->i", grouped, grouped), starts)
+    running = np.zeros_like(mu)
+    centred_sum = np.zeros_like(mu)
+    picked = np.zeros(len(order), dtype=bool)
+    picks = np.zeros((len(clusters), q), dtype=int)
+    eps = np.finfo(float).eps
+    d = features.shape[1]
+    for k in range(1, min(q, sizes.max(initial=0)) + 1):
+        key = 2.0 * np.einsum("ij,ij->i", centred, centred_sum[cluster_of]) + sq
+        key[picked] = np.inf
+        slack = 32 * (d + k + 10) * k * k * eps * norm2
+        near = ~(key > np.minimum.reduceat(key, starts)[cluster_of]
+                 + slack[cluster_of]) & ~picked
+        rows = np.flatnonzero(near)
+        c = cluster_of[rows]
+        diff = mu[c] - (running[c] + grouped[rows]) / k
+        # row-by-row BLAS dot products: the same rounding as
+        # np.linalg.norm of each row on its own, which a reduction along
+        # axis 1 does not reproduce
+        dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+        # by cluster, then distance; the sort is stable, so the lowest row
+        # wins ties
+        by = np.lexsort((dist, c))
+        first = by[np.r_[True, c[by[1:]] != c[by[:-1]]]]
+        best, j = rows[first], c[first]
+        picked[best] = True
+        picks[j, k - 1] = best
+        running[j] = running[j] + grouped[best]
+        centred_sum[j] = centred_sum[j] + centred[best]
+    taken = np.arange(q) < sizes[:, None]
+    return _store(q, order[picks[taken]], pseudo_labels, sample_ids)
 
 
 def select_exemplars_random(assignments: np.ndarray, pseudo_labels: np.ndarray,
                             q: int, seed: int,
                             sample_ids: np.ndarray | None = None) -> ExemplarStore:
     """Uniform without-replacement pick of min(q, cluster size) per cluster."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    assignments = np.asarray(assignments, dtype=int)
     rng = np.random.default_rng(seed)
-    return _select(assignments, pseudo_labels, q, sample_ids,
-                   lambda members: rng.choice(members, size=min(q, members.size),
-                                              replace=False))
+    # the leading empty part keeps the rows int-typed for an empty input
+    rows = np.concatenate([np.empty(0, dtype=int)] + [
+        rng.choice(members, size=min(q, members.size), replace=False)
+        for members in (np.flatnonzero(assignments == j)
+                        for j in np.unique(assignments))])
+    return _store(q, rows, pseudo_labels, sample_ids)
 
 
 def merge_replay(x_new: np.ndarray, y_new: np.ndarray, x_old: np.ndarray,

@@ -36,18 +36,23 @@ def contingency(pred, truth) -> np.ndarray:
 
 
 def hungarian(cost: np.ndarray) -> Matching:
-    """Minimum-cost assignment on a square matrix, O(n^3) with potentials."""
+    """Minimum-cost assignment of every row of an r x c cost, r <= c.
+
+    The e-maxx form of the O(r^2 c) potentials algorithm: the outer loop
+    runs over the r rows, and each row's search is over all c columns. On
+    a square cost it is the square algorithm step for step.
+    """
     c = np.asarray(cost, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError("cost matrix must be square")
+    if c.ndim != 2 or c.shape[0] > c.shape[1]:
+        raise ValueError("cost matrix must be 2-D with rows <= columns")
     if not np.all(np.isfinite(c)):
         raise ValueError("cost matrix contains non-finite entries")
-    n = c.shape[0]
-    u = np.zeros(n + 1)
+    r, n = c.shape
+    u = np.zeros(r + 1)
     v = np.zeros(n + 1)
     p = np.zeros(n + 1, dtype=int)    # p[j]: row matched to column j (1-based)
     way = np.zeros(n + 1, dtype=int)
-    for i in range(1, n + 1):
+    for i in range(1, r + 1):
         p[0] = i
         j0 = 0
         minv = np.full(n + 1, np.inf)
@@ -72,21 +77,22 @@ def hungarian(cost: np.ndarray) -> Matching:
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    assignment = np.empty(n, dtype=int)
-    assignment[p[1:] - 1] = np.arange(n)
+    matched = np.flatnonzero(p[1:])
+    assignment = np.empty(r, dtype=int)
+    assignment[p[1 + matched] - 1] = matched
     # Python's sum adds left to right; np.sum adds pairwise and could
     # move the last bit of the total
-    total = float(sum(c[np.arange(n), assignment]))
+    total = float(sum(c[np.arange(r), assignment]))
     return Matching(assignment, total)
 
 
 def _matched_count(table: np.ndarray) -> int:
-    r, c = table.shape
-    size = max(r, c)
-    padded = np.zeros((size, size), dtype=np.int64)
-    padded[:r, :c] = table
-    match = hungarian(-padded.astype(float))
-    return int(padded[np.arange(size), match.assignment].sum())
+    """Samples on the optimal cluster-to-class matching; the count is the
+    same whichever optimum the tie-breaking finds."""
+    if table.shape[0] > table.shape[1]:
+        table = table.T
+    match = hungarian(-table.astype(float))
+    return int(table[np.arange(table.shape[0]), match.assignment].sum())
 
 
 def cluster_accuracy(pred, truth) -> float:

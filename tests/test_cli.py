@@ -80,6 +80,20 @@ class TestGenData:
         assert f"error: {key} must" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines, key", [
+        (["samples_per_class = 1"], "samples_per_class"),
+        (["noise_std = 5.0"], "noise_std")])
+    def test_spec_that_cannot_train_is_usage_error(self, tmp_path, capsys,
+                                                   lines, key):
+        spec = tmp_path / "s.cfg"
+        kept = [kv for kv in BLOB_SPEC.splitlines()
+                if not kv.startswith(key + " ")]
+        spec.write_text("\n".join(kept + lines) + "\n")
+        out = tmp_path / "d.csv"
+        assert cli.main(["gen-data", str(spec), str(out)]) == 2
+        assert f"error: {key} must" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_is_runtime_error(self, workdir, tmp_path):
         # a directory cannot be replaced by the dataset file
         assert cli.main(["gen-data", str(workdir["spec"]), str(tmp_path)]) == 1
@@ -198,13 +212,17 @@ class TestRun:
         lines = (out / "report.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines] == ["step", "1"]
 
-    def test_protocol_failure_is_runtime_error(self, workdir, tmp_path):
+    def test_step_size_not_dividing_classes_is_usage_error(
+            self, workdir, tmp_path, capsys):
         # 4 classes with step size 3 cannot be split into equal tasks
+        out = tmp_path / "run"
         code = cli.main(["run", str(workdir["cfg"]),
                          "--data", str(workdir["data"]),
-                         "--out", str(tmp_path / "run"),
-                         "--step-size", "3"])
-        assert code == 1
+                         "--out", str(out), "--step-size", "3"])
+        assert code == 2
+        assert ("error: step_size 3 does not divide the dataset's 4 classes"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestSweep:
@@ -230,7 +248,8 @@ class TestSweep:
             assert len(fh.read().splitlines()) == 2
 
     @pytest.mark.parametrize("axis", ["q=2,many", "temperature=0",
-                                      "bias_correction=maybe"])
+                                      "bias_correction=maybe",
+                                      "step_size=2,3"])
     def test_bad_axis_value_is_usage_error(self, workdir, tmp_path, capsys,
                                            axis):
         assert cli.main(["sweep", str(workdir["cfg"]),

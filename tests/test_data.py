@@ -38,6 +38,18 @@ class TestBlobSpec:
         with pytest.raises(ValueError, match=f"^{field} must"):
             tiny_spec(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_classes", 0), ("dim", 0), ("samples_per_class", 1)])
+    def test_bad_count_rejected_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            tiny_spec(**{field: value})
+
+    def test_noise_std_needs_signal_dims(self):
+        with pytest.raises(ValueError, match="^noise_std must come with "
+                                             "signal_dims"):
+            tiny_spec(noise_std=5.0)
+        tiny_spec(noise_std=5.0, signal_dims=2)
+
     def test_signal_dims_bounds(self):
         with pytest.raises(ValueError):
             tiny_spec(signal_dims=4)
@@ -130,6 +142,13 @@ class TestDataset:
     def test_empty_rejected(self):
         with pytest.raises(data.FormatError):
             data.Dataset(np.array([]), np.zeros((0, 2)), np.array([]))
+
+    def test_class_without_training_sample_rejected(self):
+        # a one-sample class goes wholly to the eval split
+        labels = np.array([0] * 5 + [1] + [2] * 5)
+        with pytest.raises(data.FormatError,
+                           match="^class 1 has no training sample"):
+            data.Dataset(np.arange(11), np.zeros((11, 2)), labels)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_feature_rejected_naming_sample(self, bad):

@@ -5,6 +5,8 @@ reference. Where the arithmetic is unchanged the results must be equal bit
 for bit, not merely close: report.csv and every checkpoint depend on them.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,24 @@ def kmeans_single_oracle(x, k, seed, max_iter, tol):
     return centroids, assignments, it, repairs
 
 
+def herd_cluster_oracle(feats, q):
+    """Greedy herding over one cluster's features; local indices returned.
+    The per-cluster form that select_exemplars_herding replaced."""
+    mu = feats.mean(axis=0)
+    picked = []
+    running = np.zeros_like(mu)
+    available = np.arange(feats.shape[0])
+    for k in range(1, min(q, feats.shape[0]) + 1):
+        diff = mu - (running + feats[available]) / k
+        dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+        pos = int(np.argmin(dist))
+        best = int(available[pos])
+        picked.append(best)
+        available = np.delete(available, pos)
+        running = running + feats[best]
+    return picked
+
+
 def herd_loop_oracle(feats, q):
     mu = feats.mean(axis=0)
     picked = []
@@ -79,7 +99,7 @@ def herding_append_oracle(features, assignments, pseudo_labels, q,
     ids, labels = [], []
     for j in np.unique(assignments):
         members = np.flatnonzero(assignments == j)
-        for li in labeling._herd_cluster(features[members], q):
+        for li in herd_cluster_oracle(features[members], q):
             gi = members[li]
             ids.append(int(sample_ids[gi]))
             labels.append(int(pseudo_labels[gi]))
@@ -141,6 +161,23 @@ def hungarian_oracle(cost):
     for j in range(1, n + 1):
         assignment[p[j] - 1] = j - 1
     return assignment, float(sum(c[i, assignment[i]] for i in range(n)))
+
+
+def matched_count_oracle(table):
+    """_matched_count before it matched rectangles: pad to a square."""
+    r, c = table.shape
+    size = max(r, c)
+    padded = np.zeros((size, size), dtype=np.int64)
+    padded[:r, :c] = table
+    assignment, _ = hungarian_oracle(-padded.astype(float))
+    return int(padded[np.arange(size), assignment].sum())
+
+
+def assignment_brute(cost):
+    """Least total over every injective row-to-column map, r <= c."""
+    r, c = cost.shape
+    return min(sum(cost[i, j] for i, j in enumerate(cols))
+               for cols in itertools.permutations(range(c), r))
 
 
 def nmi_terms_oracle(table):
@@ -299,13 +336,66 @@ class TestHerding:
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(5)
         feats = rng.normal(size=(300, 64))
-        assert labeling._herd_cluster(feats, 20) == _herd_brute(feats, 20)
+        assert herd_cluster_oracle(feats, 20) == _herd_brute(feats, 20)
 
     def test_matches_loop_with_ties(self):
         rng = np.random.default_rng(6)
         for d in (1, 3, 17):
             feats = rng.integers(-2, 3, size=(60, d)).astype(float)
-            assert labeling._herd_cluster(feats, 25) == herd_loop_oracle(feats, 25)
+            assert herd_cluster_oracle(feats, 25) == herd_loop_oracle(feats, 25)
+
+
+class TestOnePassHerding:
+    """select_exemplars_herding runs every cluster in one pass; the
+    per-cluster loop over herd_cluster_oracle is the reference."""
+
+    @staticmethod
+    def check(feats, assignments, q):
+        n = len(assignments)
+        store = labeling.select_exemplars_herding(feats, assignments,
+                                                  assignments + 1000, q,
+                                                  np.arange(n) * 3 + 5)
+        want = herding_append_oracle(feats, assignments, assignments + 1000,
+                                     q, np.arange(n) * 3 + 5)
+        assert (store.ids.tolist(), store.labels.tolist()) == want
+
+    @staticmethod
+    def assignments(rng, n, q):
+        """Non-contiguous cluster ids with a size-1 cluster and clusters
+        below and above q."""
+        sizes = [1, max(1, q // 2), q, q + 1, 3 * q]
+        sizes += list(rng.integers(1, 3 * q, n - len(sizes)))
+        ids = rng.choice(1000, size=len(sizes), replace=False) - 300
+        return rng.permutation(np.repeat(ids, sizes))
+
+    @pytest.mark.parametrize("d", [1, 3, 17])
+    def test_tie_heavy_integer_features(self, d):
+        rng = np.random.default_rng(d)
+        for q in (1, 2, 5, 20):
+            a = self.assignments(rng, 8, q)
+            feats = rng.integers(-2, 3, size=(len(a), d)).astype(float)
+            self.check(feats, a, q)
+
+    def test_duplicate_rows_and_offset(self):
+        # whole clusters of repeated rows far from the origin: every round
+        # is a tie, decided by the lowest row
+        rng = np.random.default_rng(12)
+        a = self.assignments(rng, 10, 6)
+        base = rng.integers(0, 2, size=(4, 5)).astype(float) + 1e6
+        self.check(base[rng.integers(0, 4, len(a))], a, 6)
+
+    def test_normal_features_64d(self):
+        rng = np.random.default_rng(13)
+        for q in (1, 7, 20):
+            a = self.assignments(rng, 30, q)
+            feats = rng.normal(size=(len(a), 64)) * 3.0 + rng.normal(size=64)
+            self.check(feats, a, q)
+
+    def test_nonnegative_features_like_relu_outputs(self):
+        rng = np.random.default_rng(14)
+        a = self.assignments(rng, 50, 20)
+        feats = np.maximum(rng.normal(size=(len(a), 64)), 0.0)
+        self.check(feats, a, 20)
 
 
 class TestSelectExemplars:
@@ -367,6 +457,32 @@ class TestHungarian:
         got = metrics.hungarian(cost)
         assert np.array_equal(got.assignment, want)
         assert got.total_cost == want_total
+
+    def test_rectangular_against_brute_force(self):
+        rng = np.random.default_rng(15)
+        for _ in range(150):
+            r = int(rng.integers(1, 5))
+            c = int(rng.integers(r, 7))
+            if rng.random() < 0.5:
+                cost = rng.integers(0, 3, size=(r, c)).astype(float)
+            else:
+                cost = rng.normal(size=(r, c))
+            got = metrics.hungarian(cost)
+            assert got.assignment.shape == (r,)
+            assert len(set(got.assignment.tolist())) == r
+            assert got.assignment.min() >= 0 and got.assignment.max() < c
+            assert got.total_cost == float(sum(
+                cost[np.arange(r), got.assignment]))
+            assert np.isclose(got.total_cost, assignment_brute(cost),
+                              rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 8), (8, 3), (7, 7),
+                                       (20, 60), (60, 20), (40, 40)])
+    def test_matched_count_against_padded_square(self, shape):
+        rng = np.random.default_rng(shape)
+        for high in (2, 4, 50):  # tie-heavy to spread
+            table = rng.integers(0, high, size=shape)
+            assert metrics._matched_count(table) == matched_count_oracle(table)
 
 
 class TestNmi:

@@ -80,8 +80,14 @@ class TestHungarian:
         assert match.total_cost == 7.0
 
     def test_non_square_rejected(self):
+        # r < c is matched row by row; more rows than columns is not
         with pytest.raises(ValueError):
-            metrics.hungarian(np.zeros((2, 3)))
+            metrics.hungarian(np.zeros((3, 2)))
+
+    def test_non_2d_rejected(self):
+        for cost in (np.zeros(3), np.zeros((1, 2, 2))):
+            with pytest.raises(ValueError):
+                metrics.hungarian(cost)
 
     def test_non_finite_rejected(self):
         cost = np.zeros((2, 2))
