@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
 import numpy as np
 
-from .config import RunConfig, load_config, parse_variant, read_key_values
-from .data import (BlobSpec, Dataset, _read_table, generate_gaussian_stream,
+from .config import (EXEMPLAR_POLICIES, MODES, VARIANTS, RunConfig,
+                     load_config, load_spec, parse_variant)
+from .data import (Dataset, _read_table, generate_gaussian_stream,
                    load_dataset, read_checkpoint, save_dataset, write_report)
 from .protocol import (ProtocolError, evaluate, run_experiment, run_sweep,
                        sweep_config, variant_name)
@@ -41,17 +41,6 @@ def _check_step_size(cfg: RunConfig, dataset: Dataset) -> None:
                          f"dataset's {n_classes} classes")
 
 
-_BLOB_FIELDS = {f.name: f.type for f in dataclasses.fields(BlobSpec)}
-
-
-def _load_blob_spec(path: str) -> BlobSpec:
-    def coerce(field: str, raw: str):
-        return int(raw) if _BLOB_FIELDS[field].startswith("int") else float(raw)
-
-    return BlobSpec(**read_key_values(path, {f: f for f in _BLOB_FIELDS},
-                                      coerce))
-
-
 # argparse dest -> RunConfig field, for flags that set one field as given
 _FLAG_FIELDS = {"mode": "mode", "q": "q", "epochs": "epochs",
                 "batch": "batch_size", "lr": "lr",
@@ -76,8 +65,8 @@ def _config_overrides(args: argparse.Namespace) -> dict:
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--mode", choices=("offline", "online"))
-    p.add_argument("--variant", help="ours|ffe|scratch|pca|upl-K")
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--variant", help="|".join(VARIANTS) + "|upl-K")
     p.add_argument("--q", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch", type=int)
@@ -85,7 +74,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--temperature", type=float)
     p.add_argument("--weight-decay", type=float, dest="weight_decay")
     p.add_argument("--step-size", type=int, dest="step_size")
-    p.add_argument("--exemplar-policy", choices=("herding", "random", "none"),
+    p.add_argument("--exemplar-policy", choices=EXEMPLAR_POLICIES,
                    dest="exemplar_policy")
     p.add_argument("--bias-correction", choices=("on", "off"),
                    dest="bias_correction")
@@ -109,8 +98,8 @@ def _print_report(reports, summary) -> None:
 
 def cmd_gen_data(args) -> int:
     try:
-        spec = _load_blob_spec(args.specfile)
-    except (ValueError, OSError, TypeError) as exc:
+        spec = load_spec(args.specfile)
+    except (ValueError, OSError) as exc:
         raise UsageError(str(exc)) from exc
     save_dataset(generate_gaussian_stream(spec), args.out)
     print(f"wrote {args.out}")
@@ -180,14 +169,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    header, rows = _read_table(os.path.join(args.run_dir, "report.csv"))
-    for row in [header, *rows]:
-        print(" ".join(f"{float(c):>12.4f}" if "." in c else f"{c:>12}"
-                       for c in row))
-    summary_path = os.path.join(args.run_dir, "summary.csv")
-    if os.path.exists(summary_path):
-        keys, (vals,) = _read_table(summary_path)
-        print("; ".join(f"{k}={v}" for k, v in zip(keys, vals)))
+    path = os.path.join(args.run_dir, "report.csv")
+    try:
+        header, rows = _read_table(path)
+        lines = [" ".join(f"{float(c):>12.4f}" if "." in c else f"{c:>12}"
+                          for c in row) for row in [header, *rows]]
+        path = os.path.join(args.run_dir, "summary.csv")
+        if os.path.exists(path):
+            keys, (vals,) = _read_table(path)
+            lines.append("; ".join(f"{k}={v}"
+                                   for k, v in zip(keys, vals, strict=True)))
+    except (OSError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise UsageError(f"{path}: {reason}") from exc
+    print(*lines, sep="\n")
     return 0
 
 

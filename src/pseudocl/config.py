@@ -1,4 +1,5 @@
-"""Run configuration and the flat ``key = value`` config file format."""
+"""Run configuration, the blob spec of a synthetic stream, and the flat
+``key = value`` file format both are read from."""
 
 from __future__ import annotations
 
@@ -43,21 +44,12 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name, kind in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if kind == "float" and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            if name in _LOWEST and value < _LOWEST[name]:
-                raise ValueError(
-                    f"{name} must be >= {_LOWEST[name]}, got {value!r}")
-            if name in _POSITIVE and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.exemplar_policy not in EXEMPLAR_POLICIES:
-            raise ValueError(f"unknown exemplar policy {self.exemplar_policy!r}")
+        _check_bounds(RunConfig, vars(self))
+        for name, known in (("mode", MODES), ("variant", VARIANTS),
+                            ("exemplar_policy", EXEMPLAR_POLICIES)):
+            if getattr(self, name) not in known:
+                raise ValueError(f"unknown {name.replace('_', ' ')} "
+                                 f"{getattr(self, name)!r}")
         if self.upl_k > 0 and self.variant != "ours":
             raise ValueError(f"upl_k needs variant 'ours', not {self.variant!r}")
         # a refresh fires at epochs K, 2K, ... below epochs, and an online
@@ -67,6 +59,30 @@ class RunConfig:
             raise ValueError(f"upl_k = {self.upl_k} never refreshes: it needs "
                              f"offline mode and upl_k < epochs, got mode "
                              f"{self.mode!r} and epochs {self.epochs}")
+
+
+@dataclass
+class BlobSpec:
+    num_classes: int
+    dim: int
+    samples_per_class: int
+    separation: float
+    std: float
+    seed: int
+    # optional structured-noise extension: class centers occupy only the
+    # first signal_dims coordinates; remaining dims carry noise_std noise
+    signal_dims: int | None = None
+    noise_std: float | None = None
+
+    def __post_init__(self):
+        _check_bounds(BlobSpec, vars(self))
+        if self.noise_std is not None and self.signal_dims is None:
+            # without signal_dims every dim carries signal, so no dim
+            # would carry noise_std noise
+            raise ValueError("noise_std must come with signal_dims")
+        if self.signal_dims is not None and self.signal_dims > self.dim:
+            raise ValueError(f"signal_dims must be <= dim, got "
+                             f"{self.signal_dims} > {self.dim}")
 
 
 # dotted config key -> RunConfig field
@@ -96,21 +112,43 @@ CONFIG_KEYS = {
     "seeds.shuffle": "shuffle_seed",
 }
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-# least allowed value of each bounded numeric field, and the fields that
-# must be above zero
-_LOWEST = {"upl_k": 0, "q": 1, "step_size": 1, "epochs": 1, "batch_size": 1,
-           "lr_decay_period": 1, "weight_decay": 0, "hidden_width": 1,
-           "n_hidden": 0, "pca_dim": 1, "n_restarts": 1, "arrangement_seed": 0,
-           "model_seed": 0}
-_POSITIVE = ("lr", "lr_decay", "temperature")
+# per settings class: the least allowed value of each bounded numeric
+# field, and the fields that must be above zero
+_LOWEST = {
+    RunConfig: {"upl_k": 0, "q": 1, "step_size": 1, "epochs": 1,
+                "batch_size": 1, "lr_decay_period": 1, "weight_decay": 0,
+                "hidden_width": 1, "n_hidden": 0, "pca_dim": 1,
+                "n_restarts": 1, "arrangement_seed": 0, "model_seed": 0},
+    # the stratified split needs two samples for one training sample
+    BlobSpec: {"num_classes": 1, "dim": 1, "samples_per_class": 2,
+               "seed": 0, "signal_dims": 1, "noise_std": 0},
+}
+_POSITIVE = {RunConfig: ("lr", "lr_decay", "temperature"),
+             BlobSpec: ("separation", "std")}
 
 
-def coerce_field(field: str, raw: str):
-    """Convert a raw string to the type of RunConfig field ``field``."""
-    if field not in _FIELD_TYPES:
+def _check_bounds(cls, values: dict) -> None:
+    """Reject a non-finite float or out-of-bounds value among ``values``
+    (field -> value) of settings class ``cls``; None (unset) passes."""
+    for name, value in values.items():
+        if value is None:
+            continue
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        lowest = _LOWEST[cls].get(name)
+        if lowest is not None and value < lowest:
+            raise ValueError(f"{name} must be >= {lowest}, got {value!r}")
+        if name in _POSITIVE[cls] and value <= 0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+def coerce_field(cls, field: str, raw: str):
+    """Convert a raw string to the type of field ``field`` of dataclass
+    ``cls``; an optional ``int | None`` field reads as ``int``."""
+    kinds = {f.name: f.type.split(" |")[0] for f in dataclasses.fields(cls)}
+    if field not in kinds:
         raise ValueError(f"unknown config field {field!r}")
-    kind = _FIELD_TYPES[field]
+    kind = kinds[field]
     if kind == "bool":
         low = raw.strip().lower()
         if low in ("true", "on", "yes", "1"):
@@ -121,10 +159,7 @@ def coerce_field(field: str, raw: str):
     if kind == "int":
         return int(raw)
     if kind == "float":
-        value = float(raw)
-        if not math.isfinite(value):
-            raise ValueError(f"{field} must be finite, got {raw.strip()!r}")
-        return value
+        return float(raw)
     return raw.strip()
 
 
@@ -133,22 +168,18 @@ def parse_variant(text: str) -> tuple[str, int]:
     text = text.strip().lower()
     if text.startswith("upl"):
         tail = text[3:].lstrip("-")
-        k = int(tail) if tail else 0
-        if k < 0:
-            raise ValueError("UPL period must be >= 0")
-        return "ours", k
+        return "ours", int(tail) if tail else 0
     return text, 0
 
 
-def read_key_values(path: str, fields: dict[str, str], coerce) -> dict:
-    """Read a flat ``key = value`` file; ``#`` starts a comment.
-
-    ``fields`` maps each accepted key to the field it sets, and
-    ``coerce(field, raw)`` converts the value. Errors name ``path:lineno``
-    and the key.
-    """
+def read_key_values(path: str, cls, keys: dict[str, str]) -> dict:
+    """Read a flat ``key = value`` file of ``cls`` settings, ``#`` starting
+    a comment. ``keys`` maps each accepted key to the field it sets; each
+    value is coerced and bounds-checked, and errors name ``path:lineno``
+    and the key."""
     values: dict = {}
-    with open(path) as fh:
+    # a byte that is not UTF-8 reads as U+FFFD, which no key or value holds
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -156,21 +187,36 @@ def read_key_values(path: str, fields: dict[str, str], coerce) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in fields:
+            if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[fields[key]] = coerce(fields[key], raw)
+                value = coerce_field(cls, keys[key], raw)
+                _check_bounds(cls, {keys[key]: value})
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
+            values[keys[key]] = value
     return values
+
+
+def load_spec(path: str) -> BlobSpec:
+    """Read a blob spec; its keys are the bare BlobSpec fields, and every
+    error names ``path``."""
+    fields = dataclasses.fields(BlobSpec)
+    values = read_key_values(path, BlobSpec, {f.name: f.name for f in fields})
+    for f in fields:
+        if f.default is dataclasses.MISSING and f.name not in values:
+            raise ValueError(f"{path}: missing key {f.name!r}")
+    try:
+        return BlobSpec(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     """Read a run config; only the dotted keys of CONFIG_KEYS are accepted."""
-    values = read_key_values(path, CONFIG_KEYS, coerce_field)
+    values = read_key_values(path, RunConfig, CONFIG_KEYS)
     if "variant" in values:
-        variant, upl_k = parse_variant(values["variant"])
-        values["variant"] = variant
+        values["variant"], upl_k = parse_variant(values["variant"])
         if upl_k:
             values["upl_k"] = upl_k
     if overrides:

@@ -10,14 +10,16 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import os
 import warnings
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .nn import Model
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import BlobSpec
 
 EVAL_FRACTION = 0.2
 SPLIT_SEED = 7919  # fixed so a reloaded CSV reproduces the same split
@@ -30,43 +32,6 @@ _CKPT_MAGIC = b"PCLCKPT1"
 
 class FormatError(ValueError):
     """Malformed dataset file or corrupt checkpoint."""
-
-
-@dataclass
-class BlobSpec:
-    num_classes: int
-    dim: int
-    samples_per_class: int
-    separation: float
-    std: float
-    seed: int
-    # optional structured-noise extension: class centers occupy only the
-    # first signal_dims coordinates; remaining dims carry noise_std noise
-    signal_dims: int | None = None
-    noise_std: float | None = None
-
-    def __post_init__(self):
-        for name in ("separation", "std"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if self.noise_std is not None and not 0 <= self.noise_std < math.inf:
-            raise ValueError(
-                f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if self.noise_std is not None and self.signal_dims is None:
-            # without signal_dims every dim carries signal, so no dim
-            # would carry noise_std noise
-            raise ValueError("noise_std must come with signal_dims")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # the stratified split needs two samples for one training sample
-        for name, least in (("num_classes", 1), ("dim", 1),
-                            ("samples_per_class", 2)):
-            value = getattr(self, name)
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
-        if self.signal_dims is not None and not 1 <= self.signal_dims <= self.dim:
-            raise ValueError("signal_dims must lie in [1, dim]")
 
 
 class SealedLabels:

@@ -247,27 +247,26 @@ def run_experiment(cfg: RunConfig, dataset: Dataset,
                    out_dir: str | None = None) -> ExperimentResult:
     """Full protocol: split, then one continual_step per task."""
     cfg.validate()
+    reports: list[StepReport] = []
     if out_dir:
+        # report.csv holds the finished steps' rows, whatever ends the run
         os.makedirs(out_dir, exist_ok=True)
         dump_config(cfg, os.path.join(out_dir, "config.txt"))
+        write_report(reports, os.path.join(out_dir, "report.csv"))
     tasks = split_tasks(dataset, cfg.step_size, cfg.arrangement_seed)
 
-    reports: list[StepReport] = []
     model = h1 = None
     store = ExemplarStore(cfg.q)
-    try:
-        for step in range(1, len(tasks) + 1):
-            model, store, rep = continual_step(model, tasks, step, store,
-                                               dataset, cfg, h1)
-            if step == 1:
-                h1 = model  # the first-task extractor, which ffe keeps
-            reports.append(rep)
-            _persist_step(out_dir, model, store, tasks, step)
-    except Exception:
-        _persist_reports(out_dir, reports)  # partial report survives
-        raise
+    for step in range(1, len(tasks) + 1):
+        model, store, rep = continual_step(model, tasks, step, store,
+                                           dataset, cfg, h1)
+        if step == 1:
+            h1 = model  # the first-task extractor, which ffe keeps
+        reports.append(rep)
+        _persist_step(out_dir, model, store, tasks, reports)
     summary = summarize(reports, cfg)
-    _persist_reports(out_dir, reports, summary)
+    if out_dir:
+        write_summary(summary, os.path.join(out_dir, "summary.csv"))
     return ExperimentResult(reports, summary, model, store)
 
 
@@ -292,23 +291,17 @@ def variant_name(cfg: RunConfig) -> str:
     return cfg.variant
 
 
-def _persist_step(out_dir, model, store, tasks, step) -> None:
+def _persist_step(out_dir, model, store, tasks, reports) -> None:
     if not out_dir:
         return
+    step = len(reports)
     write_checkpoint(model, os.path.join(out_dir, f"step_{step}.ckpt"),
                      meta={"step": step,
                            "classes_seen": tasks[:step].ravel().tolist()})
     _write_atomic(os.path.join(out_dir, f"exemplars_step_{step}.json"),
                   [json.dumps({"q": store.q, "ids": store.ids.tolist(),
                                "labels": store.labels.tolist()})])
-
-
-def _persist_reports(out_dir, reports, summary=None) -> None:
-    if not out_dir:
-        return
     write_report(reports, os.path.join(out_dir, "report.csv"))
-    if summary is not None:
-        write_summary(summary, os.path.join(out_dir, "summary.csv"))
 
 
 def run_sweep(base_cfg: RunConfig, dataset: Dataset, axis: str, values: list,
@@ -361,7 +354,7 @@ def sweep_config(cfg: RunConfig, axis: str, value) -> RunConfig:
         if axis == "variant":
             variant, upl_k = parse_variant(str(value))
             return replace(cfg, variant=variant, upl_k=upl_k)
-        return replace(cfg, **{axis: coerce_field(axis, str(value))})
+        return replace(cfg, **{axis: coerce_field(RunConfig, axis, str(value))})
     except ValueError as exc:
         raise ProtocolError(f"sweep axis {axis!r}: {exc}") from exc
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from pseudocl import clustering, labeling, metrics, nn, protocol
-from pseudocl.config import RunConfig
-from pseudocl.data import BlobSpec, generate_gaussian_stream
+from pseudocl.config import BlobSpec, RunConfig
+from pseudocl.data import generate_gaussian_stream
 
 # the standard 20-class stream used by all end-to-end criteria
 STREAM_SPEC = BlobSpec(num_classes=20, dim=16, samples_per_class=150,

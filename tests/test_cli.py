@@ -68,7 +68,8 @@ class TestGenData:
                          str(tmp_path / "d.csv")]) == 2
 
     @pytest.mark.parametrize("line", ["std = nan", "separation = inf",
-                                      "noise_std = -2.0", "seed = -1"])
+                                      "noise_std = -2.0", "seed = -1",
+                                      "num_classes = 0"])
     def test_bad_spec_value_is_usage_error(self, tmp_path, capsys, line):
         key = line.split(" =")[0]
         spec = tmp_path / "s.cfg"
@@ -77,7 +78,17 @@ class TestGenData:
         spec.write_text("\n".join(kept + [line]) + "\n")
         out = tmp_path / "d.csv"
         assert cli.main(["gen-data", str(spec), str(out)]) == 2
-        assert f"error: {key} must" in capsys.readouterr().err
+        # the bad value is the file's last line
+        assert (f"error: {spec}:{len(kept) + 1}: key '{key}': {key} must"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_missing_key_names_path(self, tmp_path, capsys):
+        spec = tmp_path / "s.cfg"
+        spec.write_text(BLOB_SPEC.replace("seed = 5\n", ""))
+        out = tmp_path / "d.csv"
+        assert cli.main(["gen-data", str(spec), str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {spec}: missing key 'seed'\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("lines, key", [
@@ -91,7 +102,11 @@ class TestGenData:
         spec.write_text("\n".join(kept + lines) + "\n")
         out = tmp_path / "d.csv"
         assert cli.main(["gen-data", str(spec), str(out)]) == 2
-        assert f"error: {key} must" in capsys.readouterr().err
+        # a bound on one value names its line and key; a rule across keys
+        # names the file
+        where = {"samples_per_class": f"{spec}:{len(kept) + 1}: key '{key}': ",
+                 "noise_std": f"{spec}: "}[key]
+        assert f"error: {where}{key} must" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_output_is_runtime_error(self, workdir, tmp_path):
@@ -168,6 +183,26 @@ class TestRun:
                          "--out", str(tmp_path / "run")]) == 2
         assert "bad.cfg:2: key 'train.lr'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_count_below_bound_names_path_line_and_key(self, workdir,
+                                                        tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("run.step_size = 2\nrun.q = 0\n")
+        assert cli.main(["run", str(bad), "--data", str(workdir["data"]),
+                         "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:2: key 'run.q': q must be >= 1, got 0\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_bias_correction_and_oracle_flags_reach_config(self, workdir,
+                                                           tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["run", str(workdir["cfg"]),
+                         "--data", str(workdir["data"]), "--out", str(out),
+                         "--bias-correction", "off", "--oracle-labels"]) == 0
+        lines = (out / "config.txt").read_text().splitlines()
+        assert "run.bias_correction = False" in lines
+        assert "run.oracle_labels = True" in lines
 
     def test_upl_with_other_variant_is_usage_error(self, workdir, tmp_path,
                                                    capsys):
@@ -381,5 +416,27 @@ class TestReport:
         assert "classes_seen" in text
         assert "avg_acc=" in text
 
-    def test_missing_run_dir_is_runtime_error(self, tmp_path):
-        assert cli.main(["report", str(tmp_path / "nowhere")]) == 1
+    def test_missing_run_dir_is_usage_error(self, tmp_path, capsys):
+        run = tmp_path / "nowhere"
+        assert cli.main(["report", str(run)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {run / 'report.csv'}: No such file or directory\n")
+
+    @pytest.mark.parametrize("name, text", [
+        ("report.csv", None), ("report.csv", ""),
+        ("report.csv", "step,acc\n1,x.5\n"), ("summary.csv", ""),
+        ("summary.csv", "avg_acc,seed\n"),
+        ("summary.csv", "avg_acc,seed\n0.5\n")],
+        ids=["no-report", "empty-report", "bad-float", "empty-summary",
+             "no-summary-row", "short-summary-row"])
+    def test_unreadable_table_is_usage_error(self, tmp_path, capsys, name,
+                                             text):
+        (tmp_path / "report.csv").write_text("step,acc\n1,0.5\n")
+        if text is None:
+            (tmp_path / name).unlink()
+        else:
+            (tmp_path / name).write_text(text)
+        assert cli.main(["report", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {tmp_path / name}: ")
+        assert out == ""

@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudocl import config
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 FLOAT_FIELDS = ["lr", "lr_decay", "weight_decay", "temperature"]
 
@@ -219,3 +222,105 @@ class TestDumpConfigProperties:
         path = str(tmp_path_factory.mktemp("cfg") / "dumped.cfg")
         config.dump_config(cfg, path)
         assert config.load_config(path) == cfg
+
+
+class TestShippedFiles:
+    def test_default_config_is_the_defaults(self):
+        assert config.load_config(str(CONFIGS / "default.cfg")) == \
+            config.RunConfig()
+
+    def test_blob_spec_is_the_standard_stream(self):
+        assert config.load_spec(str(CONFIGS / "blobs.cfg")) == config.BlobSpec(
+            num_classes=20, dim=16, samples_per_class=150, separation=1.0,
+            std=0.15, seed=7, signal_dims=10, noise_std=2.0)
+
+
+class TestLoadSpec:
+    def test_optional_keys_may_be_left_out(self, tmp_path):
+        path = write_cfg(tmp_path, "num_classes = 3\ndim = 2\n"
+                         "samples_per_class = 4\nseparation = 1\nstd = 0.5\n"
+                         "seed = 0\n")
+        spec = config.load_spec(path)
+        assert spec.signal_dims is None and spec.noise_std is None
+        assert isinstance(spec.separation, float)
+
+    @pytest.mark.parametrize("line, message", [
+        ("signal_dims = 0", ":7: key 'signal_dims': signal_dims must be >= 1"),
+        ("signal_dims = 1.5", ":7: key 'signal_dims': invalid literal"),
+        ("std = 0", ":7: key 'std': std must be positive"),
+        ("signal_dims = 3", ": signal_dims must be <= dim, got 3 > 2")])
+    def test_error_names_path(self, tmp_path, line, message):
+        path = write_cfg(tmp_path, "num_classes = 3\ndim = 2\n"
+                         "samples_per_class = 4\nseparation = 1\nstd = 0.5\n"
+                         f"seed = 0\n{line}\n")
+        with pytest.raises(ValueError) as info:
+            config.load_spec(path)
+        assert str(info.value).startswith(path + message)
+
+
+_KINDS = ("truncate", "flip", "drop", "duplicate", "inject", "swap")
+
+
+@st.composite
+def mutated(draw, name):
+    """The bytes of a shipped config after one to three random edits: a
+    truncation, a flipped byte, a dropped or duplicated line, a value set
+    to nan/inf/blank, or a key taken from another line."""
+    text = (CONFIGS / name).read_bytes()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(_KINDS))
+        if kind == "truncate":
+            text = text[:draw(st.integers(0, len(text)))]
+            continue
+        if kind == "flip" and text:
+            i = draw(st.integers(0, len(text) - 1))
+            text = (text[:i] + bytes([text[i] ^ draw(st.integers(1, 255))])
+                    + text[i + 1:])
+            continue
+        lines = text.splitlines(keepends=True)
+        keyed = [i for i, line in enumerate(lines) if b"=" in line]
+        if not keyed:
+            continue
+        i = draw(st.sampled_from(keyed))
+        key, value = lines[i].split(b"=", 1)
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "inject":
+            token = draw(st.sampled_from([b"nan", b"inf", b"-inf", b""]))
+            lines[i] = key + b"= " + token + b"\n"
+        else:
+            other = lines[draw(st.sampled_from(keyed))].split(b"=", 1)[0]
+            lines[i] = other + b"=" + value
+        text = b"".join(lines)
+    return text
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestKeyValueFuzz:
+    """A mutated file loads or raises ValueError, never anything else."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=mutated("default.cfg"))
+    def test_run_config(self, fuzz_dir, text):
+        path = fuzz_dir / "run.cfg"
+        path.write_bytes(text)
+        try:
+            assert isinstance(config.load_config(str(path)), config.RunConfig)
+        except ValueError:
+            pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=mutated("blobs.cfg"))
+    def test_blob_spec_errors_name_the_path(self, fuzz_dir, text):
+        path = fuzz_dir / "spec.cfg"
+        path.write_bytes(text)
+        try:
+            assert isinstance(config.load_spec(str(path)), config.BlobSpec)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:"), str(exc)

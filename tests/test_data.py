@@ -6,14 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pseudocl import data, metrics, nn
+from pseudocl import config, data, metrics, nn
 
 
 def tiny_spec(**kw):
     base = dict(num_classes=4, dim=3, samples_per_class=25,
                 separation=2.0, std=0.2, seed=0)
     base.update(kw)
-    return data.BlobSpec(**base)
+    return config.BlobSpec(**base)
 
 
 class TestBlobSpec:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from pseudocl import nn, protocol
-from pseudocl.config import RunConfig
-from pseudocl.data import BlobSpec, generate_gaussian_stream
+from pseudocl.config import BlobSpec, RunConfig
+from pseudocl.data import generate_gaussian_stream
 from pseudocl.labeling import ExemplarStore
 from pseudocl.metrics import StepReport
 
@@ -361,6 +361,31 @@ class TestRunExperiment:
         assert len(lines) == 3  # header + steps 1 and 2
         assert not os.path.exists(os.path.join(out, "summary.csv"))
 
+    @pytest.mark.parametrize("stop", [1, 3])
+    def test_interrupted_run_keeps_finished_rows(self, dataset, tmp_path,
+                                                 monkeypatch, stop):
+        # KeyboardInterrupt is no Exception, so the rows of the finished
+        # steps must be on disk before it, not written on the way out
+        full = str(tmp_path / "full")
+        protocol.run_experiment(fast_cfg(), dataset, out_dir=full)
+        out = str(tmp_path / "run")
+        real = protocol.continual_step
+
+        def interrupted(model, tasks, step, *args, **kwargs):
+            if step == stop:
+                raise KeyboardInterrupt
+            return real(model, tasks, step, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "continual_step", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            protocol.run_experiment(fast_cfg(), dataset, out_dir=out)
+        with open(os.path.join(out, "report.csv")) as fh:
+            lines = fh.read().splitlines()
+        with open(os.path.join(full, "report.csv")) as fh:
+            assert lines == fh.read().splitlines()[:stop]  # header + rows
+        assert os.path.exists(os.path.join(out, "config.txt"))
+        assert not os.path.exists(os.path.join(out, "summary.csv"))
+
     def test_divergence_names_step_and_keeps_finished_rows(self, dataset,
                                                            tmp_path,
                                                            monkeypatch):
@@ -392,6 +417,23 @@ class TestRunExperiment:
 
 
 class TestVariants:
+    @pytest.mark.parametrize("variant", ["ours", "pca"])
+    def test_normalize_features_clusters_unit_rows(self, dataset, monkeypatch,
+                                                   variant):
+        seen = []
+        real = protocol.kmeans
+
+        def recording(points, k, **kwargs):
+            seen.append(np.linalg.norm(points, axis=1))
+            return real(points, k, **kwargs)
+
+        monkeypatch.setattr(protocol, "kmeans", recording)
+        protocol.run_experiment(fast_cfg(variant=variant,
+                                         normalize_features=True), dataset)
+        assert len(seen) == 2  # steps 2 and 3 cluster
+        for norms in seen:
+            assert np.allclose(norms, 1.0, rtol=0, atol=1e-12)
+
     def test_each_variant_runs(self, dataset):
         for variant in ("ours", "ffe", "scratch", "pca"):
             cfg = fast_cfg(variant=variant, pca_dim=4)
