@@ -176,9 +176,12 @@ def cmd_report(args) -> int:
                           for c in row) for row in [header, *rows]]
         path = os.path.join(args.run_dir, "summary.csv")
         if os.path.exists(path):
-            keys, (vals,) = _read_table(path)
-            lines.append("; ".join(f"{k}={v}"
-                                   for k, v in zip(keys, vals, strict=True)))
+            keys, rows = _read_table(path)
+            if len(rows) != 1:
+                raise ValueError("no data row" if not rows
+                                 else f"{len(rows)} data rows, expected 1")
+            lines.append("; ".join(f"{k}={v}" for k, v in
+                                   zip(keys, rows[0], strict=True)))
     except (OSError, ValueError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise UsageError(f"{path}: {reason}") from exc

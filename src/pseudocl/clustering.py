@@ -36,51 +36,111 @@ def _validate_points(points: np.ndarray, k: int) -> np.ndarray:
     return x
 
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, a)
+
+
+def _rounding(d: int) -> float:
+    """Bound factor r: each form of a squared distance D = |x - c|^2 in d
+    dimensions is within r S of D, with S = |x|^2 + |c|^2.
+
+    - The GEMM form |x|^2 - 2 x.c + |c|^2 takes three length-d dot
+      products with error below d eps (|x|^2 + 2|x||c| + |c|^2)
+      <= 2 d eps S, and two additions whose results are at most 2 S, each
+      rounded by less than 2 eps S: (2 d + 4) eps S in all.
+    - The exact form sum((x - c)^2) rounds each difference, its square and
+      a d-term sum: error below (d + 3) eps D <= 2 (d + 3) eps S, because
+      D <= 2 S.
+
+    Both hold for any summation order, so for any BLAS thread split.
+    """
+    return 2 * (d + 3) * np.finfo(float).eps
+
+
+def _kmeans_pp_init(x: np.ndarray, xx: np.ndarray, k: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii, SODA 2007).
+
+    ``d2`` holds each row's exact squared distance sum((x - c)^2) to its
+    nearest seed and feeds ``rng.choice``, so it must keep every bit. Each
+    round screens the rows with the GEMM form g of the distance to the new
+    seed c (``xx`` is |x|^2). Both forms are within 2 (d + 3) eps S of the
+    true distance (S = |x|^2 + |c|^2), so a row with
+    g - 6 (d + 3) eps S > d2 has an exact distance above d2, and
+    min(d2, exact) is d2: such a row keeps its value without computing it.
+    Of the 6 (d + 3), 4 (d + 3) covers the two forms and the rest the
+    rounding of the two subtractions in the test itself. Only the other
+    rows, and any row whose g overflowed to NaN, get the exact form.
+    """
     n = x.shape[0]
     centroids = np.empty((k, x.shape[1]))
     idx = int(rng.integers(n))
     centroids[0] = x[idx]
     d2 = np.sum((x - centroids[0]) ** 2, axis=1)
+    slack = 3 * _rounding(x.shape[1])
+    slack_x = slack * xx
+    g = np.empty(n)
     for j in range(1, k):
         total = d2.sum()
         if total == 0.0:
             idx = int(rng.integers(n))
         else:
             idx = int(rng.choice(n, p=d2 / total))
-        centroids[j] = x[idx]
-        d2 = np.minimum(d2, np.sum((x - centroids[j]) ** 2, axis=1))
+        c = centroids[j] = x[idx]
+        with np.errstate(over="ignore", invalid="ignore"):
+            cc = float(c @ c)
+            np.matmul(x, c, out=g)
+            g *= -2.0
+            g += xx
+            g += cc
+            g -= slack_x
+            g -= slack * cc
+            # NaN > d2 is false, so an overflowed row takes the exact form
+            rows = np.flatnonzero(~(g > d2))
+        d2[rows] = np.minimum(d2[rows], np.sum((x[rows] - c) ** 2, axis=1))
     return centroids
 
 
-def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest centroid per row, lowest index on ties.
+def _assign(x: np.ndarray, xx: np.ndarray,
+            centroids: np.ndarray) -> np.ndarray:
+    """Nearest centroid per row, lowest index on ties; ``xx`` is |x|^2.
 
-    The screen uses the GEMM form |x|^2 - 2 x.c + |c|^2. Its rounding error
-    and that of the exact form sum((x - c)^2) are each below
-    (d + 3) eps (|x|^2 + |c|^2). A row whose two smallest GEMM distances
-    differ by more than four times that bound (with the largest |c|^2)
-    therefore has the same argmin under both forms; the remaining rows are
-    decided by the exact form.
+    The screen uses the GEMM form |x|^2 - 2 x.c + |c|^2. It and the exact
+    form sum((x - c)^2) are each within 2 (d + 3) eps (|x|^2 + |c|^2) of
+    the true distance. A row whose two smallest GEMM distances differ by
+    more than four times that bound (with the largest |c|^2) therefore has
+    the same argmin under both forms; the remaining rows, and rows whose
+    GEMM distances overflowed to NaN, are decided by the exact form.
     """
-    xx = np.einsum("ij,ij->i", x, x)
-    cc = np.einsum("ij,ij->i", centroids, centroids)
-    d2 = xx[:, None] - 2.0 * (x @ centroids.T) + cc
-    best = np.argmin(d2, axis=1)
-    if centroids.shape[0] > 1:
-        two = np.partition(d2, 1, axis=1)
-        slack = 4 * (x.shape[1] + 3) * np.finfo(float).eps * (xx + cc.max())
-        near = np.flatnonzero(two[:, 1] - two[:, 0] <= slack)
-        if near.size:
-            diff = x[near, None, :] - centroids[None, :, :]
-            best[near] = np.argmin(np.sum(diff ** 2, axis=2), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cc = _sq_norms(centroids)
+        d2 = x @ centroids.T
+        d2 *= -2.0
+        d2 += xx[:, None]
+        d2 += cc
+        best = np.argmin(d2, axis=1)
+        if centroids.shape[0] == 1:
+            return best
+        rows = np.arange(x.shape[0])
+        first = d2[rows, best]
+        d2[rows, best] = np.inf
+        gap = d2.min(axis=1)
+        gap -= first
+        slack = 4 * _rounding(x.shape[1]) * (xx + cc.max())
+        near = np.flatnonzero(~(gap > slack))
+    if near.size:
+        diff = x[near, None, :] - centroids[None, :, :]
+        best[near] = np.argmin(np.sum(diff ** 2, axis=2), axis=1)
     return best
 
 
 def _objective(x: np.ndarray, centroids: np.ndarray,
                assignments: np.ndarray) -> float:
-    diff = x - centroids[assignments]
-    return float(np.mean(np.sum(diff * diff, axis=1)))
+    """Mean squared distance to the assigned centroid."""
+    diff = centroids[assignments]
+    np.subtract(x, diff, out=diff)
+    diff *= diff
+    return float(np.mean(np.add.reduce(diff, axis=1)))
 
 
 def _update(x: np.ndarray, centroids: np.ndarray,
@@ -114,17 +174,17 @@ def _update(x: np.ndarray, centroids: np.ndarray,
     return new_centroids
 
 
-def _kmeans_single(x: np.ndarray, k: int, seed: int, max_iter: int,
-                   tol: float) -> ClusterResult:
+def _kmeans_single(x: np.ndarray, xx: np.ndarray, k: int, seed: int,
+                   max_iter: int, tol: float) -> ClusterResult:
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(x, k, rng)
-    assignments = _assign(x, centroids)
+    centroids = _kmeans_pp_init(x, xx, k, rng)
+    assignments = _assign(x, xx, centroids)
     trace: list[float] = []
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
         new_centroids = _update(x, centroids, assignments)
-        new_assignments = _assign(x, new_centroids)
+        new_assignments = _assign(x, xx, new_centroids)
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         assignments = new_assignments
@@ -146,9 +206,10 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
     x = _validate_points(points, k)
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
+    xx = _sq_norms(x)
     best: ClusterResult | None = None
     for r in range(n_restarts):
-        res = _kmeans_single(x, k, seed + r, _MAX_ITER, tol)
+        res = _kmeans_single(x, xx, k, seed + r, _MAX_ITER, tol)
         if best is None or res.objective < best.objective:
             best = res
     return best  # type: ignore[return-value]

@@ -45,11 +45,6 @@ class RunConfig:
 
     def validate(self) -> None:
         _check_bounds(RunConfig, vars(self))
-        for name, known in (("mode", MODES), ("variant", VARIANTS),
-                            ("exemplar_policy", EXEMPLAR_POLICIES)):
-            if getattr(self, name) not in known:
-                raise ValueError(f"unknown {name.replace('_', ' ')} "
-                                 f"{getattr(self, name)!r}")
         if self.upl_k > 0 and self.variant != "ours":
             raise ValueError(f"upl_k needs variant 'ours', not {self.variant!r}")
         # a refresh fires at epochs K, 2K, ... below epochs, and an online
@@ -125,11 +120,16 @@ _LOWEST = {
 }
 _POSITIVE = {RunConfig: ("lr", "lr_decay", "temperature"),
              BlobSpec: ("separation", "std")}
+# per settings class: the allowed values of each text field
+_CHOICES = {RunConfig: {"mode": MODES, "variant": VARIANTS,
+                        "exemplar_policy": EXEMPLAR_POLICIES},
+            BlobSpec: {}}
 
 
 def _check_bounds(cls, values: dict) -> None:
-    """Reject a non-finite float or out-of-bounds value among ``values``
-    (field -> value) of settings class ``cls``; None (unset) passes."""
+    """Reject a non-finite float, out-of-bounds number or unknown choice
+    among ``values`` (field -> value) of settings class ``cls``; None
+    (unset) passes."""
     for name, value in values.items():
         if value is None:
             continue
@@ -140,6 +140,10 @@ def _check_bounds(cls, values: dict) -> None:
             raise ValueError(f"{name} must be >= {lowest}, got {value!r}")
         if name in _POSITIVE[cls] and value <= 0:
             raise ValueError(f"{name} must be positive, got {value!r}")
+    for name, known in _CHOICES[cls].items():
+        if name in values and values[name] not in known:
+            raise ValueError(f"unknown {name.replace('_', ' ')} "
+                             f"{values[name]!r}")
 
 
 def coerce_field(cls, field: str, raw: str):
@@ -191,7 +195,10 @@ def read_key_values(path: str, cls, keys: dict[str, str]) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
                 value = coerce_field(cls, keys[key], raw)
-                _check_bounds(cls, {keys[key]: value})
+                checked = {keys[key]: value}
+                if keys[key] == "variant":  # 'upl-K' is variant 'ours'
+                    checked["variant"], checked["upl_k"] = parse_variant(value)
+                _check_bounds(cls, checked)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
             values[keys[key]] = value

@@ -75,12 +75,6 @@ class Dataset:
         self._order = np.argsort(ids, kind="stable")
         self._sorted_ids = ids[self._order]
         self.is_eval = _stratified_eval_mask(labels, EVAL_FRACTION, SPLIT_SEED)
-        for c in np.unique(labels):
-            in_class = labels == c
-            if not np.any(self.is_eval & in_class):
-                raise FormatError(f"class {c} has no eval sample")
-            if np.all(self.is_eval[in_class]):
-                raise FormatError(f"class {c} has no training sample")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -112,12 +106,23 @@ class Dataset:
 
 def _stratified_eval_mask(labels: np.ndarray, fraction: float,
                           seed: int) -> np.ndarray:
+    """Mark round(fraction * size), at least one, of each class's rows as
+    held out, class by class in label order. Every class keeps an eval
+    sample; FormatError names the first class that keeps no training
+    sample."""
     rng = np.random.default_rng(seed)
     mask = np.zeros(len(labels), dtype=bool)
-    for c in np.unique(labels):
-        members = np.flatnonzero(labels == c)
-        n_eval = max(1, int(round(fraction * len(members))))
-        chosen = rng.choice(members, size=n_eval, replace=False)
+    # one stable argsort groups the rows: each class's block lists its rows
+    # in index order, as np.flatnonzero(labels == c) does
+    order = np.argsort(labels, kind="stable")
+    classes, starts, sizes = np.unique(labels[order], return_index=True,
+                                       return_counts=True)
+    for c, start, size in zip(classes, starts.tolist(), sizes.tolist()):
+        n_eval = max(1, int(round(fraction * size)))
+        if n_eval == size:
+            raise FormatError(f"class {c} has no training sample")
+        chosen = rng.choice(order[start:start + size], size=n_eval,
+                            replace=False)
         mask[chosen] = True
     return mask
 
@@ -276,6 +281,10 @@ def _write_table(path: str, header, rows) -> None:
 
 
 def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of a CSV table; an empty file is a ValueError."""
     with open(path) as fh:
-        header, *rows = (line.split(",") for line in fh.read().splitlines())
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError("empty table")
+    header, *rows = (line.split(",") for line in lines)
     return header, rows

@@ -231,6 +231,15 @@ class TestRun:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_bad_mode_in_file_names_line(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RUN_CFG + "run.mode = offlin\n")
+        assert cli.main(["run", str(cfg), "--data", str(workdir["data"]),
+                         "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:7: key 'run.mode': unknown mode 'offlin'\n")
+        assert not (tmp_path / "run").exists()
+
     def test_diverging_run_names_step_and_epoch(self, workdir, tmp_path,
                                                 capsys):
         out = tmp_path / "run"
@@ -440,3 +449,16 @@ class TestReport:
         out, err = capsys.readouterr()
         assert err.startswith(f"error: {tmp_path / name}: ")
         assert out == ""
+
+    @pytest.mark.parametrize("name, text, reason", [
+        ("report.csv", "", "empty table"), ("summary.csv", "", "empty table"),
+        ("summary.csv", "avg_acc,seed\n", "no data row"),
+        ("summary.csv", "avg_acc\n0.5\n0.6\n", "2 data rows, expected 1")],
+        ids=["empty-report", "empty-summary", "no-summary-row",
+             "two-summary-rows"])
+    def test_empty_table_reason(self, tmp_path, capsys, name, text, reason):
+        (tmp_path / "report.csv").write_text("step,acc\n1,0.5\n")
+        (tmp_path / name).write_text(text)
+        assert cli.main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / name}: {reason}\n")

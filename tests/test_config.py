@@ -160,6 +160,18 @@ seeds.model = 42
                            match=rf"run\.cfg:2: key '{key}': .*finite"):
             config.load_config(path)
 
+    @pytest.mark.parametrize("key, raw, reason", [
+        ("run.mode", "offlin", "unknown mode 'offlin'"),
+        ("run.variant", "bogus", "unknown variant 'bogus'"),
+        ("run.variant", "upl-x", "invalid literal"),
+        ("run.exemplar_policy", "herd", "unknown exemplar policy 'herd'")],
+        ids=["mode", "variant", "upl-period", "policy"])
+    def test_bad_choice_names_line_and_key(self, tmp_path, key, raw, reason):
+        path = write_cfg(tmp_path, f"run.q = 3\n{key} = {raw}\n")
+        with pytest.raises(ValueError,
+                           match=rf"run\.cfg:2: key '{key}': {reason}"):
+            config.load_config(path)
+
     def test_overrides_win(self, tmp_path):
         path = write_cfg(tmp_path, "train.epochs = 7\n")
         cfg = config.load_config(path, overrides={"epochs": 3})

@@ -15,9 +15,64 @@ from pseudocl.config import RunConfig
 from test_acceptance import _herd_brute
 
 
+def kmeans_pp_init_oracle(x, k, rng):
+    """k-means++ seeding with the exact distance of every row each round."""
+    n = x.shape[0]
+    centroids = np.empty((k, x.shape[1]))
+    idx = int(rng.integers(n))
+    centroids[0] = x[idx]
+    d2 = np.sum((x - centroids[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total == 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centroids[j] = x[idx]
+        d2 = np.minimum(d2, np.sum((x - centroids[j]) ** 2, axis=1))
+    return centroids
+
+
 def assign_oracle(x, centroids):
     d2 = np.sum((x[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
     return np.argmin(d2, axis=1)
+
+
+def objective_oracle(x, centroids, assignments):
+    diff = x - centroids[assignments]
+    return float(np.mean(np.sum(diff * diff, axis=1)))
+
+
+def assign(x, centroids):
+    return clustering._assign(x, clustering._sq_norms(x), centroids)
+
+
+def blobs(rng, n, d, centers):
+    """Gaussian blobs around ``centers`` random class centers."""
+    mu = rng.normal(size=(centers, d)) * 3.0
+    return mu[rng.integers(0, centers, n)] + rng.normal(size=(n, d))
+
+
+def near_overflow(rng, n, d):
+    """Rows near 1e160: |x|^2 overflows, but the differences of rows and
+    their squares stay finite."""
+    return 1e160 + 1e160 * 2.0 ** -48 * rng.integers(-8, 9, size=(n, d))
+
+
+class RecordingRng:
+    """A generator that records the bytes of every probability vector that
+    k-means++ hands to choice."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.p = []
+
+    def integers(self, n):
+        return self.rng.integers(n)
+
+    def choice(self, n, p):
+        self.p.append(p.tobytes())
+        return self.rng.choice(n, p=p)
 
 
 def update_oracle(x, centroids, assignments):
@@ -42,9 +97,10 @@ def update_oracle(x, centroids, assignments):
 def kmeans_single_oracle(x, k, seed, max_iter, tol):
     """Lloyd iterations with the per-cluster mask update; counts repairs."""
     rng = np.random.default_rng(seed)
-    centroids = clustering._kmeans_pp_init(x, k, rng)
+    centroids = kmeans_pp_init_oracle(x, k, rng)
     assignments = assign_oracle(x, centroids)
     repairs = 0
+    trace = []
     it = 0
     for it in range(1, max_iter + 1):
         new_centroids, step_repairs = update_oracle(x, centroids, assignments)
@@ -53,9 +109,29 @@ def kmeans_single_oracle(x, k, seed, max_iter, tol):
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
         centroids = new_centroids
         assignments = new_assignments
+        trace.append(objective_oracle(x, centroids, assignments))
         if shift < tol:
             break
-    return centroids, assignments, it, repairs
+    return centroids, assignments, it, repairs, trace
+
+
+def eval_mask_oracle(labels, fraction, seed):
+    """The stratified split with a full label scan per class, and the
+    per-class check loop of Dataset.__init__."""
+    rng = np.random.default_rng(seed)
+    mask = np.zeros(len(labels), dtype=bool)
+    for c in np.unique(labels):
+        members = np.flatnonzero(labels == c)
+        n_eval = max(1, int(round(fraction * len(members))))
+        chosen = rng.choice(members, size=n_eval, replace=False)
+        mask[chosen] = True
+    for c in np.unique(labels):
+        in_class = labels == c
+        if not np.any(mask & in_class):
+            raise data.FormatError(f"class {c} has no eval sample")
+        if np.all(mask[in_class]):
+            raise data.FormatError(f"class {c} has no training sample")
+    return mask
 
 
 def herd_cluster_oracle(feats, q):
@@ -249,14 +325,14 @@ class TestAssign:
             n, k, d = rng.integers(1, 300), rng.integers(1, 40), rng.integers(1, 70)
             x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
             c = rng.normal(size=(k, d)) * 10.0 ** rng.uniform(-3, 3)
-            assert np.array_equal(clustering._assign(x, c), assign_oracle(x, c))
+            assert np.array_equal(assign(x, c), assign_oracle(x, c))
 
     def test_duplicated_centroids_take_lowest_index(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(200, 8))
         c = rng.normal(size=(5, 8))
         c = np.vstack([c, c[::-1], c])
-        got = clustering._assign(x, c)
+        got = assign(x, c)
         assert np.array_equal(got, assign_oracle(x, c))
         assert got.max() < 5
 
@@ -265,7 +341,7 @@ class TestAssign:
         c = rng.integers(-4, 5, size=(6, 3)).astype(float)
         pairs = [(a, b) for a in range(6) for b in range(a + 1, 6)]
         x = np.array([(c[a] + c[b]) / 2.0 for a, b in pairs])
-        assert np.array_equal(clustering._assign(x, c), assign_oracle(x, c))
+        assert np.array_equal(assign(x, c), assign_oracle(x, c))
 
     def test_large_offset_cancellation(self):
         # at a 1e6 offset the GEMM form is off by ~0.1, far more than the
@@ -274,18 +350,108 @@ class TestAssign:
         x = rng.normal(size=(300, 16)) + 1e6
         c = x[rng.choice(300, 10, replace=False)]
         c = np.vstack([c, c + rng.normal(size=c.shape) * 1e-6])
-        assert np.array_equal(clustering._assign(x, c), assign_oracle(x, c))
+        assert np.array_equal(assign(x, c), assign_oracle(x, c))
+
+    def test_runner_up_equal_to_minimum(self):
+        # rows that sit on a centroid with a duplicate: the runner-up
+        # distance equals the minimum, at the origin and at a 1e6 offset
+        rng = np.random.default_rng(17)
+        for offset in (0.0, 1e6):
+            c = rng.normal(size=(6, 5)) + offset
+            c = np.vstack([c, c[[4, 1, 1]]])
+            x = np.vstack([c, c[rng.integers(0, 9, 40)],
+                           rng.normal(size=(40, 5)) + offset])
+            got = assign(x, c)
+            assert np.array_equal(got, assign_oracle(x, c))
+            assert got.max() < 6
+
+    def test_overflowing_gemm_form_takes_exact_form(self):
+        # |x|^2 overflows, so every GEMM distance is NaN; the exact form
+        # still separates the rows
+        rng = np.random.default_rng(18)
+        x = near_overflow(rng, 120, 4)
+        c = x[:7]
+        want = assign_oracle(x, c)
+        assert len(np.unique(want)) > 1
+        assert np.array_equal(assign(x, c), want)
+
+
+class TestKmeansPPInit:
+    """Seeding screens rows with the GEMM form; the exact distances of
+    every row, which feed rng.choice, are the oracle."""
+
+    @staticmethod
+    def check(x, k, seeds=range(3)):
+        for seed in seeds:
+            want_rng, got_rng = RecordingRng(seed), RecordingRng(seed)
+            want = kmeans_pp_init_oracle(x, k, want_rng)
+            got = clustering._kmeans_pp_init(x, clustering._sq_norms(x), k,
+                                             got_rng)
+            assert got.tobytes() == want.tobytes()
+            assert got_rng.p == want_rng.p
+
+    def test_large_offset(self):
+        rng = np.random.default_rng(19)
+        self.check(rng.normal(size=(300, 16)) + 1e6, 20)
+
+    def test_duplicate_rows(self):
+        rng = np.random.default_rng(20)
+        base = rng.normal(size=(6, 5))
+        self.check(base[rng.integers(0, 6, 80)], 10)
+
+    def test_identical_rows(self):
+        # after the first seed every distance is 0, so total == 0 and the
+        # seeds are drawn uniformly
+        self.check(np.full((30, 5), 3.25), 6)
+
+    def test_integer_grid(self):
+        rng = np.random.default_rng(21)
+        for d in (1, 3):
+            self.check(rng.integers(-3, 4, size=(200, d)).astype(float), 30)
+
+    def test_k_equals_n(self):
+        rng = np.random.default_rng(22)
+        self.check(rng.normal(size=(12, 4)), 12)
+        self.check(rng.integers(0, 2, size=(12, 2)).astype(float), 12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-4])
+    def test_wide_shaped_blobs(self, scale):
+        rng = np.random.default_rng(23)
+        self.check(blobs(rng, 1200, 64, 50) * scale, 50)
+
+    def test_overflowing_gemm_form(self):
+        rng = np.random.default_rng(24)
+        self.check(near_overflow(rng, 150, 4), 12)
+
+
+class TestObjective:
+    def test_same_repr_as_old_formula(self):
+        rng = np.random.default_rng(25)
+        for _ in range(60):
+            n, k, d = rng.integers(1, 300), rng.integers(1, 40), rng.integers(1, 70)
+            scale = 10.0 ** rng.uniform(-3, 3)
+            offset = rng.choice([0.0, 1e6])
+            x = rng.normal(size=(n, d)) * scale + offset
+            c = rng.normal(size=(k, d)) * scale + offset
+            a = rng.integers(0, k, n)
+            x0, c0 = x.copy(), c.copy()
+            got = clustering._objective(x, c, a)
+            assert repr(got) == repr(objective_oracle(x, c, a))
+            assert x.tobytes() == x0.tobytes() and c.tobytes() == c0.tobytes()
 
 
 class TestKmeansUpdate:
     @staticmethod
     def check(x, k, seed, max_iter=300, tol=1e-6):
-        want_c, want_a, want_it, repairs = kmeans_single_oracle(
+        want_c, want_a, want_it, repairs, want_trace = kmeans_single_oracle(
             x, k, seed, max_iter, tol)
-        got = clustering._kmeans_single(x, k, seed, max_iter, tol)
+        got = clustering._kmeans_single(x, clustering._sq_norms(x), k, seed,
+                                        max_iter, tol)
         assert got.iterations == want_it
         assert got.centroids.tobytes() == want_c.tobytes()
         assert np.array_equal(got.assignments, want_a)
+        assert list(map(repr, got.objective_trace)) == list(map(repr,
+                                                                want_trace))
         return repairs
 
     def test_empty_cluster_repair(self):
@@ -330,6 +496,19 @@ class TestKmeansUpdate:
             centers = rng.normal(size=(8, d)) * 4
             x = centers[rng.integers(0, 8, 400)] + rng.normal(size=(400, d))
             self.check(x, 8, seed)
+
+    def test_full_kmeans_on_wide_shaped_blobs(self):
+        rng = np.random.default_rng(26)
+        x = blobs(rng, 600, 64, 25)
+        want_c, want_a, want_it, _, want_trace = kmeans_single_oracle(
+            x, 25, 3, 300, 1e-6)
+        got = clustering.kmeans(x, 25, seed=3)
+        assert got.centroids.tobytes() == want_c.tobytes()
+        assert got.assignments.tobytes() == want_a.tobytes()
+        assert got.iterations == want_it and got.converged
+        assert list(map(repr, got.objective_trace)) == list(map(repr,
+                                                                want_trace))
+        assert repr(got.objective) == repr(want_trace[-1])
 
 
 class TestHerding:
@@ -511,6 +690,36 @@ class TestPositions:
         assert ds.positions(query).tolist() == [index[int(i)] for i in query]
         with pytest.raises(KeyError):
             ds.positions([ids[0], 1])
+
+
+class TestEvalSplit:
+    """Dataset groups the rows with one argsort; the per-class scans are
+    the oracle."""
+
+    @staticmethod
+    def outcome(fn, labels):
+        try:
+            return fn(labels).tobytes()
+        except data.FormatError as exc:
+            return str(exc)
+
+    def test_same_split_and_first_failing_class(self):
+        rng = np.random.default_rng(27)
+        fails = 0
+        for trial in range(60):
+            n_classes = int(rng.integers(1, 40))
+            # non-contiguous, negative and shuffled class ids, some classes
+            # of one sample
+            ids = rng.choice(500, size=n_classes, replace=False) - 200
+            sizes = rng.integers(1 if trial % 3 == 0 else 2, 30, n_classes)
+            labels = rng.permutation(np.repeat(ids, sizes))
+            want = self.outcome(lambda y: eval_mask_oracle(
+                y, data.EVAL_FRACTION, data.SPLIT_SEED), labels)
+            got = self.outcome(lambda y: data.Dataset(
+                np.arange(len(y)), np.zeros((len(y), 1)), y).is_eval, labels)
+            assert got == want
+            fails += isinstance(want, str)
+        assert 0 < fails < 60
 
 
 class TestTrueSlots:
