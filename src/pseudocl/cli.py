@@ -10,8 +10,9 @@ import numpy as np
 
 from .config import (EXEMPLAR_POLICIES, MODES, VARIANTS, RunConfig,
                      load_config, load_spec, parse_variant)
-from .data import (Dataset, _read_table, generate_gaussian_stream,
-                   load_dataset, read_checkpoint, save_dataset, write_report)
+from .data import (Dataset, FormatError, _read_table,
+                   generate_gaussian_stream, load_dataset, read_checkpoint,
+                   save_dataset, write_report)
 from .protocol import (ProtocolError, evaluate, run_experiment, run_sweep,
                        sweep_config, variant_name)
 
@@ -154,12 +155,14 @@ def cmd_eval(args) -> int:
         raise UsageError(str(exc)) from exc
     classes = meta.get("classes_seen")
     if classes is None:
-        raise UsageError("checkpoint carries no classes_seen metadata")
+        raise UsageError(f"{args.checkpoint}: checkpoint carries no "
+                         "classes_seen metadata")
     if dataset.dim != model.in_dim:
-        raise UsageError(f"dataset dim {dataset.dim} != model input {model.in_dim}")
+        raise UsageError(f"{args.data}: dataset dim {dataset.dim} != model "
+                         f"input {model.in_dim}")
     missing = np.setdiff1d(classes, dataset.classes()).tolist()
     if missing:
-        raise UsageError(f"dataset lacks classes_seen {missing}")
+        raise UsageError(f"{args.data}: dataset lacks classes_seen {missing}")
     rep = evaluate(model, dataset, classes, meta.get("step", 0))
     print(f"step={rep.step} classes={rep.classes_seen} acc={rep.acc!r} "
           f"nmi={rep.nmi!r} ari={rep.ari!r}")
@@ -181,7 +184,9 @@ def cmd_report(args) -> int:
                 raise ValueError("no data row" if not rows
                                  else f"{len(rows)} data rows, expected 1")
             lines.append("; ".join(f"{k}={v}" for k, v in
-                                   zip(keys, rows[0], strict=True)))
+                                   zip(keys, rows[0])))
+    except FormatError as exc:  # names the path and line itself
+        raise UsageError(str(exc)) from exc
     except (OSError, ValueError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise UsageError(f"{path}: {reason}") from exc

@@ -28,6 +28,9 @@ REPORT_COLUMNS = ["step", "classes_seen", "acc", "nmi", "ari"]
 SUMMARY_COLUMNS = ["avg_acc", "last_acc", "avg_nmi", "avg_ari", "seed", "variant"]
 
 _CKPT_MAGIC = b"PCLCKPT1"
+# The dataset sidecar holds one parse's result, so bump its version when the
+# CSV's parse rules change; older sidecars then go unused.
+_DSET_MAGIC = b"PCLDSET1"
 
 
 class FormatError(ValueError):
@@ -150,6 +153,8 @@ def generate_gaussian_stream(spec: BlobSpec) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
+    """Write the dataset CSV, then its sidecar ``<path>.parsed`` (see
+    ``load_dataset``)."""
     head = [] if dataset.seed is None else [f"# seed={dataset.seed}\n"]
     head.append("id,label," + ",".join(f"f{i}" for i in range(dataset.dim))
                 + "\n")
@@ -158,49 +163,43 @@ def save_dataset(dataset: Dataset, path: str) -> None:
             for i, y, f in zip(dataset.ids.tolist(),
                                dataset.sealed._peek().tolist(),
                                dataset.features))
-    _write_atomic(path, itertools.chain(head, rows))
+    digest = hashlib.sha256()
+    _write_atomic(path, _hashed(itertools.chain(head, rows), digest), "wb")
+    # a sidecar must hold what parsing its CSV gives, so a CSV that does not
+    # load back (no feature column, a seed that is not an int) gets none
+    if dataset.dim and (dataset.seed is None or type(dataset.seed) is int):
+        _write_sidecar(path, digest.digest(), dataset)
 
 
 def load_dataset(path: str) -> Dataset:
-    """Read a dataset CSV; errors name ``path:lineno``, the file's own line."""
-    seed = None
+    """Read a dataset CSV; errors name ``path:lineno``, the file's own line.
+
+    A CSV is parsed at most once: the parse goes to the sidecar
+    ``<path>.parsed``, keyed by the sha256 of the CSV's bytes, and a load
+    whose CSV has that digest reads the arrays from there instead. A sidecar
+    that is missing, stale or damaged is ignored and rewritten. Either way
+    the arrays pass the same ``Dataset`` checks and split."""
     with open(path) as fh:
-        line, lineno = fh.readline(), 1
-        while line.startswith("#"):
-            if "seed=" in line:
-                try:
-                    seed = int(line.split("seed=")[1])
-                except ValueError:
-                    raise FormatError(f"{path}:{lineno}: bad seed comment "
-                                      f"{line.rstrip()!r}") from None
-            line, lineno = fh.readline(), lineno + 1
-        header = line.rstrip("\n").split(",")
-        d = len(header) - 2
-        if d < 1 or header != ["id", "label", *(f"f{i}" for i in range(d))]:
-            raise FormatError(f"{path}: bad header {line.rstrip()!r}")
-        dtype = [("id", np.int64), ("label", np.int64), ("f", np.float64, (d,))]
-        start = fh.tell()
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        # hash and parse through one open file, so that both see the same
+        # bytes even when an atomic writer replaces ``path`` meanwhile
+        digest = _sha256(fh.buffer)
+        cached = _read_sidecar(path, digest)
+        if cached is None:
+            fh.seek(0)
             try:
-                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", ndmin=1)
-            except ValueError as exc:
-                # numpy's row numbers are not the file's line numbers
-                fh.seek(start)
-                for lineno, text in enumerate(fh, start=lineno + 1):
-                    try:
-                        np.loadtxt([text], dtype=dtype, delimiter=",")
-                    except ValueError as line_exc:
-                        message = str(line_exc).split(" at row")[0]
-                        raise FormatError(f"{path}:{lineno}: {message}") from exc
-                raise FormatError(f"{path}: {exc}") from exc
-    if len(rows) == 0:
-        raise FormatError(f"{path}: no records")
+                ids, labels, features, seed = _parse_csv(fh, path)
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: not {exc.encoding} text: "
+                                  f"{exc.reason}") from None
+        else:
+            ids, labels, features, seed = cached
     try:
-        return Dataset(rows["id"].copy(), rows["f"].copy(),
-                       rows["label"].copy(), seed=seed)
+        dataset = Dataset(ids, features, labels, seed=seed)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
+    if cached is None:
+        _write_sidecar(path, digest, dataset)
+    return dataset
 
 
 def write_checkpoint(model: Model, path: str, meta: dict | None = None) -> None:
@@ -274,6 +273,119 @@ def _write_atomic(path: str, chunks, mode: str = "w") -> None:
             os.remove(tmp)
 
 
+def _hashed(chunks, digest):
+    """Encode each text chunk, feed it to ``digest`` and pass it on."""
+    for chunk in chunks:
+        data = chunk.encode()
+        digest.update(data)
+        yield data
+
+
+def _sha256(fh) -> bytes:
+    """sha256 of the rest of a binary file, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: fh.read(1 << 20), b""):
+        digest.update(chunk)
+    return digest.digest()
+
+
+def _parse_csv(fh, path: str):
+    """Parse an open dataset CSV into (ids, labels, features, seed)."""
+    seed = None
+    line, lineno = fh.readline(), 1
+    while line.startswith("#"):
+        if "seed=" in line:
+            try:
+                seed = int(line.split("seed=")[1])
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: bad seed comment "
+                                  f"{line.rstrip()!r}") from None
+        line, lineno = fh.readline(), lineno + 1
+    header = line.rstrip("\n").split(",")
+    d = len(header) - 2
+    if d < 1 or header != ["id", "label", *(f"f{i}" for i in range(d))]:
+        raise FormatError(f"{path}: bad header {line.rstrip()!r}")
+    dtype = [("id", np.int64), ("label", np.int64), ("f", np.float64, (d,))]
+    start = fh.tell()
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", ndmin=1)
+        except ValueError as exc:
+            # numpy's row numbers are not the file's line numbers
+            fh.seek(start)
+            for lineno, text in enumerate(fh, start=lineno + 1):
+                try:
+                    np.loadtxt([text], dtype=dtype, delimiter=",")
+                except ValueError as line_exc:
+                    message = str(line_exc).split(" at row")[0]
+                    raise FormatError(f"{path}:{lineno}: {message}") from exc
+            raise FormatError(f"{path}: {exc}") from exc
+    if len(rows) == 0:
+        raise FormatError(f"{path}: no records")
+    return rows["id"].copy(), rows["label"].copy(), rows["f"].copy(), seed
+
+
+# Sidecar layout: magic, the CSV's sha256, header length (uint64 LE), JSON
+# header {d, n, seed}, int64 ids, int64 labels, C-order float64 features (all
+# little-endian), then a sha256 over everything before it.
+_SIDECAR_HEAD = len(_DSET_MAGIC) + 32 + 8
+
+
+def _write_sidecar(path: str, csv_digest: bytes, dataset: Dataset) -> None:
+    """Write ``<path>.parsed`` for the CSV whose sha256 is ``csv_digest``.
+    The sidecar only saves a parse, so an OSError (a read-only directory, a
+    directory in the way) leaves the load or save as it is."""
+    header = json.dumps({"n": len(dataset), "d": dataset.dim,
+                         "seed": dataset.seed}, sort_keys=True).encode()
+    chunks = [_DSET_MAGIC, csv_digest, len(header).to_bytes(8, "little"),
+              header, np.ascontiguousarray(dataset.ids, dtype="<i8"),
+              np.ascontiguousarray(dataset.sealed._peek(), dtype="<i8"),
+              np.ascontiguousarray(dataset.features, dtype="<f8")]
+    trailer = hashlib.sha256()
+    for chunk in chunks:
+        trailer.update(chunk)
+    try:
+        _write_atomic(path + ".parsed", [*chunks, trailer.digest()], "wb")
+    except OSError:
+        pass
+
+
+def _read_sidecar(path: str, csv_digest: bytes):
+    """(ids, labels, features, seed) from ``<path>.parsed``, or None unless
+    the sidecar has the current magic, is keyed by ``csv_digest``, has the
+    size its header gives and passes its trailing sha256."""
+    try:
+        with open(path + ".parsed", "rb") as fh:
+            # sizes are checked before anything is read or allocated, so a
+            # damaged length cannot ask for more memory than the file holds
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(_SIDECAR_HEAD)
+            hlen = int.from_bytes(head[-8:], "little")
+            if (head[:len(_DSET_MAGIC)] != _DSET_MAGIC
+                    or head[len(_DSET_MAGIC):-8] != csv_digest
+                    or hlen > size):
+                return None
+            header = fh.read(hlen)
+            meta = json.loads(header)
+            n, d, seed = meta["n"], meta["d"], meta["seed"]
+            if not (type(n) is int and type(d) is int and n >= 1 and d >= 1
+                    and size == _SIDECAR_HEAD + hlen + 8 * n * (d + 2) + 32):
+                return None
+            arrays = [np.empty(n, "<i8"), np.empty(n, "<i8"),
+                      np.empty((n, d), "<f8")]
+            trailer = hashlib.sha256(head + header)
+            for array in arrays:  # straight into the arrays, no bytes copy
+                if fh.readinto(array) != array.nbytes:
+                    return None
+                trailer.update(array)
+            if fh.read() != trailer.digest():
+                return None
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return (*arrays, seed)
+
+
 def _write_table(path: str, header, rows) -> None:
     """A CSV table: None is an empty cell, a float its str (equal to repr)."""
     _write_atomic(path, (",".join("" if v is None else str(v) for v in row)
@@ -281,10 +393,16 @@ def _write_table(path: str, header, rows) -> None:
 
 
 def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
-    """Header and data rows of a CSV table; an empty file is a ValueError."""
+    """Header and data rows of a CSV table. An empty file, or a row whose
+    width is not the header's, is a FormatError naming ``path``, and for a
+    row its line."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
-        raise ValueError("empty table")
+        raise FormatError(f"{path}: empty table")
     header, *rows = (line.split(",") for line in lines)
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise FormatError(f"{path}:{lineno}: {len(row)} fields, header "
+                              f"has {len(header)}")
     return header, rows

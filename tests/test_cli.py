@@ -1,11 +1,17 @@
+import contextlib
+import io
 import os
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudocl import cli
-from pseudocl.data import load_dataset
+from pseudocl.data import load_dataset, write_checkpoint
+from pseudocl.nn import init_model
 
 BLOB_SPEC = """\
 num_classes = 4
@@ -405,12 +411,141 @@ class TestEval:
         capsys.readouterr()
         assert cli.main(["eval", str(run_dir / "step_2.ckpt"),
                          str(other)]) == 2
-        assert message in capsys.readouterr().err
+        assert f"{other}: {message}" in capsys.readouterr().err
+
+    def test_checkpoint_without_classes_seen_names_file(self, workdir,
+                                                       tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        write_checkpoint(init_model(4, 6, 1, 4, seed=0), str(ckpt),
+                         meta={"step": 1})
+        assert cli.main(["eval", str(ckpt), str(workdir["data"])]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: checkpoint carries no classes_seen metadata\n")
 
     def test_corrupt_checkpoint_is_usage_error(self, workdir, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"garbage")
         assert cli.main(["eval", str(bad), str(workdir["data"])]) == 2
+
+
+def _edit_bytes(draw, blob, kind):
+    """One edit of ``blob``: cut it, flip a byte, or drop or repeat an
+    8-byte run."""
+    if kind == "truncate":
+        return blob[:draw(st.integers(0, len(blob)))]
+    if not blob:
+        return blob
+    i = draw(st.integers(0, len(blob) - 1))
+    if kind == "flip":
+        return (blob[:i] + bytes([blob[i] ^ draw(st.integers(1, 255))])
+                + blob[i + 1:])
+    return blob[:i] + (b"" if kind == "drop" else blob[i:i + 8]) + blob[i + 8:]
+
+
+@st.composite
+def mutated_bytes(draw, blob):
+    """A binary file after one to three edits."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("truncate", "flip", "drop", "repeat")))
+        blob = _edit_bytes(draw, blob, kind)
+    return blob
+
+
+_CSV_EDITS = ("truncate", "flip", "drop-line", "repeat-line", "drop-column",
+              "repeat-column", "inject")
+
+
+@st.composite
+def mutated_csv(draw, text):
+    """A dataset CSV after one to three edits: a truncation, a flipped byte,
+    a dropped or repeated line or column, or a field set to nan/inf/blank."""
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(_CSV_EDITS))
+        lines = text.splitlines(keepends=True)
+        if kind in ("truncate", "flip") or not lines:
+            text = _edit_bytes(draw, text, kind)
+            continue
+        if kind.endswith("-column"):
+            j = draw(st.integers(0, 5))
+            for k, line in enumerate(lines):
+                fields = line.rstrip(b"\n").split(b",")
+                if j < len(fields):
+                    fields[j:j + 1] = [] if kind == "drop-column" else [
+                        fields[j]] * 2
+                lines[k] = b",".join(fields) + b"\n"
+        else:
+            i = draw(st.integers(0, len(lines) - 1))
+            if kind == "drop-line":
+                del lines[i]
+            elif kind == "repeat-line":
+                lines.insert(i, lines[i])
+            else:
+                fields = lines[i].rstrip(b"\n").split(b",")
+                fields[draw(st.integers(0, len(fields) - 1))] = draw(
+                    st.sampled_from([b"nan", b"inf", b"-inf", b""]))
+                lines[i] = b",".join(fields) + b"\n"
+        text = b"".join(lines)
+    return text
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(workdir, run_dir, tmp_path_factory):
+    """Paths, original bytes and printed result of an `eval` of step 2's
+    checkpoint on the workdir dataset, in a directory of their own."""
+    root = tmp_path_factory.mktemp("eval-fuzz")
+    sources = {"csv": workdir["data"], "ckpt": run_dir / "step_2.ckpt",
+               "sidecar": workdir["root"] / "data.csv.parsed"}
+    paths = {"csv": root / "data.csv", "ckpt": root / "step_2.ckpt",
+             "sidecar": root / "data.csv.parsed"}
+    blobs = {name: path.read_bytes() for name, path in sources.items()}
+    inputs = {"paths": paths, "blobs": blobs}
+    code, out, err = _fuzz_eval(inputs, "csv", blobs["csv"])
+    assert code == 0, err
+    return {**inputs, "out": out}
+
+
+def _fuzz_eval(inputs, name, blob):
+    """Restore the three files, put ``blob`` in file ``name``, run eval."""
+    for key, path in inputs["paths"].items():
+        path.write_bytes(blob if key == name else inputs["blobs"][key])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["eval", str(inputs["paths"]["ckpt"]),
+                         str(inputs["paths"]["csv"])])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert str(inputs["paths"][name]) in err.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestEvalFuzz:
+    """A mutated dataset CSV, sidecar or checkpoint makes `eval` print a
+    result (exit 0) or an error naming that file (exit 2), never anything
+    else."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_dataset_csv(self, eval_inputs, data):
+        blob = data.draw(mutated_csv(eval_inputs["blobs"]["csv"]))
+        code, out, _ = _fuzz_eval(eval_inputs, "csv", blob)
+        assert code == 2 or out.startswith("step=")
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_sidecar_never_changes_result(self, eval_inputs, data):
+        blob = data.draw(mutated_bytes(eval_inputs["blobs"]["sidecar"]))
+        code, out, _ = _fuzz_eval(eval_inputs, "sidecar", blob)
+        assert (code, out) == (0, eval_inputs["out"])
+        # the load parsed the CSV and wrote the sidecar back as it was
+        assert (eval_inputs["paths"]["sidecar"].read_bytes()
+                == eval_inputs["blobs"]["sidecar"])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_checkpoint(self, eval_inputs, data):
+        blob = data.draw(mutated_bytes(eval_inputs["blobs"]["ckpt"]))
+        code, out, _ = _fuzz_eval(eval_inputs, "ckpt", blob)
+        assert code == 2 or out == eval_inputs["out"]
 
 
 class TestReport:
@@ -447,7 +582,9 @@ class TestReport:
             (tmp_path / name).write_text(text)
         assert cli.main(["report", str(tmp_path)]) == 2
         out, err = capsys.readouterr()
-        assert err.startswith(f"error: {tmp_path / name}: ")
+        # the path, then the line for an error in one row
+        assert re.match(rf"error: {re.escape(str(tmp_path / name))}(:\d+)?: ",
+                        err), err
         assert out == ""
 
     @pytest.mark.parametrize("name, text, reason", [
@@ -462,3 +599,19 @@ class TestReport:
         assert cli.main(["report", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
             f"error: {tmp_path / name}: {reason}\n")
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("summary.csv", "avg_acc,seed\n0.5\n", "2: 1 fields, header has 2"),
+        ("report.csv", "step,classes_seen,acc,nmi,ari\n1,5\n",
+         "2: 2 fields, header has 5"),
+        ("report.csv", "step,acc\n1,0.5\n2,0.5,0.1\n",
+         "3: 3 fields, header has 2")],
+        ids=["short-summary-row", "short-report-row", "long-report-row"])
+    def test_row_width_names_line(self, tmp_path, capsys, name, text,
+                                  message):
+        (tmp_path / "report.csv").write_text("step,acc\n1,0.5\n")
+        (tmp_path / name).write_text(text)
+        assert cli.main(["report", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: {tmp_path / name}:{message}\n"
+        assert out == ""

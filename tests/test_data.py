@@ -249,6 +249,188 @@ class TestCsvRoundTrip:
             data.load_dataset(str(path))
 
 
+def _sidecar(path):
+    return path.with_name(path.name + ".parsed")
+
+
+def _reseal(blob):
+    """A sidecar with its trailing sha256 recomputed over ``blob``."""
+    return blob + hashlib.sha256(blob).digest()
+
+
+def _sidecar_meta(blob):
+    hlen = int.from_bytes(blob[40:48], "little")
+    return json.loads(blob[48:48 + hlen]), 48 + hlen
+
+
+def _reheader(blob, **edits):
+    """A resealed sidecar whose JSON header has ``edits`` applied (a None
+    value drops the key), with its header length to match."""
+    meta, start = _sidecar_meta(blob)
+    meta.update(edits)
+    header = json.dumps({k: v for k, v in meta.items() if v is not None},
+                        sort_keys=True).encode()
+    return _reseal(blob[:40] + len(header).to_bytes(8, "little") + header
+                   + blob[start:-32])
+
+
+class TestSidecar:
+    """``save_dataset`` writes ``<csv>.parsed``; ``load_dataset`` reads it
+    when it is intact and keyed to the CSV's bytes, and parses otherwise."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        ds = data.generate_gaussian_stream(tiny_spec(seed=13))
+        path = tmp_path / "ds.csv"
+        data.save_dataset(ds, str(path))
+        return path
+
+    @staticmethod
+    def parsed(path):
+        """The dataset as the CSV's parse gives it, sidecar untouched."""
+        blob = _sidecar(path).read_bytes()
+        _sidecar(path).unlink()
+        try:
+            return data.load_dataset(str(path))
+        finally:
+            _sidecar(path).write_bytes(blob)
+
+    @staticmethod
+    def assert_same(a, b):
+        assert a.ids.dtype == b.ids.dtype and a.ids.tobytes() == b.ids.tobytes()
+        assert a.sealed._peek().tobytes() == b.sealed._peek().tobytes()
+        assert a.features.dtype == b.features.dtype
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.seed == b.seed
+        assert a.is_eval.tobytes() == b.is_eval.tobytes()
+        assert a.sealed.access_count == b.sealed.access_count == 0
+
+    def test_hit_matches_parse(self, saved, monkeypatch):
+        parsed = self.parsed(saved)
+
+        def no_parse(fh, path):
+            raise AssertionError("parsed a CSV whose sidecar is intact")
+        monkeypatch.setattr(data, "_parse_csv", no_parse)
+        hit = data.load_dataset(str(saved))
+        self.assert_same(hit, parsed)
+        assert hit.features.flags.c_contiguous and hit.seed == 13
+
+    def test_layout(self, saved):
+        blob = _sidecar(saved).read_bytes()
+        assert blob[:8] == b"PCLDSET1"
+        assert blob[8:40] == hashlib.sha256(saved.read_bytes()).digest()
+        meta, start = _sidecar_meta(blob)
+        assert meta == {"n": 100, "d": 3, "seed": 13}
+        ds = self.parsed(saved)
+        assert blob[start:-32] == (ds.ids.astype("<i8").tobytes()
+                                   + ds.sealed._peek().astype("<i8").tobytes()
+                                   + ds.features.astype("<f8").tobytes())
+        assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
+
+    def test_load_writes_the_sidecar_save_writes(self, saved):
+        written = _sidecar(saved).read_bytes()
+        _sidecar(saved).unlink()
+        data.load_dataset(str(saved))
+        assert _sidecar(saved).read_bytes() == written
+
+    def test_no_seed_round_trips(self, tmp_path):
+        ds = data.generate_gaussian_stream(tiny_spec())
+        ds.seed = None
+        path = tmp_path / "ds.csv"
+        data.save_dataset(ds, str(path))
+        assert _sidecar_meta(_sidecar(path).read_bytes())[0]["seed"] is None
+        self.assert_same(data.load_dataset(str(path)), self.parsed(path))
+
+    def test_edited_csv_makes_sidecar_stale(self, saved):
+        lines = saved.read_text().splitlines(keepends=True)
+        first = lines[2].split(",")
+        first[2] = "0.5"
+        lines[2] = ",".join(first)
+        saved.write_text("".join(lines))
+        ds = data.load_dataset(str(saved))
+        assert ds.features[0, 0] == 0.5
+        # rewritten for the edited bytes
+        blob = _sidecar(saved).read_bytes()
+        assert blob[8:40] == hashlib.sha256(saved.read_bytes()).digest()
+        self.assert_same(data.load_dataset(str(saved)), self.parsed(saved))
+
+    def test_edited_csv_parse_error_names_line(self, saved):
+        stale = _sidecar(saved).read_bytes()
+        lines = saved.read_text().splitlines(keepends=True)
+        lines[4] = "oops\n"
+        saved.write_text("".join(lines))
+        with pytest.raises(data.FormatError, match=r"ds\.csv:5: "):
+            data.load_dataset(str(saved))
+        assert _sidecar(saved).read_bytes() == stale
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: b[:-1], lambda b: b[:47], lambda b: b[:20], lambda b: b"",
+        lambda b: b + b"\0",
+        lambda b: b"PCLDSET0" + b[8:],
+        lambda b: b[:8] + bytes(32) + b[40:],
+        lambda b: _reseal(b[:8] + bytes(32) + b[40:-32]),
+        lambda b: b[:100] + bytes([b[100] ^ 1]) + b[101:],
+        lambda b: b[:-1] + bytes([b[-1] ^ 0x80]),
+        lambda b: b[:45] + bytes([b[45] ^ 4]) + b[46:],
+        lambda b: _reheader(b, n=101),
+        lambda b: _reheader(b, n=10**18),
+        lambda b: _reheader(b, n="100"),
+        lambda b: _reheader(b, n=50, d=6),
+        lambda b: _reheader(b, d=-3),
+        lambda b: _reheader(b, seed=None),
+    ], ids=["cut-1", "cut-head", "cut-digest", "empty", "extra-byte",
+            "magic", "digest", "digest-resealed", "flip-payload",
+            "flip-trailer", "flip-length", "n-resealed", "n-huge-resealed",
+            "n-type-resealed", "same-size-resealed", "d-resealed",
+            "no-seed-resealed"])
+    def test_damaged_sidecar_ignored(self, saved, damage):
+        parsed = self.parsed(saved)
+        good = _sidecar(saved).read_bytes()
+        _sidecar(saved).write_bytes(damage(good))
+        self.assert_same(data.load_dataset(str(saved)), parsed)
+        assert _sidecar(saved).read_bytes() == good
+
+    def test_directory_in_the_way(self, tmp_path):
+        ds = data.generate_gaussian_stream(tiny_spec(seed=13))
+        path = tmp_path / "ds.csv"
+        _sidecar(path).mkdir()
+        data.save_dataset(ds, str(path))
+        for _ in range(2):
+            self.assert_same(data.load_dataset(str(path)), ds)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ds.csv", "ds.csv.parsed"]
+        assert _sidecar(path).is_dir()
+
+    def test_failed_csv_write_leaves_no_sidecar(self, tmp_path):
+        ds = data.generate_gaussian_stream(tiny_spec())
+        # the second row is no array, so the write raises after the first
+        ds.features = [ds.features[0], None]
+        with pytest.raises(AttributeError):
+            data.save_dataset(ds, str(tmp_path / "ds.csv"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_csv_write_keeps_matching_pair(self, saved):
+        before = saved.read_bytes(), _sidecar(saved).read_bytes()
+        ds = data.load_dataset(str(saved))
+        ds.features = [ds.features[0], None]
+        with pytest.raises(AttributeError):
+            data.save_dataset(ds, str(saved))
+        assert (saved.read_bytes(), _sidecar(saved).read_bytes()) == before
+
+    @pytest.mark.parametrize("seed, dim", [(True, 3), (0, 0)],
+                             ids=["bool-seed", "no-features"])
+    def test_csv_that_does_not_load_gets_no_sidecar(self, tmp_path, seed,
+                                                    dim):
+        labels = np.arange(10) % 2
+        ds = data.Dataset(np.arange(10), np.zeros((10, dim)), labels,
+                          seed=seed)
+        path = tmp_path / "ds.csv"
+        data.save_dataset(ds, str(path))
+        assert not _sidecar(path).exists()
+        with pytest.raises(data.FormatError):
+            data.load_dataset(str(path))
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         model = nn.init_model(4, 6, 2, 5, seed=3)
