@@ -10,11 +10,10 @@ import numpy as np
 
 from .config import (EXEMPLAR_POLICIES, MODES, VARIANTS, RunConfig,
                      load_config, load_spec, parse_variant)
-from .data import (Dataset, FormatError, _read_table,
-                   generate_gaussian_stream, load_dataset, read_checkpoint,
-                   save_dataset, write_report)
+from .data import (FormatError, _read_table, generate_gaussian_stream,
+                   load_dataset, read_checkpoint, save_dataset, write_report)
 from .protocol import (ProtocolError, evaluate, run_experiment, run_sweep,
-                       sweep_config, variant_name)
+                       split_tasks, sweep_config, variant_name)
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -32,14 +31,6 @@ def _load_inputs(args):
     except (ValueError, OSError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
     return cfg, dataset
-
-
-def _check_step_size(cfg: RunConfig, dataset: Dataset) -> None:
-    """Every task has step_size classes, so it must divide the class count."""
-    n_classes = len(dataset.classes())
-    if n_classes % cfg.step_size:
-        raise UsageError(f"step_size {cfg.step_size} does not divide the "
-                         f"dataset's {n_classes} classes")
 
 
 # argparse dest -> RunConfig field, for flags that set one field as given
@@ -109,7 +100,10 @@ def cmd_gen_data(args) -> int:
 
 def cmd_run(args) -> int:
     cfg, dataset = _load_inputs(args)
-    _check_step_size(cfg, dataset)
+    try:  # run_experiment's task split, made before any file is written
+        split_tasks(dataset, cfg.step_size, cfg.arrangement_seed)
+    except ProtocolError as exc:
+        raise UsageError(str(exc)) from exc
     out_dir = args.out or _default_out(cfg, "run")
     result = run_experiment(cfg, dataset, out_dir=out_dir)
     _print_report(result.reports, result.summary)
@@ -128,8 +122,9 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in raw.split(",") if v.strip()]
     try:
         for value in values:
-            _check_step_size(sweep_config(cfg, axis, value), dataset)
-    except ProtocolError as exc:  # unknown axis, or a value its field rejects
+            run_cfg = sweep_config(cfg, axis, value)
+            split_tasks(dataset, run_cfg.step_size, run_cfg.arrangement_seed)
+    except ProtocolError as exc:  # a bad axis or value, or a failed split
         raise UsageError(str(exc)) from exc
     out_dir = args.out or _default_out(cfg, f"sweep_{axis}")
     rows = run_sweep(cfg, dataset, axis, values, out_dir,

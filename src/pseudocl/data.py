@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import warnings
 from typing import TYPE_CHECKING
@@ -29,8 +30,8 @@ SUMMARY_COLUMNS = ["avg_acc", "last_acc", "avg_nmi", "avg_ari", "seed", "variant
 
 _CKPT_MAGIC = b"PCLCKPT1"
 # The dataset sidecar holds one parse's result, so bump its version when the
-# CSV's parse rules change; older sidecars then go unused.
-_DSET_MAGIC = b"PCLDSET1"
+# CSV's parse rules or the sidecar's header change; older ones go unused.
+_DSET_MAGIC = b"PCLDSET2"
 
 
 class FormatError(ValueError):
@@ -203,7 +204,7 @@ def load_dataset(path: str) -> Dataset:
 
 
 def write_checkpoint(model: Model, path: str, meta: dict | None = None) -> None:
-    """Self-describing binary: JSON header, float64 params, sha256 trailer."""
+    """A sealed file (see ``_write_sealed``) of the float64 params."""
     header = {
         "hidden_shapes": [list(w.shape) for w, _ in model.layers[:-1]],
         "feature_dim": model.feature_dim,
@@ -211,40 +212,24 @@ def write_checkpoint(model: Model, path: str, meta: dict | None = None) -> None:
         "seeds": model.seeds,
         "meta": meta or {},
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode()
-    payload = model.params.tobytes()
-    digest = hashlib.sha256(header_bytes + payload).digest()
-    _write_atomic(path, [_CKPT_MAGIC, len(header_bytes).to_bytes(8, "little"),
-                         header_bytes, payload, digest], "wb")
+    _write_sealed(path, _CKPT_MAGIC, header, [model.params])
 
 
 def read_checkpoint(path: str) -> tuple[Model, dict]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != _CKPT_MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file")
-    hlen = int.from_bytes(blob[8:16], "little")
-    header_bytes = blob[16:16 + hlen]
-    digest = blob[-32:]
-    payload = blob[16 + hlen:-32]
-    if hashlib.sha256(header_bytes + payload).digest() != digest:
-        raise FormatError(f"{path}: checksum mismatch")
-    try:
-        header = json.loads(header_bytes)
-        shapes = header["hidden_shapes"]
-        dims = [s[0] for s in shapes] + [header["feature_dim"],
-                                         header["out_dim"]]
-        if shapes != [[a, b] for a, b in zip(dims, dims[1:-1])]:
-            raise ValueError(f"hidden_shapes {shapes} do not chain")
-        model = Model(dims, seeds=header["seeds"])
-        meta = dict(header["meta"])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad header: {exc!r}") from exc
-    if len(payload) != model.params.nbytes:
-        raise FormatError(f"{path}: {len(payload)} parameter bytes, header "
-                          f"describes {model.params.nbytes}")
-    model.params[:] = np.frombuffer(payload, dtype=np.float64)
-    return model, meta
+    dims = []
+
+    def layout(h):
+        shapes = h["hidden_shapes"]
+        dims[:] = [s[0] for s in shapes] + [h["feature_dim"], h["out_dim"]]
+        if (shapes != [[a, b] for a, b in zip(dims, dims[1:-1])]
+                or not all(type(d) is int and d >= 1 for d in dims)
+                or (type(h["seeds"]), type(h["meta"])) != (list, dict)):
+            raise ValueError(f"bad widths {dims}, seeds or meta")
+        # Model.params: per layer, the weights, then the bias
+        return [("<f8", (sum(a * b + b for a, b in zip(dims, dims[1:])),))]
+
+    header, (params,) = _read_sealed(path, _CKPT_MAGIC, "checkpoint", layout)
+    return Model(dims, params, seeds=header["seeds"]), header["meta"]
 
 
 def write_report(reports, path: str) -> None:
@@ -326,64 +311,82 @@ def _parse_csv(fh, path: str):
     return rows["id"].copy(), rows["label"].copy(), rows["f"].copy(), seed
 
 
-# Sidecar layout: magic, the CSV's sha256, header length (uint64 LE), JSON
-# header {d, n, seed}, int64 ids, int64 labels, C-order float64 features (all
-# little-endian), then a sha256 over everything before it.
-_SIDECAR_HEAD = len(_DSET_MAGIC) + 32 + 8
+def _write_sealed(path: str, magic: bytes, header: dict, arrays) -> None:
+    """``magic``, the header's length (uint64 LE), the sorted-key JSON
+    header, each array's raw bytes, then sha256(header + arrays)."""
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    trailer = hashlib.sha256(header_bytes)
+    for array in arrays:
+        trailer.update(array)
+    _write_atomic(path, [magic, len(header_bytes).to_bytes(8, "little"),
+                         header_bytes, *arrays, trailer.digest()], "wb")
+
+
+def _read_sealed(path: str, magic: bytes, kind: str, layout):
+    """(header, arrays) of a ``_write_sealed`` file, or a FormatError naming
+    ``path``. ``layout(header)`` lists each array's (dtype, shape); it
+    raises KeyError, IndexError, TypeError or ValueError to reject."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)
+        hlen = int.from_bytes(head[8:], "little")
+        if head[:8] != magic or 16 + hlen + 32 > size:
+            raise FormatError(f"{path}: not a {kind} file")
+        header_bytes = fh.read(hlen)
+        try:
+            header = json.loads(header_bytes)
+            specs = [(np.dtype(t), shape) for t, shape in layout(header)]
+        except (KeyError, IndexError, TypeError, ValueError,
+                RecursionError) as exc:  # RecursionError: deeply nested JSON
+            raise FormatError(f"{path}: bad header: {exc!r}") from exc
+        # checked before allocating: no header gets more than the file holds
+        expected = 16 + hlen + 32 + sum(t.itemsize * math.prod(shape)
+                                        for t, shape in specs)
+        if size != expected:
+            raise FormatError(f"{path}: {size} bytes, header describes "
+                              f"{expected}")
+        arrays = [np.empty(shape, t) for t, shape in specs]
+        trailer = hashlib.sha256(header_bytes)
+        for array in arrays:  # straight into the arrays, no bytes copy
+            fh.readinto(array)
+            trailer.update(array)
+        if fh.read() != trailer.digest():
+            raise FormatError(f"{path}: checksum mismatch")
+    return header, arrays
 
 
 def _write_sidecar(path: str, csv_digest: bytes, dataset: Dataset) -> None:
     """Write ``<path>.parsed`` for the CSV whose sha256 is ``csv_digest``.
     The sidecar only saves a parse, so an OSError (a read-only directory, a
     directory in the way) leaves the load or save as it is."""
-    header = json.dumps({"n": len(dataset), "d": dataset.dim,
-                         "seed": dataset.seed}, sort_keys=True).encode()
-    chunks = [_DSET_MAGIC, csv_digest, len(header).to_bytes(8, "little"),
-              header, np.ascontiguousarray(dataset.ids, dtype="<i8"),
-              np.ascontiguousarray(dataset.sealed._peek(), dtype="<i8"),
-              np.ascontiguousarray(dataset.features, dtype="<f8")]
-    trailer = hashlib.sha256()
-    for chunk in chunks:
-        trailer.update(chunk)
+    header = {"csv_sha256": csv_digest.hex(), "n": len(dataset),
+              "d": dataset.dim, "seed": dataset.seed}
     try:
-        _write_atomic(path + ".parsed", [*chunks, trailer.digest()], "wb")
+        _write_sealed(path + ".parsed", _DSET_MAGIC, header, [
+            np.ascontiguousarray(dataset.ids, dtype="<i8"),
+            np.ascontiguousarray(dataset.sealed._peek(), dtype="<i8"),
+            np.ascontiguousarray(dataset.features, dtype="<f8")])
     except OSError:
         pass
 
 
 def _read_sidecar(path: str, csv_digest: bytes):
     """(ids, labels, features, seed) from ``<path>.parsed``, or None unless
-    the sidecar has the current magic, is keyed by ``csv_digest``, has the
-    size its header gives and passes its trailing sha256."""
+    it is an intact sidecar keyed by ``csv_digest``."""
+    def layout(header):
+        n, d, seed = header["n"], header["d"], header["seed"]
+        if not (header["csv_sha256"] == csv_digest.hex() and type(n) is int
+                and type(d) is int and n >= 1 and d >= 1
+                and (seed is None or type(seed) is int)):
+            raise ValueError("stale or damaged sidecar")
+        return [("<i8", (n,)), ("<i8", (n,)), ("<f8", (n, d))]
+
     try:
-        with open(path + ".parsed", "rb") as fh:
-            # sizes are checked before anything is read or allocated, so a
-            # damaged length cannot ask for more memory than the file holds
-            size = os.fstat(fh.fileno()).st_size
-            head = fh.read(_SIDECAR_HEAD)
-            hlen = int.from_bytes(head[-8:], "little")
-            if (head[:len(_DSET_MAGIC)] != _DSET_MAGIC
-                    or head[len(_DSET_MAGIC):-8] != csv_digest
-                    or hlen > size):
-                return None
-            header = fh.read(hlen)
-            meta = json.loads(header)
-            n, d, seed = meta["n"], meta["d"], meta["seed"]
-            if not (type(n) is int and type(d) is int and n >= 1 and d >= 1
-                    and size == _SIDECAR_HEAD + hlen + 8 * n * (d + 2) + 32):
-                return None
-            arrays = [np.empty(n, "<i8"), np.empty(n, "<i8"),
-                      np.empty((n, d), "<f8")]
-            trailer = hashlib.sha256(head + header)
-            for array in arrays:  # straight into the arrays, no bytes copy
-                if fh.readinto(array) != array.nbytes:
-                    return None
-                trailer.update(array)
-            if fh.read() != trailer.digest():
-                return None
-    except (OSError, ValueError, KeyError, TypeError):
+        header, arrays = _read_sealed(path + ".parsed", _DSET_MAGIC,
+                                      "dataset sidecar", layout)
+    except (OSError, FormatError):
         return None
-    return (*arrays, seed)
+    return (*arrays, header["seed"])
 
 
 def _write_table(path: str, header, rows) -> None:

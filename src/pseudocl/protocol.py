@@ -40,13 +40,19 @@ def _seed(*parts) -> int:
 def split_tasks(dataset: Dataset, step_size: int,
                 arrangement_seed: int) -> np.ndarray:
     """The class arrangement: classes shuffled with the arrangement seed, as
-    a (T, step_size) array whose row t-1 holds task t's classes."""
+    a (T, step_size) array whose row t-1 holds task t's classes. Step 1
+    evaluates on task 1's held-out samples alone, and ARI needs two."""
     classes = dataset.classes()
     if len(classes) % step_size != 0:
-        raise ProtocolError(
-            f"{len(classes)} classes not divisible by step size {step_size}")
+        raise ProtocolError(f"step_size {step_size} does not divide the "
+                            f"dataset's {len(classes)} classes")
     perm = np.random.default_rng(arrangement_seed).permutation(classes)
-    return perm.reshape(-1, step_size)
+    tasks = perm.reshape(-1, step_size)
+    if len(dataset.ids_for_classes(tasks[0], eval_split=True)) < 2:
+        raise ProtocolError(f"step_size {step_size} leaves task 1, class "
+                            f"{tasks[0].tolist()}, fewer than the two "
+                            "held-out samples ARI needs")
+    return tasks
 
 
 def _true_slots(dataset: Dataset, classes: np.ndarray,
@@ -247,13 +253,13 @@ def run_experiment(cfg: RunConfig, dataset: Dataset,
                    out_dir: str | None = None) -> ExperimentResult:
     """Full protocol: split, then one continual_step per task."""
     cfg.validate()
+    tasks = split_tasks(dataset, cfg.step_size, cfg.arrangement_seed)
     reports: list[StepReport] = []
     if out_dir:
         # report.csv holds the finished steps' rows, whatever ends the run
         os.makedirs(out_dir, exist_ok=True)
         dump_config(cfg, os.path.join(out_dir, "config.txt"))
         write_report(reports, os.path.join(out_dir, "report.csv"))
-    tasks = split_tasks(dataset, cfg.step_size, cfg.arrangement_seed)
 
     model = h1 = None
     store = ExemplarStore(cfg.q)

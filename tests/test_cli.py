@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import io
+import json
 import os
 import re
 import warnings
@@ -274,6 +276,30 @@ class TestRun:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_step_size_leaving_one_eval_sample_is_usage_error(
+            self, workdir, small_classes, tmp_path, capsys):
+        # step 1 would score task 1's single held-out sample, too few for ARI
+        out = tmp_path / "run"
+        code = cli.main(["run", str(workdir["cfg"]),
+                         "--data", str(small_classes), "--out", str(out),
+                         "--step-size", "1"])
+        assert code == 2
+        assert re.fullmatch(r"error: step_size 1 leaves task 1, class \[\d\], "
+                            r"fewer than the two held-out samples ARI needs\n",
+                            capsys.readouterr().err)
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_classes(tmp_path_factory):
+    """A dataset of 4 classes of 7 samples, one of each held out."""
+    root = tmp_path_factory.mktemp("small")
+    spec = root / "blobs.cfg"
+    spec.write_text(BLOB_SPEC.replace("samples_per_class = 25",
+                                      "samples_per_class = 7"))
+    assert cli.main(["gen-data", str(spec), str(root / "data.csv")]) == 0
+    return root / "data.csv"
+
 
 class TestSweep:
     def test_q_axis(self, workdir, tmp_path, capsys):
@@ -307,6 +333,16 @@ class TestSweep:
                          "--out", str(tmp_path / "s"),
                          "--axis", axis]) == 2
         assert axis.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_step_size_leaving_one_eval_sample_is_usage_error(
+            self, workdir, small_classes, tmp_path, capsys):
+        assert cli.main(["sweep", str(workdir["cfg"]),
+                         "--data", str(small_classes),
+                         "--out", str(tmp_path / "s"),
+                         "--axis", "step_size=2,1"]) == 2
+        assert "error: step_size 1 leaves task 1, class [" in (
+            capsys.readouterr().err)
         assert not (tmp_path / "s").exists()
 
     def test_upl_axis_that_never_refreshes_is_usage_error(self, workdir,
@@ -426,6 +462,27 @@ class TestEval:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"garbage")
         assert cli.main(["eval", str(bad), str(workdir["data"])]) == 2
+
+    def test_checkpoint_describing_huge_model_is_usage_error(
+            self, workdir, tmp_path, capsys):
+        # a valid checksum around a header whose model would need terabytes:
+        # the reader compares sizes before it allocates anything
+        ckpt = tmp_path / "huge.ckpt"
+        write_checkpoint(init_model(4, 6, 1, 4, seed=0), str(ckpt),
+                         meta={"step": 1, "classes_seen": [0, 1, 2, 3]})
+        blob = ckpt.read_bytes()
+        hlen = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + hlen])
+        header["out_dim"] = 10**12
+        header_bytes = json.dumps(header, sort_keys=True).encode()
+        payload = blob[16 + hlen:-32]
+        ckpt.write_bytes(blob[:8] + len(header_bytes).to_bytes(8, "little")
+                         + header_bytes + payload
+                         + hashlib.sha256(header_bytes + payload).digest())
+        assert cli.main(["eval", str(ckpt), str(workdir["data"])]) == 2
+        assert re.fullmatch(rf"error: {re.escape(str(ckpt))}: \d+ bytes, "
+                            r"header describes \d+\n",
+                            capsys.readouterr().err)
 
 
 def _edit_bytes(draw, blob, kind):

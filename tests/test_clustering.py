@@ -91,6 +91,14 @@ class TestKmeans:
         with pytest.raises(ValueError):
             clustering.kmeans(x, 2)
 
+    @pytest.mark.parametrize("points, k, n_restarts, message", [
+        (np.zeros(4), 2, 1, "2-D"), (np.zeros((4, 2)), 0, 1, "k must"),
+        (np.zeros((4, 2)), 2, 0, "n_restarts must")],
+        ids=["1-d-points", "k-zero", "no-restarts"])
+    def test_bad_arguments_rejected(self, points, k, n_restarts, message):
+        with pytest.raises(ValueError, match=message):
+            clustering.kmeans(points, k, n_restarts=n_restarts)
+
 
 def char_poly_eigvals_2x2(cov):
     """Eigenvalues of a symmetric 2x2 from the characteristic polynomial."""
@@ -167,3 +175,7 @@ class TestPca:
             clustering.pca_fit(x, 4)
         with pytest.raises(ValueError):
             clustering.pca_fit(x, 0)
+
+    def test_one_point_rejected(self):
+        with pytest.raises(ValueError, match="two points"):
+            clustering.pca_fit(np.ones((1, 3)), 1)

@@ -234,8 +234,9 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize("rows, message", [
         ("0,0,1.0\n1,0,nan\n2,1,1.0\n", "sample 1 has a non-finite feature"),
-        ("0,0,1.0\n0,1,2.0\n", "duplicate sample ids")],
-        ids=["non-finite", "duplicate-id"])
+        ("0,0,1.0\n0,1,2.0\n", "duplicate sample ids"),
+        ("", "no records")],
+        ids=["non-finite", "duplicate-id", "header-only"])
     def test_dataset_errors_name_file(self, tmp_path, rows, message):
         path = tmp_path / "bad.csv"
         path.write_text("id,label,f0\n" + rows)
@@ -253,25 +254,56 @@ def _sidecar(path):
     return path.with_name(path.name + ".parsed")
 
 
-def _reseal(blob):
-    """A sidecar with its trailing sha256 recomputed over ``blob``."""
-    return blob + hashlib.sha256(blob).digest()
+def _split_sealed(blob):
+    """(header, payload) of a sealed file: a checkpoint or a sidecar."""
+    hlen = int.from_bytes(blob[8:16], "little")
+    return json.loads(blob[16:16 + hlen]), blob[16 + hlen:-32]
 
 
-def _sidecar_meta(blob):
-    hlen = int.from_bytes(blob[40:48], "little")
-    return json.loads(blob[48:48 + hlen]), 48 + hlen
+def _seal(header, payload, magic=b"PCLCKPT1"):
+    """A sealed file with a valid checksum around any header and payload."""
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    return (magic + len(header_bytes).to_bytes(8, "little")
+            + header_bytes + payload
+            + hashlib.sha256(header_bytes + payload).digest())
 
 
 def _reheader(blob, **edits):
     """A resealed sidecar whose JSON header has ``edits`` applied (a None
     value drops the key), with its header length to match."""
-    meta, start = _sidecar_meta(blob)
-    meta.update(edits)
-    header = json.dumps({k: v for k, v in meta.items() if v is not None},
-                        sort_keys=True).encode()
-    return _reseal(blob[:40] + len(header).to_bytes(8, "little") + header
-                   + blob[start:-32])
+    header, payload = _split_sealed(blob)
+    header.update(edits)
+    return _seal({k: v for k, v in header.items() if v is not None},
+                 payload, magic=blob[:8])
+
+
+def _nested_header(magic):
+    """A sealed file whose header nests too deeply for ``json.loads``."""
+    header = b"[" * 100_000 + b"]" * 100_000
+    return (magic + len(header).to_bytes(8, "little") + header
+            + hashlib.sha256(header).digest())
+
+
+def _flip(blob, i, bit=1):
+    return blob[:i] + bytes([blob[i] ^ bit]) + blob[i + 1:]
+
+
+def _zero_digest(blob):
+    """The sidecar with its CSV digest zeroed in place, trailer kept."""
+    digest = _split_sealed(blob)[0]["csv_sha256"].encode()
+    return blob.replace(digest, b"0" * len(digest))
+
+
+def _v1_layout(blob):
+    """The same parse in the PCLDSET1 layout: magic, the CSV's sha256,
+    header length, JSON header {d, n, seed}, the arrays, then a sha256 over
+    everything before it."""
+    header, payload = _split_sealed(blob)
+    digest = bytes.fromhex(header.pop("csv_sha256"))
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    body = (b"PCLDSET1" + digest + len(header_bytes).to_bytes(8, "little")
+            + header_bytes + payload)
+    return body + hashlib.sha256(body).digest()
 
 
 class TestSidecar:
@@ -317,15 +349,16 @@ class TestSidecar:
 
     def test_layout(self, saved):
         blob = _sidecar(saved).read_bytes()
-        assert blob[:8] == b"PCLDSET1"
-        assert blob[8:40] == hashlib.sha256(saved.read_bytes()).digest()
-        meta, start = _sidecar_meta(blob)
-        assert meta == {"n": 100, "d": 3, "seed": 13}
+        header, payload = _split_sealed(blob)
+        assert header == {
+            "csv_sha256": hashlib.sha256(saved.read_bytes()).hexdigest(),
+            "n": 100, "d": 3, "seed": 13}
         ds = self.parsed(saved)
-        assert blob[start:-32] == (ds.ids.astype("<i8").tobytes()
-                                   + ds.sealed._peek().astype("<i8").tobytes()
-                                   + ds.features.astype("<f8").tobytes())
-        assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
+        assert payload == (ds.ids.astype("<i8").tobytes()
+                           + ds.sealed._peek().astype("<i8").tobytes()
+                           + ds.features.astype("<f8").tobytes())
+        # the checkpoint's framing, byte for byte
+        assert blob == _seal(header, payload, magic=b"PCLDSET2")
 
     def test_load_writes_the_sidecar_save_writes(self, saved):
         written = _sidecar(saved).read_bytes()
@@ -338,7 +371,7 @@ class TestSidecar:
         ds.seed = None
         path = tmp_path / "ds.csv"
         data.save_dataset(ds, str(path))
-        assert _sidecar_meta(_sidecar(path).read_bytes())[0]["seed"] is None
+        assert _split_sealed(_sidecar(path).read_bytes())[0]["seed"] is None
         self.assert_same(data.load_dataset(str(path)), self.parsed(path))
 
     def test_edited_csv_makes_sidecar_stale(self, saved):
@@ -350,8 +383,9 @@ class TestSidecar:
         ds = data.load_dataset(str(saved))
         assert ds.features[0, 0] == 0.5
         # rewritten for the edited bytes
-        blob = _sidecar(saved).read_bytes()
-        assert blob[8:40] == hashlib.sha256(saved.read_bytes()).digest()
+        header = _split_sealed(_sidecar(saved).read_bytes())[0]
+        assert header["csv_sha256"] == hashlib.sha256(
+            saved.read_bytes()).hexdigest()
         self.assert_same(data.load_dataset(str(saved)), self.parsed(saved))
 
     def test_edited_csv_parse_error_names_line(self, saved):
@@ -364,25 +398,29 @@ class TestSidecar:
         assert _sidecar(saved).read_bytes() == stale
 
     @pytest.mark.parametrize("damage", [
-        lambda b: b[:-1], lambda b: b[:47], lambda b: b[:20], lambda b: b"",
+        lambda b: b[:-1], lambda b: b[:15], lambda b: b[:40], lambda b: b"",
         lambda b: b + b"\0",
         lambda b: b"PCLDSET0" + b[8:],
-        lambda b: b[:8] + bytes(32) + b[40:],
-        lambda b: _reseal(b[:8] + bytes(32) + b[40:-32]),
-        lambda b: b[:100] + bytes([b[100] ^ 1]) + b[101:],
-        lambda b: b[:-1] + bytes([b[-1] ^ 0x80]),
-        lambda b: b[:45] + bytes([b[45] ^ 4]) + b[46:],
+        _zero_digest,
+        lambda b: _reheader(b, csv_sha256="0" * 64),
+        lambda b: _flip(b, len(b) - 100),
+        lambda b: _flip(b, len(b) - 1, 0x80),
+        lambda b: _flip(b, 8, 4),
         lambda b: _reheader(b, n=101),
         lambda b: _reheader(b, n=10**18),
         lambda b: _reheader(b, n="100"),
         lambda b: _reheader(b, n=50, d=6),
         lambda b: _reheader(b, d=-3),
         lambda b: _reheader(b, seed=None),
+        lambda b: _reheader(b, seed="13"),
+        lambda b: _nested_header(b[:8]),
+        _v1_layout,
     ], ids=["cut-1", "cut-head", "cut-digest", "empty", "extra-byte",
             "magic", "digest", "digest-resealed", "flip-payload",
             "flip-trailer", "flip-length", "n-resealed", "n-huge-resealed",
             "n-type-resealed", "same-size-resealed", "d-resealed",
-            "no-seed-resealed"])
+            "no-seed-resealed", "seed-type-resealed", "nested-resealed",
+            "v1-layout"])
     def test_damaged_sidecar_ignored(self, saved, damage):
         parsed = self.parsed(saved)
         good = _sidecar(saved).read_bytes()
@@ -469,28 +507,29 @@ class TestCheckpoint:
         lambda h: h.update(out_dim=h["out_dim"] + 1),
         lambda h: h.pop("hidden_shapes"),
         lambda h: h.update(hidden_shapes=[[3, 4], [5, 4]]),
-    ], ids=["out_dim_too_large", "no_hidden_shapes", "shapes_do_not_chain"])
+        # the payload size is checked before the model is allocated
+        lambda h: h.update(out_dim=10**12),
+        lambda h: h.update(out_dim=0),
+        lambda h: h.update(out_dim=5.0),
+        lambda h: h.pop("seeds"),
+        lambda h: h.update(meta=[["step", 1]]),
+    ], ids=["out_dim_too_large", "no_hidden_shapes", "shapes_do_not_chain",
+            "out_dim_huge", "out_dim_zero", "out_dim_float", "no_seeds",
+            "meta_not_object"])
     def test_resealed_bad_header_is_format_error(self, tmp_path, edit):
         path = tmp_path / "m.ckpt"
         data.write_checkpoint(nn.init_model(3, 4, 2, 5, seed=2), str(path))
-        header, payload = _split_checkpoint(path.read_bytes())
+        header, payload = _split_sealed(path.read_bytes())
         edit(header)
         path.write_bytes(_seal(header, payload))
-        with pytest.raises(data.FormatError):
+        with pytest.raises(data.FormatError, match=r"m\.ckpt: "):
             data.read_checkpoint(str(path))
 
-
-def _split_checkpoint(blob):
-    hlen = int.from_bytes(blob[8:16], "little")
-    return json.loads(blob[16:16 + hlen]), blob[16 + hlen:-32]
-
-
-def _seal(header, payload):
-    """A checkpoint with a valid checksum around any header and payload."""
-    header_bytes = json.dumps(header, sort_keys=True).encode()
-    return (b"PCLCKPT1" + len(header_bytes).to_bytes(8, "little")
-            + header_bytes + payload
-            + hashlib.sha256(header_bytes + payload).digest())
+    def test_nested_header_is_format_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(_nested_header(b"PCLCKPT1"))
+        with pytest.raises(data.FormatError, match=r"m\.ckpt: bad header"):
+            data.read_checkpoint(str(path))
 
 
 model_shapes = st.tuples(st.integers(1, 6),
@@ -540,7 +579,7 @@ class TestCheckpointProperties:
         assume(shape[2] + extra >= 1)
         path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
         data.write_checkpoint(_model(shape), str(path))
-        header, payload = _split_checkpoint(path.read_bytes())
+        header, payload = _split_sealed(path.read_bytes())
         header["out_dim"] += extra
         path.write_bytes(_seal(header, payload))
         with pytest.raises(data.FormatError):

@@ -24,6 +24,10 @@ class TestAssignPseudoLabels:
         with pytest.raises(ValueError):
             labeling.assign_pseudo_labels(np.array([0, -1]), m=5)
 
+    def test_negative_offset_rejected(self):
+        with pytest.raises(ValueError, match="m must"):
+            labeling.assign_pseudo_labels(np.array([0, 1]), m=-1)
+
 
 def herd_oracle(feats, q):
     """Direct transcription of greedy mean-matching selection, one pick at

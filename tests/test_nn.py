@@ -38,6 +38,11 @@ class TestModel:
         with pytest.raises(ValueError):
             nn.Model([2, 3], np.zeros(8))
 
+    @pytest.mark.parametrize("dims", [[0, 3], [2, 0], [2, 0, 3]])
+    def test_zero_width_rejected(self, dims):
+        with pytest.raises(ValueError, match="bad layer widths"):
+            nn.Model(dims)
+
 
 class TestForward:
     def test_zero_weight_model_gives_zero_logits(self):
@@ -310,6 +315,12 @@ class TestBackward:
             nn.backward(model, np.empty((0, 4)), None, np.empty(0, dtype=int),
                         0.5, 2.0, 2)
 
+    def test_label_count_mismatch_rejected(self):
+        model = nn.init_model(4, 5, 1, 4, seed=14)
+        with pytest.raises(ValueError, match="label count"):
+            nn.backward(model, np.ones((2, 4)), None, np.array([0]),
+                        0.0, 2.0, 0)
+
 
     @pytest.mark.parametrize("teacher, m", [
         (None, 2), (np.full(2, 0.5), 2), (np.full((2, 2), 0.5), 2),
@@ -325,6 +336,11 @@ class TestBackward:
 
 
 class TestSgdStep:
+    def test_wrong_gradient_shape_rejected(self):
+        model = small_model(seed=20)
+        with pytest.raises(ValueError, match="gradient shape"):
+            nn.sgd_step(model, np.zeros(model.params.size - 1), 0.1)
+
     def test_zero_lr_is_identity(self):
         model = small_model(seed=20)
         _, grads = nn.backward(model, np.ones((2, 5)), None,
@@ -366,6 +382,12 @@ class TestExpandHead:
 
 
 class TestWeightAlign:
+    @pytest.mark.parametrize("m, n, message", [
+        (0, 5, "m and n"), (2, 2, "m \\+ n")], ids=["m-zero", "head-not-m+n"])
+    def test_bad_split_rejected(self, m, n, message):
+        with pytest.raises(ValueError, match=message):
+            nn.weight_align(small_model(seed=40, out_dim=5), m, n)
+
     def test_ratio_scaling(self):
         w = np.zeros((4, 4))
         w[:, :2] = np.array([[2.0, 2.0], [0, 0], [0, 0], [0, 0]])  # norms 2

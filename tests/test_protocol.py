@@ -54,6 +54,23 @@ class TestSplitTasks:
         with pytest.raises(protocol.ProtocolError):
             protocol.split_tasks(dataset, 4, arrangement_seed=0)
 
+    def test_first_task_needs_two_eval_samples(self, tmp_path):
+        # 7 samples a class hold one out: one class a task leaves step 1
+        # a single sample to score, two classes leave it two
+        small = generate_gaussian_stream(BlobSpec(
+            num_classes=4, dim=3, samples_per_class=7, separation=3.0,
+            std=0.3, seed=5))
+        with pytest.raises(protocol.ProtocolError, match=(
+                r"step_size 1 leaves task 1, class \[\d\], fewer than")):
+            protocol.split_tasks(small, 1, arrangement_seed=0)
+        tasks = protocol.split_tasks(small, 2, arrangement_seed=0)
+        assert tasks.shape == (2, 2)
+        # the split comes before run_experiment writes anything
+        out = tmp_path / "run"
+        with pytest.raises(protocol.ProtocolError):
+            protocol.run_experiment(fast_cfg(step_size=1), small, str(out))
+        assert not out.exists()
+
 
 class TestFirstTask:
     def test_supervised_first_task_learns(self, dataset):
