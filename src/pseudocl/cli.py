@@ -148,17 +148,22 @@ def cmd_eval(args) -> int:
         dataset = load_dataset(args.data)
     except (ValueError, OSError) as exc:
         raise UsageError(str(exc)) from exc
-    classes = meta.get("classes_seen")
+    classes, step = meta.get("classes_seen"), meta.get("step", 0)
     if classes is None:
         raise UsageError(f"{args.checkpoint}: checkpoint carries no "
                          "classes_seen metadata")
+    if not (isinstance(classes, list) and classes
+            and all(type(v) is int for v in [*classes, step])):
+        raise UsageError(f"{args.checkpoint}: checkpoint's classes_seen must "
+                         "be a nonempty list of ints and its step an int, "
+                         f"got {classes!r} and {step!r}")
     if dataset.dim != model.in_dim:
         raise UsageError(f"{args.data}: dataset dim {dataset.dim} != model "
                          f"input {model.in_dim}")
     missing = np.setdiff1d(classes, dataset.classes()).tolist()
     if missing:
         raise UsageError(f"{args.data}: dataset lacks classes_seen {missing}")
-    rep = evaluate(model, dataset, classes, meta.get("step", 0))
+    rep = evaluate(model, dataset, classes, step)
     print(f"step={rep.step} classes={rep.classes_seen} acc={rep.acc!r} "
           f"nmi={rep.nmi!r} ari={rep.ari!r}")
     if args.out:

@@ -174,15 +174,17 @@ def _update(x: np.ndarray, centroids: np.ndarray,
     return new_centroids
 
 
+_MAX_ITER = 300  # Lloyd iterations per restart, so the loop runs at least once
+
+
 def _kmeans_single(x: np.ndarray, xx: np.ndarray, k: int, seed: int,
-                   max_iter: int, tol: float) -> ClusterResult:
+                   tol: float) -> ClusterResult:
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(x, xx, k, rng)
     assignments = _assign(x, xx, centroids)
     trace: list[float] = []
     converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         new_centroids = _update(x, centroids, assignments)
         new_assignments = _assign(x, xx, new_centroids)
         shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
@@ -192,12 +194,8 @@ def _kmeans_single(x: np.ndarray, xx: np.ndarray, k: int, seed: int,
         if shift < tol:
             converged = True
             break
-    return ClusterResult(centroids, assignments,
-                         trace[-1] if trace else _objective(x, centroids, assignments),
-                         it, converged, trace)
-
-
-_MAX_ITER = 300  # Lloyd iterations per restart
+    return ClusterResult(centroids, assignments, trace[-1], it, converged,
+                         trace)
 
 
 def kmeans(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
@@ -209,7 +207,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
     xx = _sq_norms(x)
     best: ClusterResult | None = None
     for r in range(n_restarts):
-        res = _kmeans_single(x, xx, k, seed + r, _MAX_ITER, tol)
+        res = _kmeans_single(x, xx, k, seed + r, tol)
         if best is None or res.objective < best.objective:
             best = res
     return best  # type: ignore[return-value]

@@ -14,31 +14,44 @@ MODES = ("offline", "online")
 EXEMPLAR_POLICIES = ("herding", "random", "none")
 
 
+def setting(default=dataclasses.MISSING, *, key: str | None = None,
+            lowest=None, positive: bool = False, choices=None):
+    """A settings field with its whole definition: its dotted config
+    ``key`` (None: read under the bare field name), its least value,
+    whether it must be above 0, and its allowed ``choices``."""
+    return dataclasses.field(default=default, metadata=dict(
+        key=key, lowest=lowest, positive=positive, choices=choices))
+
+
 @dataclass
 class RunConfig:
-    mode: str = "offline"
-    variant: str = "ours"
-    upl_k: int = 0                 # 0 = fixed pseudo labels; K = refresh period
-    exemplar_policy: str = "herding"
-    q: int = 20
-    step_size: int = 5
-    bias_correction: bool = True
-    oracle_labels: bool = False    # supervised engine: true labels every step
-    epochs: int = 30
-    lr: float = 0.1
-    lr_decay: float = 0.1
-    lr_decay_period: int = 10
-    batch_size: int = 32
-    weight_decay: float = 1e-5
-    temperature: float = 2.0
-    hidden_width: int = 64
-    n_hidden: int = 2
-    pca_dim: int = 12
-    n_restarts: int = 1
-    normalize_features: bool = False
-    arrangement_seed: int = 1993
-    model_seed: int = 0
-    shuffle_seed: int = 0
+    mode: str = setting("offline", key="run.mode", choices=MODES)
+    variant: str = setting("ours", key="run.variant", choices=VARIANTS)
+    # 0 = fixed pseudo labels; K = refresh period
+    upl_k: int = setting(0, key="run.upl_k", lowest=0)
+    exemplar_policy: str = setting("herding", key="run.exemplar_policy",
+                                   choices=EXEMPLAR_POLICIES)
+    q: int = setting(20, key="run.q", lowest=1)
+    step_size: int = setting(5, key="run.step_size", lowest=1)
+    bias_correction: bool = setting(True, key="run.bias_correction")
+    # supervised engine: true labels every step
+    oracle_labels: bool = setting(False, key="run.oracle_labels")
+    epochs: int = setting(30, key="train.epochs", lowest=1)
+    lr: float = setting(0.1, key="train.lr", positive=True)
+    lr_decay: float = setting(0.1, key="train.lr_decay", positive=True)
+    lr_decay_period: int = setting(10, key="train.lr_decay_period", lowest=1)
+    batch_size: int = setting(32, key="train.batch_size", lowest=1)
+    weight_decay: float = setting(1e-5, key="train.weight_decay", lowest=0)
+    temperature: float = setting(2.0, key="train.temperature", positive=True)
+    hidden_width: int = setting(64, key="model.hidden_width", lowest=1)
+    n_hidden: int = setting(2, key="model.n_hidden", lowest=0)
+    pca_dim: int = setting(12, key="cluster.pca_dim", lowest=1)
+    n_restarts: int = setting(1, key="cluster.n_restarts", lowest=1)
+    normalize_features: bool = setting(False,
+                                       key="cluster.normalize_features")
+    arrangement_seed: int = setting(1993, key="seeds.arrangement", lowest=0)
+    model_seed: int = setting(0, key="seeds.model", lowest=0)
+    shuffle_seed: int = setting(0, key="seeds.shuffle")
 
     def __post_init__(self):
         self.validate()
@@ -58,16 +71,17 @@ class RunConfig:
 
 @dataclass
 class BlobSpec:
-    num_classes: int
-    dim: int
-    samples_per_class: int
-    separation: float
-    std: float
-    seed: int
+    num_classes: int = setting(lowest=1)
+    dim: int = setting(lowest=1)
+    # the stratified split needs two samples for one training sample
+    samples_per_class: int = setting(lowest=2)
+    separation: float = setting(positive=True)
+    std: float = setting(positive=True)
+    seed: int = setting(lowest=0)
     # optional structured-noise extension: class centers occupy only the
     # first signal_dims coordinates; remaining dims carry noise_std noise
-    signal_dims: int | None = None
-    noise_std: float | None = None
+    signal_dims: int | None = setting(None, lowest=1)
+    noise_std: float | None = setting(None, lowest=0)
 
     def __post_init__(self):
         _check_bounds(BlobSpec, vars(self))
@@ -80,70 +94,35 @@ class BlobSpec:
                              f"{self.signal_dims} > {self.dim}")
 
 
-# dotted config key -> RunConfig field
-CONFIG_KEYS = {
-    "run.mode": "mode",
-    "run.variant": "variant",
-    "run.upl_k": "upl_k",
-    "run.exemplar_policy": "exemplar_policy",
-    "run.q": "q",
-    "run.step_size": "step_size",
-    "run.bias_correction": "bias_correction",
-    "run.oracle_labels": "oracle_labels",
-    "train.epochs": "epochs",
-    "train.lr": "lr",
-    "train.lr_decay": "lr_decay",
-    "train.lr_decay_period": "lr_decay_period",
-    "train.batch_size": "batch_size",
-    "train.weight_decay": "weight_decay",
-    "train.temperature": "temperature",
-    "model.hidden_width": "hidden_width",
-    "model.n_hidden": "n_hidden",
-    "cluster.pca_dim": "pca_dim",
-    "cluster.n_restarts": "n_restarts",
-    "cluster.normalize_features": "normalize_features",
-    "seeds.arrangement": "arrangement_seed",
-    "seeds.model": "model_seed",
-    "seeds.shuffle": "shuffle_seed",
-}
+def _keys(cls) -> dict[str, str]:
+    """Each key a file of ``cls`` settings may set -> the field it sets."""
+    return {f.metadata["key"] or f.name: f.name
+            for f in dataclasses.fields(cls)}
 
-# per settings class: the least allowed value of each bounded numeric
-# field, and the fields that must be above zero
-_LOWEST = {
-    RunConfig: {"upl_k": 0, "q": 1, "step_size": 1, "epochs": 1,
-                "batch_size": 1, "lr_decay_period": 1, "weight_decay": 0,
-                "hidden_width": 1, "n_hidden": 0, "pca_dim": 1,
-                "n_restarts": 1, "arrangement_seed": 0, "model_seed": 0},
-    # the stratified split needs two samples for one training sample
-    BlobSpec: {"num_classes": 1, "dim": 1, "samples_per_class": 2,
-               "seed": 0, "signal_dims": 1, "noise_std": 0},
-}
-_POSITIVE = {RunConfig: ("lr", "lr_decay", "temperature"),
-             BlobSpec: ("separation", "std")}
-# per settings class: the allowed values of each text field
-_CHOICES = {RunConfig: {"mode": MODES, "variant": VARIANTS,
-                        "exemplar_policy": EXEMPLAR_POLICIES},
-            BlobSpec: {}}
+
+# dotted config key -> RunConfig field
+CONFIG_KEYS = _keys(RunConfig)
 
 
 def _check_bounds(cls, values: dict) -> None:
     """Reject a non-finite float, out-of-bounds number or unknown choice
     among ``values`` (field -> value) of settings class ``cls``; None
-    (unset) passes."""
+    (unset) passes. Every number is checked before any choice."""
+    rules = {f.name: f.metadata for f in dataclasses.fields(cls)}
     for name, value in values.items():
         if value is None:
             continue
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-        lowest = _LOWEST[cls].get(name)
+        lowest = rules[name]["lowest"]
         if lowest is not None and value < lowest:
             raise ValueError(f"{name} must be >= {lowest}, got {value!r}")
-        if name in _POSITIVE[cls] and value <= 0:
+        if rules[name]["positive"] and value <= 0:
             raise ValueError(f"{name} must be positive, got {value!r}")
-    for name, known in _CHOICES[cls].items():
-        if name in values and values[name] not in known:
-            raise ValueError(f"unknown {name.replace('_', ' ')} "
-                             f"{values[name]!r}")
+    for name, value in values.items():
+        known = rules[name]["choices"]
+        if known is not None and value not in known:
+            raise ValueError(f"unknown {name.replace('_', ' ')} {value!r}")
 
 
 def coerce_field(cls, field: str, raw: str):
@@ -176,11 +155,12 @@ def parse_variant(text: str) -> tuple[str, int]:
     return text, 0
 
 
-def read_key_values(path: str, cls, keys: dict[str, str]) -> dict:
+def read_key_values(path: str, cls) -> dict:
     """Read a flat ``key = value`` file of ``cls`` settings, ``#`` starting
-    a comment. ``keys`` maps each accepted key to the field it sets; each
-    value is coerced and bounds-checked, and errors name ``path:lineno``
-    and the key."""
+    a comment. A field's key is the one it declares, else its bare name;
+    each value is coerced and bounds-checked, and errors name
+    ``path:lineno`` and the key."""
+    keys = _keys(cls)
     values: dict = {}
     # a byte that is not UTF-8 reads as U+FFFD, which no key or value holds
     with open(path, encoding="utf-8", errors="replace") as fh:
@@ -208,9 +188,8 @@ def read_key_values(path: str, cls, keys: dict[str, str]) -> dict:
 def load_spec(path: str) -> BlobSpec:
     """Read a blob spec; its keys are the bare BlobSpec fields, and every
     error names ``path``."""
-    fields = dataclasses.fields(BlobSpec)
-    values = read_key_values(path, BlobSpec, {f.name: f.name for f in fields})
-    for f in fields:
+    values = read_key_values(path, BlobSpec)
+    for f in dataclasses.fields(BlobSpec):
         if f.default is dataclasses.MISSING and f.name not in values:
             raise ValueError(f"{path}: missing key {f.name!r}")
     try:
@@ -221,7 +200,7 @@ def load_spec(path: str) -> BlobSpec:
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     """Read a run config; only the dotted keys of CONFIG_KEYS are accepted."""
-    values = read_key_values(path, RunConfig, CONFIG_KEYS)
+    values = read_key_values(path, RunConfig)
     if "variant" in values:
         values["variant"], upl_k = parse_variant(values["variant"])
         if upl_k:

@@ -45,10 +45,8 @@ class SealedLabels:
         self._labels = np.asarray(labels, dtype=int)
         self.access_count = 0
 
-    def reveal(self, index=None) -> np.ndarray:
+    def reveal(self, index) -> np.ndarray:
         self.access_count += 1
-        if index is None:
-            return self._labels.copy()
         return self._labels[index].copy()
 
     def _peek(self) -> np.ndarray:

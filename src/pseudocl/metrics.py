@@ -8,12 +8,6 @@ import numpy as np
 
 
 @dataclass
-class Matching:
-    assignment: np.ndarray  # assignment[i] = column matched to row i
-    total_cost: float
-
-
-@dataclass
 class StepReport:
     step: int
     classes_seen: int
@@ -35,8 +29,8 @@ def contingency(pred, truth) -> np.ndarray:
     return table
 
 
-def hungarian(cost: np.ndarray) -> Matching:
-    """Minimum-cost assignment of every row of an r x c cost, r <= c.
+def hungarian(cost: np.ndarray) -> np.ndarray:
+    """Each row's column in a minimum-cost assignment of an r x c cost, r <= c.
 
     The e-maxx form of the O(r^2 c) potentials algorithm: the outer loop
     runs over the r rows, and each row's search is over all c columns. On
@@ -80,10 +74,7 @@ def hungarian(cost: np.ndarray) -> Matching:
     matched = np.flatnonzero(p[1:])
     assignment = np.empty(r, dtype=int)
     assignment[p[1 + matched] - 1] = matched
-    # Python's sum adds left to right; np.sum adds pairwise and could
-    # move the last bit of the total
-    total = float(sum(c[np.arange(r), assignment]))
-    return Matching(assignment, total)
+    return assignment
 
 
 def _matched_count(table: np.ndarray) -> int:
@@ -91,8 +82,8 @@ def _matched_count(table: np.ndarray) -> int:
     same whichever optimum the tie-breaking finds."""
     if table.shape[0] > table.shape[1]:
         table = table.T
-    match = hungarian(-table.astype(float))
-    return int(table[np.arange(table.shape[0]), match.assignment].sum())
+    assignment = hungarian(-table.astype(float))
+    return int(table[np.arange(table.shape[0]), assignment].sum())
 
 
 def cluster_accuracy(pred, truth) -> float:

@@ -138,11 +138,9 @@ def _variant_features(model: nn.Model, h1: nn.Model, x: np.ndarray,
                               cfg.step_size,
                               _seed(cfg.model_seed, "scratch", step))
         feats = nn.extract_features(fresh, x)
-    elif cfg.variant == "pca":
+    else:  # "pca"; RunConfig's variant field rejects any other
         basis = pca_fit(x, min(cfg.pca_dim, x.shape[1]))
         feats = pca_project(basis, x)
-    else:
-        raise ProtocolError(f"unknown variant {cfg.variant!r}")
     if cfg.normalize_features:
         norms = np.linalg.norm(feats, axis=1, keepdims=True)
         feats = feats / np.maximum(norms, 1e-12)

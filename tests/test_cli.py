@@ -470,19 +470,43 @@ class TestEval:
         ckpt = tmp_path / "huge.ckpt"
         write_checkpoint(init_model(4, 6, 1, 4, seed=0), str(ckpt),
                          meta={"step": 1, "classes_seen": [0, 1, 2, 3]})
-        blob = ckpt.read_bytes()
-        hlen = int.from_bytes(blob[8:16], "little")
-        header = json.loads(blob[16:16 + hlen])
-        header["out_dim"] = 10**12
-        header_bytes = json.dumps(header, sort_keys=True).encode()
-        payload = blob[16 + hlen:-32]
-        ckpt.write_bytes(blob[:8] + len(header_bytes).to_bytes(8, "little")
-                         + header_bytes + payload
-                         + hashlib.sha256(header_bytes + payload).digest())
+        _reseal_header(ckpt, out_dim=10**12)
         assert cli.main(["eval", str(ckpt), str(workdir["data"])]) == 2
         assert re.fullmatch(rf"error: {re.escape(str(ckpt))}: \d+ bytes, "
                             r"header describes \d+\n",
                             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("meta, shown", [
+        ({"step": 2, "classes_seen": []}, "got [] and 2"),
+        ({"step": 2, "classes_seen": "0123"}, "got '0123' and 2"),
+        ({"step": "x", "classes_seen": [0, 1, 2, 3]}, "and 'x'")],
+        ids=["no-classes", "classes-text", "step-text"])
+    def test_bad_checkpoint_meta_names_file(self, workdir, run_dir, tmp_path,
+                                            capsys, meta, shown):
+        # a run's checkpoint whose header says what no run writes, under a
+        # valid checksum; eval must blame the checkpoint, not the dataset
+        ckpt = tmp_path / "step_2.ckpt"
+        ckpt.write_bytes((run_dir / "step_2.ckpt").read_bytes())
+        _reseal_header(ckpt, meta=meta)
+        assert cli.main(["eval", str(ckpt), str(workdir["data"])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: checkpoint's classes_seen "
+                              "must be a nonempty list of ints and its step "
+                              "an int, ")
+        assert err.endswith(shown + "\n")
+
+
+def _reseal_header(path, **changes):
+    """Update a sealed file's JSON header with ``changes`` and write it back
+    with its length and sha256 trailer made to match."""
+    blob = path.read_bytes()
+    hlen = int.from_bytes(blob[8:16], "little")
+    header = {**json.loads(blob[16:16 + hlen]), **changes}
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    payload = blob[16 + hlen:-32]
+    path.write_bytes(blob[:8] + len(header_bytes).to_bytes(8, "little")
+                     + header_bytes + payload
+                     + hashlib.sha256(header_bytes + payload).digest())
 
 
 def _edit_bytes(draw, blob, kind):

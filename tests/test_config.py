@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,20 @@ class TestRunConfig:
                                weight_decay=0.0, shuffle_seed=-1, epochs=4,
                                upl_k=3)
         assert cfg.n_hidden == 0 and cfg.upl_k == 3
+
+    def test_numbers_checked_before_choices(self):
+        with pytest.raises(ValueError, match="^q must be >= 1, got 0$"):
+            config.RunConfig(mode="x", q=0)
+
+    def test_config_keys_follow_the_fields(self):
+        # each field declares its dotted key; CONFIG_KEYS lists them in
+        # field order
+        fields = [f.name for f in dataclasses.fields(config.RunConfig)]
+        assert len(fields) == 23
+        assert list(config.CONFIG_KEYS.values()) == fields
+        assert {key.split(".")[0] for key in config.CONFIG_KEYS} == {
+            "run", "train", "model", "cluster", "seeds"}
+        assert config.CONFIG_KEYS["seeds.arrangement"] == "arrangement_seed"
 
     @pytest.mark.parametrize("variant", ["ffe", "scratch", "pca"])
     def test_upl_needs_variant_ours(self, variant):

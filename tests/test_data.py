@@ -63,7 +63,7 @@ class TestGenerateStream:
         ds = data.generate_gaussian_stream(tiny_spec())
         assert len(ds) == 100
         assert ds.dim == 3
-        labels = ds.sealed.reveal()
+        labels = ds.sealed.reveal(slice(None))
         assert np.array_equal(np.unique(labels), [0, 1, 2, 3])
         assert all(np.sum(labels == c) == 25 for c in range(4))
 
@@ -71,7 +71,8 @@ class TestGenerateStream:
         a = data.generate_gaussian_stream(tiny_spec(seed=9))
         b = data.generate_gaussian_stream(tiny_spec(seed=9))
         assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.sealed.reveal(), b.sealed.reveal())
+        assert np.array_equal(a.sealed.reveal(slice(None)),
+                              b.sealed.reveal(slice(None)))
 
     def test_different_seeds_differ(self):
         a = data.generate_gaussian_stream(tiny_spec(seed=1))
@@ -81,7 +82,7 @@ class TestGenerateStream:
     def test_classes_are_separable_when_well_spread(self):
         spec = tiny_spec(separation=5.0, std=0.1, samples_per_class=40)
         ds = data.generate_gaussian_stream(spec)
-        labels = ds.sealed.reveal()
+        labels = ds.sealed.reveal(slice(None))
         # nearest-class-mean classification should be essentially perfect
         means = np.array([ds.features[labels == c].mean(axis=0)
                           for c in range(4)])
@@ -92,7 +93,7 @@ class TestGenerateStream:
         spec = tiny_spec(dim=6, signal_dims=2, noise_std=1.0,
                          samples_per_class=400)
         ds = data.generate_gaussian_stream(spec)
-        labels = ds.sealed.reveal()
+        labels = ds.sealed.reveal(slice(None))
         means = np.array([ds.features[labels == c].mean(axis=0)
                           for c in range(4)])
         # class means beyond the signal dims are near zero
@@ -110,7 +111,7 @@ class TestGenerateStream:
 class TestDataset:
     def test_eval_split_fraction_and_stratification(self):
         ds = data.generate_gaussian_stream(tiny_spec(samples_per_class=50))
-        labels = ds.sealed.reveal()
+        labels = ds.sealed.reveal(slice(None))
         for c in range(4):
             n_eval = np.sum(ds.is_eval & (labels == c))
             assert n_eval == 10  # 20% of 50
@@ -163,15 +164,15 @@ class TestSealedLabels:
     def test_access_counter(self):
         sealed = data.SealedLabels(np.array([0, 1, 2]))
         assert sealed.access_count == 0
-        sealed.reveal()
+        sealed.reveal(slice(None))
         sealed.reveal([0, 1])
         assert sealed.access_count == 2
 
     def test_reveal_returns_copy(self):
         sealed = data.SealedLabels(np.array([0, 1, 2]))
-        out = sealed.reveal()
+        out = sealed.reveal(slice(None))
         out[0] = 99
-        assert sealed.reveal()[0] == 0
+        assert sealed.reveal(slice(None))[0] == 0
 
     def test_indexed_reveal(self):
         sealed = data.SealedLabels(np.array([5, 6, 7]))

@@ -168,7 +168,7 @@ class TestContinualStep:
         real_kmeans = protocol.kmeans
 
         def leaky_kmeans(*args, **kwargs):
-            dataset.sealed.reveal()  # an illegal peek at ground truth
+            dataset.sealed.reveal(slice(None))  # an illegal peek at ground truth
             return real_kmeans(*args, **kwargs)
 
         monkeypatch.setattr(protocol, "kmeans", leaky_kmeans)
