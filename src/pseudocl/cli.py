@@ -13,7 +13,7 @@ from .config import (EXEMPLAR_POLICIES, MODES, VARIANTS, RunConfig,
 from .data import (FormatError, _read_table, generate_gaussian_stream,
                    load_dataset, read_checkpoint, save_dataset, write_report)
 from .protocol import (ProtocolError, evaluate, run_experiment, run_sweep,
-                       split_tasks, sweep_config, variant_name)
+                       split_tasks, sweep_runs, variant_name)
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -112,23 +112,21 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    for flag, value in (("--repeats", args.repeats), ("--jobs", args.jobs)):
-        if value < 1:
-            raise UsageError(f"{flag} must be >= 1, got {value}")
+    if args.repeats < 1:
+        raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     cfg, dataset = _load_inputs(args)
     if "=" not in args.axis:
         raise UsageError("axis must look like 'q=2,5,10,20'")
     axis, raw = (part.strip() for part in args.axis.split("=", 1))
     values = [v.strip() for v in raw.split(",") if v.strip()]
+    out_dir = args.out or _default_out(cfg, f"sweep_{axis}")
     try:
-        for value in values:
-            run_cfg = sweep_config(cfg, axis, value)
+        for run_cfg, _, _ in sweep_runs(cfg, axis, values, out_dir,
+                                        args.repeats):
             split_tasks(dataset, run_cfg.step_size, run_cfg.arrangement_seed)
     except ProtocolError as exc:  # a bad axis or value, or a failed split
         raise UsageError(str(exc)) from exc
-    out_dir = args.out or _default_out(cfg, f"sweep_{axis}")
-    rows = run_sweep(cfg, dataset, axis, values, out_dir,
-                     repeats=args.repeats, jobs=args.jobs)
+    rows = run_sweep(cfg, dataset, axis, values, out_dir, args.repeats)
     print(f"{axis:>12} {'seed':>6} {'avg_acc':>8} {'last_acc':>9}")
     for row in rows:
         if row["error"] is None:
@@ -215,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--axis", required=True, help="e.g. q=2,5,10,20")
     p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
     _add_run_flags(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -308,66 +308,67 @@ def _persist_step(out_dir, model, store, tasks, reports) -> None:
     write_report(reports, os.path.join(out_dir, "report.csv"))
 
 
+def sweep_runs(base_cfg: RunConfig, axis: str, values: list, out_dir: str,
+               repeats: int = 1) -> list[tuple[RunConfig, object, str]]:
+    """The ordered (cfg, value, run_dir) runs of a sweep: ``base_cfg`` with
+    field ``axis`` set to each value, converted by field type, repeated
+    with both seeds counting up from the swept config's.
+
+    An empty or unknown axis, a value the field rejects, or two values that
+    give the same run raise ProtocolError naming the axis.
+    """
+    runs = []
+    try:
+        if not values:
+            raise ValueError("no values")
+        for value in values:
+            if axis == "variant":
+                variant, upl_k = parse_variant(str(value))
+                cfg = replace(base_cfg, variant=variant, upl_k=upl_k)
+            else:
+                cfg = replace(base_cfg, **{
+                    axis: coerce_field(RunConfig, axis, str(value))})
+            for rep in range(repeats):
+                run = replace(cfg, model_seed=cfg.model_seed + rep,
+                              shuffle_seed=cfg.shuffle_seed + rep)
+                twins = [v for c, v, _ in runs if c == run]
+                if twins:
+                    raise ValueError(f"values {twins[0]!r} and {value!r} "
+                                     "give the same run")
+                run_name = f"{axis}={value}_seed={run.model_seed}"
+                runs.append((run, value, os.path.join(out_dir, run_name)))
+    except ValueError as exc:
+        raise ProtocolError(f"sweep axis {axis!r}: {exc}") from exc
+    return runs
+
+
 def run_sweep(base_cfg: RunConfig, dataset: Dataset, axis: str, values: list,
-              out_dir: str, repeats: int = 1, jobs: int = 1) -> list[dict]:
-    """One experiment per (axis value, repetition); aggregated CSV on disk.
+              out_dir: str, repeats: int = 1) -> list[dict]:
+    """One experiment per run of ``sweep_runs``, in order; aggregated CSV
+    on disk.
 
     A failed run does not stop the others: its row carries the value, seed
     and variant, None for every metric and the error message under "error",
     which is None on the rows of finished runs. sweep.csv leaves a failed
     row's metric fields empty.
     """
-    if not values:
-        raise ProtocolError("empty sweep axis")
+    runs = sweep_runs(base_cfg, axis, values, out_dir, repeats)
     os.makedirs(out_dir, exist_ok=True)
-    jobs_list = []
-    for value in values:
-        for rep in range(repeats):
-            cfg = sweep_config(base_cfg, axis, value)
-            cfg = replace(cfg, model_seed=base_cfg.model_seed + rep,
-                          shuffle_seed=base_cfg.shuffle_seed + rep)
-            run_name = f"{axis}={value}_seed={cfg.model_seed}"
-            jobs_list.append((cfg, value, os.path.join(out_dir, run_name)))
-
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_sweep_child, cfg, dataset, value, run_dir)
-                       for cfg, value, run_dir in jobs_list]
-            results = [f.result() for f in futures]
-    else:
-        results = [_sweep_child(cfg, dataset, value, run_dir)
-                   for cfg, value, run_dir in jobs_list]
-
+    rows = []
+    for cfg, value, run_dir in runs:
+        try:
+            summary = run_experiment(cfg, dataset, out_dir=run_dir).summary
+            error = None
+        except Exception as exc:  # noqa: BLE001 - the other runs' rows must survive
+            summary = {"seed": cfg.model_seed, "variant": variant_name(cfg),
+                       **dict.fromkeys(_SWEEP_METRICS)}
+            error = str(exc)
+        rows.append({**summary, "value": value, "error": error})
     _write_table(os.path.join(out_dir, "sweep.csv"),
                  [axis, "seed", "variant", *_SWEEP_METRICS],
                  ([row["value"], row["seed"], row["variant"],
-                   *(row[key] for key in _SWEEP_METRICS)] for row in results))
-    return results
+                   *(row[key] for key in _SWEEP_METRICS)] for row in rows))
+    return rows
 
 
 _SWEEP_METRICS = ("avg_acc", "last_acc", "avg_nmi", "avg_ari")
-
-
-def sweep_config(cfg: RunConfig, axis: str, value) -> RunConfig:
-    """``cfg`` with field ``axis`` set to ``value``, converted by field type.
-
-    An unknown axis or a value the field rejects raises ProtocolError.
-    """
-    try:
-        if axis == "variant":
-            variant, upl_k = parse_variant(str(value))
-            return replace(cfg, variant=variant, upl_k=upl_k)
-        return replace(cfg, **{axis: coerce_field(RunConfig, axis, str(value))})
-    except ValueError as exc:
-        raise ProtocolError(f"sweep axis {axis!r}: {exc}") from exc
-
-
-def _sweep_child(cfg: RunConfig, dataset: Dataset, value, run_dir: str) -> dict:
-    try:
-        result = run_experiment(cfg, dataset, out_dir=run_dir)
-    except Exception as exc:  # noqa: BLE001 - the other runs' rows must survive
-        return {"value": value, "seed": cfg.model_seed,
-                "variant": variant_name(cfg), "error": str(exc),
-                **dict.fromkeys(_SWEEP_METRICS)}
-    return {**result.summary, "value": value, "error": None}

@@ -325,7 +325,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("axis", ["q=2,many", "temperature=0",
                                       "bias_correction=maybe",
-                                      "step_size=2,3"])
+                                      "step_size=2,3", "q=", "q= , "])
     def test_bad_axis_value_is_usage_error(self, workdir, tmp_path, capsys,
                                            axis):
         assert cli.main(["sweep", str(workdir["cfg"]),
@@ -362,7 +362,21 @@ class TestSweep:
                          "--axis", "bogus=1"]) == 2
         assert "bogus" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--repeats", "--jobs"])
+    @pytest.mark.parametrize("axis,twins", [("q=2,2", "'2' and '2'"),
+                                            ("q=2,02", "'2' and '02'"),
+                                            ("lr=0.1,0.10", "'0.1' and '0.10'")])
+    def test_duplicate_run_is_usage_error(self, workdir, tmp_path, capsys,
+                                          axis, twins):
+        assert cli.main(["sweep", str(workdir["cfg"]),
+                         "--data", str(workdir["data"]),
+                         "--out", str(tmp_path / "s"),
+                         "--axis", axis]) == 2
+        assert capsys.readouterr().err == (
+            f"error: sweep axis {axis.split('=')[0]!r}: values {twins} give "
+            "the same run\n")
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("flag", ["--repeats"])
     def test_count_below_one_is_usage_error(self, workdir, tmp_path, capsys,
                                             flag):
         assert cli.main(["sweep", str(workdir["cfg"]),
@@ -372,14 +386,21 @@ class TestSweep:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_failed_run_keeps_finished_rows(self, workdir, tmp_path, capsys,
-                                            jobs):
+    def test_jobs_flag_is_gone(self, workdir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", str(workdir["cfg"]),
+                      "--data", str(workdir["data"]),
+                      "--out", str(tmp_path / "s"),
+                      "--axis", "q=1", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_failed_run_keeps_finished_rows(self, workdir, tmp_path, capsys):
         out = tmp_path / "sweep"
         assert cli.main(["sweep", str(workdir["cfg"]),
                          "--data", str(workdir["data"]), "--out", str(out),
-                         "--axis", "lr=0.1,1000000", "--epochs", "2",
-                         "--jobs", jobs]) == 1
+                         "--axis", "lr=0.1,1000000", "--epochs", "2"]) == 1
         header, done, failed = (out / "sweep.csv").read_text().splitlines()
         assert header == "lr,seed,variant,avg_acc,last_acc,avg_nmi,avg_ari"
         assert done.startswith("0.1,0,ours,")

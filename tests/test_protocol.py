@@ -494,13 +494,29 @@ class TestSweep:
             protocol.run_sweep(fast_cfg(), dataset, "bogus", [1],
                                str(tmp_path / "s"))
 
-    def test_parallel_matches_serial(self, dataset, tmp_path):
-        serial = protocol.run_sweep(fast_cfg(), dataset, "q", [1, 2],
-                                    str(tmp_path / "a"), jobs=1)
-        parallel = protocol.run_sweep(fast_cfg(), dataset, "q", [1, 2],
-                                      str(tmp_path / "b"), jobs=2)
-        for s, p in zip(serial, parallel):
-            assert s == p
+    def test_seed_axis_sets_the_seeds(self, dataset, tmp_path):
+        out = tmp_path / "sweep"
+        rows = protocol.run_sweep(fast_cfg(), dataset, "model_seed", [1, 2],
+                                  str(out))
+        assert [r["seed"] for r in rows] == [1, 2]
+        for seed in (1, 2):
+            alone = tmp_path / f"alone{seed}"
+            protocol.run_experiment(fast_cfg(model_seed=seed), dataset,
+                                    out_dir=str(alone))
+            swept = out / f"model_seed={seed}_seed={seed}"
+            names = sorted(os.listdir(alone))
+            assert sorted(os.listdir(swept)) == names
+            for name in names:
+                assert (swept / name).read_bytes() == (alone / name).read_bytes()
+
+    def test_repeats_count_up_from_swept_seeds(self, tmp_path):
+        runs = protocol.sweep_runs(fast_cfg(shuffle_seed=7), "model_seed",
+                                   ["3"], str(tmp_path), repeats=2)
+        assert [(c.model_seed, c.shuffle_seed) for c, _, _ in runs] == [
+            (3, 7), (4, 8)]
+        assert [d for _, _, d in runs] == [
+            str(tmp_path / "model_seed=3_seed=3"),
+            str(tmp_path / "model_seed=3_seed=4")]
 
 
 class TestSeedDerivation:
