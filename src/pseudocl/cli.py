@@ -10,27 +10,16 @@ import numpy as np
 
 from .config import (EXEMPLAR_POLICIES, MODES, VARIANTS, RunConfig,
                      load_config, load_spec, parse_variant)
-from .data import (FormatError, _read_table, generate_gaussian_stream,
-                   load_dataset, read_checkpoint, save_dataset, write_report)
-from .protocol import (ProtocolError, evaluate, run_experiment, run_sweep,
-                       split_tasks, sweep_runs, variant_name)
+from .data import (_read_table, generate_gaussian_stream, load_dataset,
+                   read_checkpoint, save_dataset, write_report)
+from .protocol import (evaluate, run_experiment, run_sweep, split_tasks,
+                       sweep_runs, variant_name)
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
-
-
-class UsageError(Exception):
-    pass
-
-
-def _load_inputs(args):
-    """Unreadable or invalid config and dataset are usage errors (exit 2)."""
-    try:
-        cfg = load_config(args.config, overrides=_config_overrides(args))
-        dataset = load_dataset(args.data)
-    except (ValueError, OSError, TypeError) as exc:
-        raise UsageError(str(exc)) from exc
-    return cfg, dataset
+# what checking a bad input raises: ValueError includes FormatError,
+# ProtocolError and UnicodeDecodeError
+INPUT_ERRORS = (ValueError, OSError, TypeError)
 
 
 # argparse dest -> RunConfig field, for flags that set one field as given
@@ -79,117 +68,108 @@ def _default_out(cfg: RunConfig, tag: str) -> str:
     return os.path.join(root, f"{tag}_{variant_name(cfg)}_seed{cfg.model_seed}")
 
 
-def _print_report(reports, summary) -> None:
-    print(f"{'step':>4} {'classes':>8} {'acc':>8} {'nmi':>8} {'ari':>8}")
-    for r in reports:
-        print(f"{r.step:>4} {r.classes_seen:>8} {r.acc:>8.4f} "
-              f"{r.nmi:>8.4f} {r.ari:>8.4f}")
-    print(f"Avg ACC {summary['avg_acc']:.4f}  Last ACC {summary['last_acc']:.4f}  "
-          f"Avg NMI {summary['avg_nmi']:.4f}  Avg ARI {summary['avg_ari']:.4f}")
+def cmd_gen_data(args):
+    spec = load_spec(args.specfile)
+
+    def work():
+        save_dataset(generate_gaussian_stream(spec), args.out)
+        print(f"wrote {args.out}")
+    return work
 
 
-def cmd_gen_data(args) -> int:
-    try:
-        spec = load_spec(args.specfile)
-    except (ValueError, OSError) as exc:
-        raise UsageError(str(exc)) from exc
-    save_dataset(generate_gaussian_stream(spec), args.out)
-    print(f"wrote {args.out}")
-    return 0
-
-
-def cmd_run(args) -> int:
-    cfg, dataset = _load_inputs(args)
-    try:  # run_experiment's task split, made before any file is written
-        split_tasks(dataset, cfg.step_size, cfg.arrangement_seed)
-    except ProtocolError as exc:
-        raise UsageError(str(exc)) from exc
+def cmd_run(args):
+    cfg = load_config(args.config, overrides=_config_overrides(args))
+    dataset = load_dataset(args.data)
+    split_tasks(dataset, cfg.step_size, cfg.arrangement_seed)
     out_dir = args.out or _default_out(cfg, "run")
-    result = run_experiment(cfg, dataset, out_dir=out_dir)
-    _print_report(result.reports, result.summary)
-    print(f"run directory: {out_dir}")
-    return 0
+
+    def work():
+        result = run_experiment(cfg, dataset, out_dir=out_dir)
+        print(f"{'step':>4} {'classes':>8} {'acc':>8} {'nmi':>8} {'ari':>8}")
+        for r in result.reports:
+            print(f"{r.step:>4} {r.classes_seen:>8} {r.acc:>8.4f} "
+                  f"{r.nmi:>8.4f} {r.ari:>8.4f}")
+        summary = result.summary
+        print(f"Avg ACC {summary['avg_acc']:.4f}  "
+              f"Last ACC {summary['last_acc']:.4f}  "
+              f"Avg NMI {summary['avg_nmi']:.4f}  "
+              f"Avg ARI {summary['avg_ari']:.4f}")
+        print(f"run directory: {out_dir}")
+    return work
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     if args.repeats < 1:
-        raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
-    cfg, dataset = _load_inputs(args)
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    cfg = load_config(args.config, overrides=_config_overrides(args))
+    dataset = load_dataset(args.data)
     if "=" not in args.axis:
-        raise UsageError("axis must look like 'q=2,5,10,20'")
+        raise ValueError("axis must look like 'q=2,5,10,20'")
     axis, raw = (part.strip() for part in args.axis.split("=", 1))
     values = [v.strip() for v in raw.split(",") if v.strip()]
     out_dir = args.out or _default_out(cfg, f"sweep_{axis}")
-    try:
-        for run_cfg, _, _ in sweep_runs(cfg, axis, values, out_dir,
-                                        args.repeats):
-            split_tasks(dataset, run_cfg.step_size, run_cfg.arrangement_seed)
-    except ProtocolError as exc:  # a bad axis or value, or a failed split
-        raise UsageError(str(exc)) from exc
-    rows = run_sweep(cfg, dataset, axis, values, out_dir, args.repeats)
-    print(f"{axis:>12} {'seed':>6} {'avg_acc':>8} {'last_acc':>9}")
-    for row in rows:
-        if row["error"] is None:
-            print(f"{str(row['value']):>12} {row['seed']:>6} "
-                  f"{row['avg_acc']:>8.4f} {row['last_acc']:>9.4f}")
-        else:
-            print(f"error: {axis}={row['value']} seed {row['seed']}: "
-                  f"{row['error']}", file=sys.stderr)
-    print(f"sweep directory: {out_dir}")
-    failed = any(row["error"] is not None for row in rows)
-    return RUNTIME_ERROR if failed else 0
+    for run_cfg, _, _ in sweep_runs(cfg, axis, values, out_dir, args.repeats):
+        split_tasks(dataset, run_cfg.step_size, run_cfg.arrangement_seed)
+
+    def work():
+        rows = run_sweep(cfg, dataset, axis, values, out_dir, args.repeats)
+        print(f"{axis:>12} {'seed':>6} {'avg_acc':>8} {'last_acc':>9}")
+        for row in rows:
+            if row["error"] is None:
+                print(f"{str(row['value']):>12} {row['seed']:>6} "
+                      f"{row['avg_acc']:>8.4f} {row['last_acc']:>9.4f}")
+            else:
+                print(f"error: {axis}={row['value']} seed {row['seed']}: "
+                      f"{row['error']}", file=sys.stderr)
+        print(f"sweep directory: {out_dir}")
+        return any(row["error"] is not None for row in rows)
+    return work
 
 
-def cmd_eval(args) -> int:
-    try:
-        model, meta = read_checkpoint(args.checkpoint)
-        dataset = load_dataset(args.data)
-    except (ValueError, OSError) as exc:
-        raise UsageError(str(exc)) from exc
+def cmd_eval(args):
+    model, meta = read_checkpoint(args.checkpoint)
+    dataset = load_dataset(args.data)
     classes, step = meta.get("classes_seen"), meta.get("step", 0)
     if classes is None:
-        raise UsageError(f"{args.checkpoint}: checkpoint carries no "
+        raise ValueError(f"{args.checkpoint}: checkpoint carries no "
                          "classes_seen metadata")
     if not (isinstance(classes, list) and classes
             and all(type(v) is int for v in [*classes, step])):
-        raise UsageError(f"{args.checkpoint}: checkpoint's classes_seen must "
+        raise ValueError(f"{args.checkpoint}: checkpoint's classes_seen must "
                          "be a nonempty list of ints and its step an int, "
                          f"got {classes!r} and {step!r}")
     if dataset.dim != model.in_dim:
-        raise UsageError(f"{args.data}: dataset dim {dataset.dim} != model "
+        raise ValueError(f"{args.data}: dataset dim {dataset.dim} != model "
                          f"input {model.in_dim}")
     missing = np.setdiff1d(classes, dataset.classes()).tolist()
     if missing:
-        raise UsageError(f"{args.data}: dataset lacks classes_seen {missing}")
-    rep = evaluate(model, dataset, classes, step)
-    print(f"step={rep.step} classes={rep.classes_seen} acc={rep.acc!r} "
-          f"nmi={rep.nmi!r} ari={rep.ari!r}")
-    if args.out:
-        write_report([rep], args.out)
-    return 0
+        raise ValueError(f"{args.data}: dataset lacks classes_seen {missing}")
+
+    def work():
+        rep = evaluate(model, dataset, classes, step)
+        print(f"step={rep.step} classes={rep.classes_seen} acc={rep.acc!r} "
+              f"nmi={rep.nmi!r} ari={rep.ari!r}")
+        if args.out:
+            write_report([rep], args.out)
+    return work
 
 
-def cmd_report(args) -> int:
+def cmd_report(args):
     path = os.path.join(args.run_dir, "report.csv")
+    header, rows = _read_table(path)
     try:
-        header, rows = _read_table(path)
         lines = [" ".join(f"{float(c):>12.4f}" if "." in c else f"{c:>12}"
                           for c in row) for row in [header, *rows]]
-        path = os.path.join(args.run_dir, "summary.csv")
-        if os.path.exists(path):
-            keys, rows = _read_table(path)
-            if len(rows) != 1:
-                raise ValueError("no data row" if not rows
-                                 else f"{len(rows)} data rows, expected 1")
-            lines.append("; ".join(f"{k}={v}" for k, v in
-                                   zip(keys, rows[0])))
-    except FormatError as exc:  # names the path and line itself
-        raise UsageError(str(exc)) from exc
-    except (OSError, ValueError) as exc:
-        reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise UsageError(f"{path}: {reason}") from exc
-    print(*lines, sep="\n")
-    return 0
+    except ValueError as exc:  # a cell that is no number
+        raise ValueError(f"{path}: {exc}") from exc
+    path = os.path.join(args.run_dir, "summary.csv")
+    if os.path.exists(path):
+        keys, rows = _read_table(path)
+        if len(rows) != 1:
+            raise ValueError(f"{path}: no data row" if not rows
+                             else f"{path}: {len(rows)} data rows, expected 1")
+        lines.append("; ".join(f"{k}={v}" for k, v in zip(keys, rows[0])))
+    return lambda: print(*lines, sep="\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,16 +209,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command. A command reads and checks all of its inputs,
+    writing nothing, and returns its work: a callable that returns whether
+    some of it failed, having printed why. One of INPUT_ERRORS from the
+    check exits 2, any other failure exits 1, and an OSError reads
+    '<file>: <reason>'."""
+    args = build_parser().parse_args(argv)
+    work = None
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except Exception as exc:  # noqa: BLE001 - runtime failure path
-        print(f"error: {exc}", file=sys.stderr)
-        return RUNTIME_ERROR
+        work = args.func(args)
+        return RUNTIME_ERROR if work() else 0
+    except Exception as exc:  # noqa: BLE001 - every failure gets one line
+        reason = exc
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # os.replace names its target second
+            reason = f"{exc.filename2 or exc.filename}: {exc.strerror}"
+        print(f"error: {reason}", file=sys.stderr)
+        bad_input = work is None and isinstance(exc, INPUT_ERRORS)
+        return USAGE_ERROR if bad_input else RUNTIME_ERROR
 
 
 if __name__ == "__main__":

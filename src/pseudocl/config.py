@@ -147,12 +147,15 @@ def coerce_field(cls, field: str, raw: str):
 
 
 def parse_variant(text: str) -> tuple[str, int]:
-    """'upl-10' -> ('ours', 10); plain variants pass through with upl_k 0."""
+    """'upl-10' -> ('ours', 10); plain variants pass through with upl_k 0.
+    Case is ignored; other text starting 'upl' is an unknown variant."""
     text = text.strip().lower()
-    if text.startswith("upl"):
-        tail = text[3:].lstrip("-")
-        return "ours", int(tail) if tail else 0
-    return text, 0
+    if not text.startswith("upl"):
+        return text, 0
+    period = text[len("upl-"):]
+    if not (text.startswith("upl-") and period.isascii() and period.isdigit()):
+        raise ValueError(f"unknown variant {text!r}")
+    return "ours", int(period)
 
 
 def read_key_values(path: str, cls) -> dict:

@@ -394,11 +394,14 @@ def _write_table(path: str, header, rows) -> None:
 
 
 def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
-    """Header and data rows of a CSV table. An empty file, or a row whose
-    width is not the header's, is a FormatError naming ``path``, and for a
-    row its line."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    """Header and data rows of a CSV table. A file that is empty or not
+    text, or a row whose width is not the header's, is a FormatError naming
+    ``path``, and for a row its line."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     if not lines:
         raise FormatError(f"{path}: empty table")
     header, *rows = (line.split(",") for line in lines)

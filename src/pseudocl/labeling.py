@@ -80,10 +80,11 @@ def select_exemplars_herding(features: np.ndarray, assignments: np.ndarray,
     running = np.zeros_like(mu)
     centred_sum = np.zeros_like(mu)
     picked = np.zeros(len(order), dtype=bool)
-    picks = np.zeros((len(clusters), q), dtype=int)
+    rounds = min(q, sizes.max(initial=0))
+    picks = np.zeros((len(clusters), rounds), dtype=int)
     eps = np.finfo(float).eps
     d = features.shape[1]
-    for k in range(1, min(q, sizes.max(initial=0)) + 1):
+    for k in range(1, rounds + 1):
         key = 2.0 * np.einsum("ij,ij->i", centred, centred_sum[cluster_of]) + sq
         key[picked] = np.inf
         slack = 32 * (d + k + 10) * k * k * eps * norm2
@@ -105,7 +106,7 @@ def select_exemplars_herding(features: np.ndarray, assignments: np.ndarray,
         picks[j, k - 1] = best
         running[j] = running[j] + grouped[best]
         centred_sum[j] = centred_sum[j] + centred[best]
-    taken = np.arange(q) < sizes[:, None]
+    taken = np.arange(rounds) < sizes[:, None]
     return _store(q, order[picks[taken]], pseudo_labels, sample_ids)
 
 

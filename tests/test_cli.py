@@ -239,6 +239,21 @@ class TestRun:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("extra, flags, where, text", [
+        ("", ["--variant", "upl-x"], "", "upl-x"),
+        ("", ["--variant", "UPL--3"], "", "upl--3"),
+        ("run.variant = upl3\n", [], "{cfg}:7: key 'run.variant': ", "upl3")],
+        ids=["flag", "flag-double-dash", "file"])
+    def test_malformed_upl_is_unknown_variant(self, workdir, tmp_path, capsys,
+                                              extra, flags, where, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RUN_CFG + extra)
+        assert cli.main(["run", str(cfg), "--data", str(workdir["data"]),
+                         "--out", str(tmp_path / "run"), *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {where.format(cfg=cfg)}unknown variant {text!r}\n")
+        assert not (tmp_path / "run").exists()
+
     def test_bad_mode_in_file_names_line(self, workdir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(RUN_CFG + "run.mode = offlin\n")
@@ -353,6 +368,16 @@ class TestSweep:
                          "--out", str(tmp_path / "s"),
                          "--axis", "variant=upl-2,upl-3"]) == 2
         assert "upl_k" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_malformed_upl_axis_is_unknown_variant(self, workdir, tmp_path,
+                                                   capsys):
+        assert cli.main(["sweep", str(workdir["cfg"]),
+                         "--data", str(workdir["data"]),
+                         "--out", str(tmp_path / "s"),
+                         "--axis", "variant=upl-2,upl3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: sweep axis 'variant': unknown variant 'upl3'\n")
         assert not (tmp_path / "s").exists()
 
     def test_unknown_axis_is_usage_error(self, workdir, tmp_path, capsys):
@@ -515,6 +540,70 @@ class TestEval:
                               "must be a nonempty list of ints and its step "
                               "an int, ")
         assert err.endswith(shown + "\n")
+
+
+# name -> (argv, stderr): a bad input to each writing command. {tmp} is
+# the test's own directory, which starts with bad.cfg (an unknown key) and
+# meta.ckpt (a run's checkpoint whose meta no run writes); {out} is the
+# output path, inside {tmp}
+_CHECK_FAILURES = {
+    "gen-data-missing-spec": (
+        ["gen-data", "{tmp}/nope.cfg", "{out}"],
+        "{tmp}/nope.cfg: No such file or directory"),
+    "gen-data-spec-is-dir": (["gen-data", "{tmp}", "{out}"],
+                             "{tmp}: Is a directory"),
+    "gen-data-bad-key": (["gen-data", "{tmp}/bad.cfg", "{out}"],
+                         "{tmp}/bad.cfg:1: unknown key 'run.nonsense'"),
+    "run-missing-data": (
+        ["run", "{cfg}", "--data", "{tmp}/missing.csv", "--out", "{out}"],
+        "{tmp}/missing.csv: No such file or directory"),
+    "run-data-is-dir": (["run", "{cfg}", "--data", "{tmp}", "--out", "{out}"],
+                        "{tmp}: Is a directory"),
+    "run-bad-key": (["run", "{tmp}/bad.cfg", "--data", "{data}",
+                     "--out", "{out}"],
+                    "{tmp}/bad.cfg:1: unknown key 'run.nonsense'"),
+    "run-bad-split": (["run", "{cfg}", "--data", "{data}", "--out", "{out}",
+                       "--step-size", "3"],
+                      "step_size 3 does not divide the dataset's 4 classes"),
+    "sweep-missing-data": (
+        ["sweep", "{cfg}", "--axis", "q=1", "--data", "{tmp}/missing.csv",
+         "--out", "{out}"],
+        "{tmp}/missing.csv: No such file or directory"),
+    "sweep-bad-key": (["sweep", "{tmp}/bad.cfg", "--axis", "q=1",
+                       "--data", "{data}", "--out", "{out}"],
+                      "{tmp}/bad.cfg:1: unknown key 'run.nonsense'"),
+    "sweep-bad-split": (["sweep", "{cfg}", "--axis", "step_size=2,3",
+                         "--data", "{data}", "--out", "{out}"],
+                        "step_size 3 does not divide the dataset's 4 classes"),
+    "eval-missing-checkpoint": (
+        ["eval", "{tmp}/nope.ckpt", "{data}", "--out", "{out}"],
+        "{tmp}/nope.ckpt: No such file or directory"),
+    "eval-data-is-dir": (["eval", "{ckpt}", "{tmp}", "--out", "{out}"],
+                         "{tmp}: Is a directory"),
+    "eval-bad-meta": (
+        ["eval", "{tmp}/meta.ckpt", "{data}", "--out", "{out}"],
+        "{tmp}/meta.ckpt: checkpoint's classes_seen must be a nonempty list "
+        "of ints and its step an int, got [] and 2"),
+}
+
+
+@pytest.mark.parametrize("argv, message", _CHECK_FAILURES.values(),
+                         ids=_CHECK_FAILURES.keys())
+def test_check_failure_exits_2_and_writes_nothing(workdir, run_dir, tmp_path,
+                                                  capsys, argv, message):
+    (tmp_path / "bad.cfg").write_text("run.nonsense = 1\n")
+    ckpt = tmp_path / "meta.ckpt"
+    ckpt.write_bytes((run_dir / "step_2.ckpt").read_bytes())
+    _reseal_header(ckpt, meta={"step": 2, "classes_seen": []})
+    before = sorted(os.listdir(tmp_path))
+    paths = {"tmp": tmp_path, "out": tmp_path / "out", "cfg": workdir["cfg"],
+             "data": workdir["data"], "ckpt": run_dir / "step_2.ckpt"}
+    capsys.readouterr()
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: {message.format(**paths)}\n"
+    assert out == ""
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def _reseal_header(path, **changes):
@@ -687,6 +776,16 @@ class TestReport:
         # the path, then the line for an error in one row
         assert re.match(rf"error: {re.escape(str(tmp_path / name))}(:\d+)?: ",
                         err), err
+        assert out == ""
+
+    @pytest.mark.parametrize("name", ["report.csv", "summary.csv"])
+    def test_non_utf8_table_names_path(self, tmp_path, capsys, name):
+        (tmp_path / "report.csv").write_text("step,acc\n1,0.5\n")
+        (tmp_path / name).write_bytes(b"step,acc\n1,0.\xff5\n")
+        assert cli.main(["report", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {tmp_path / name}: ")
+        assert "can't decode byte 0xff" in err and err.count("\n") == 1
         assert out == ""
 
     @pytest.mark.parametrize("name, text, reason", [

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,14 @@ class TestParseVariant:
     def test_upl_zero_is_fixed_labels(self):
         assert config.parse_variant("upl-0") == ("ours", 0)
 
+    @pytest.mark.parametrize("text", ["upl-x", "upl--3", "upl3", "upl",
+                                      "upl-", "upl-+3", "upl- 3", "upl-\u0663",
+                                      "UPL-X"])
+    def test_other_upl_text_is_unknown_variant(self, text):
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown variant {text.lower()!r}")):
+            config.parse_variant(text)
+
 
 class TestLoadConfig:
     def test_dotted_keys_and_comments(self, tmp_path):
@@ -178,7 +187,7 @@ seeds.model = 42
     @pytest.mark.parametrize("key, raw, reason", [
         ("run.mode", "offlin", "unknown mode 'offlin'"),
         ("run.variant", "bogus", "unknown variant 'bogus'"),
-        ("run.variant", "upl-x", "invalid literal"),
+        ("run.variant", "upl-x", "unknown variant 'upl-x'"),
         ("run.exemplar_policy", "herd", "unknown exemplar policy 'herd'")],
         ids=["mode", "variant", "upl-period", "policy"])
     def test_bad_choice_names_line_and_key(self, tmp_path, key, raw, reason):

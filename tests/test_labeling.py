@@ -88,6 +88,20 @@ class TestHerding:
         labels, counts = np.unique(store.labels, return_counts=True)
         assert labels.tolist() == [0, 1] and counts.tolist() == [2, 1]
 
+    def test_huge_q_sizes_work_by_largest_cluster(self):
+        # q far beyond any cluster must neither allocate per q nor change
+        # the picks: every cluster gives all its members, as at q = 9
+        rng = np.random.default_rng(4)
+        feats = rng.standard_normal((15, 3))
+        assignments = np.repeat([0, 1, 2], [9, 2, 4])
+        at_largest = labeling.select_exemplars_herding(
+            feats, assignments, assignments, q=9)
+        huge = labeling.select_exemplars_herding(
+            feats, assignments, assignments, q=10**12)
+        assert huge.ids.tolist() == at_largest.ids.tolist()
+        assert huge.labels.tolist() == at_largest.labels.tolist()
+        assert len(huge) == 15 and huge.q == 10**12
+
     def test_tie_break_lowest_index(self):
         # symmetric pair: both points equally far from the mean
         feats = np.array([[1.0], [-1.0]])
