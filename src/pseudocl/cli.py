@@ -5,11 +5,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .config import (EXEMPLAR_POLICIES, MODES, VARIANTS, RunConfig,
-                     load_config, load_spec, parse_variant)
+from .config import RunConfig, load_config, load_spec, parse_setting
 from .data import (_read_table, generate_gaussian_stream, load_dataset,
                    read_checkpoint, save_dataset, write_report)
 from .protocol import (evaluate, run_experiment, run_sweep, split_tasks,
@@ -22,45 +22,39 @@ RUNTIME_ERROR = 1
 INPUT_ERRORS = (ValueError, OSError, TypeError)
 
 
-# argparse dest -> RunConfig field, for flags that set one field as given
-_FLAG_FIELDS = {"mode": "mode", "q": "q", "epochs": "epochs",
-                "batch": "batch_size", "lr": "lr",
-                "temperature": "temperature", "weight_decay": "weight_decay",
-                "step_size": "step_size", "exemplar_policy": "exemplar_policy"}
+# run flag -> the RunConfig field whose text it gives, read as a config
+# file value is; --seed sets shuffle_seed to the same value
+_FLAG_FIELDS = {"--mode": "mode", "--variant": "variant", "--q": "q",
+                "--epochs": "epochs", "--batch": "batch_size", "--lr": "lr",
+                "--temperature": "temperature",
+                "--weight-decay": "weight_decay", "--step-size": "step_size",
+                "--exemplar-policy": "exemplar_policy",
+                "--bias-correction": "bias_correction", "--seed": "model_seed"}
 
 
 def _config_overrides(args: argparse.Namespace) -> dict:
-    over = {field: getattr(args, dest) for dest, field in _FLAG_FIELDS.items()
-            if getattr(args, dest) is not None}
-    if args.variant is not None:
-        over["variant"], over["upl_k"] = parse_variant(args.variant)
-    if args.bias_correction is not None:
-        over["bias_correction"] = args.bias_correction == "on"
-    if args.oracle_labels:
-        over["oracle_labels"] = True
-    if args.seed is not None:
-        over["model_seed"] = over["shuffle_seed"] = args.seed
+    over = {"oracle_labels": True} if args.oracle_labels else {}
+    for flag, field in _FLAG_FIELDS.items():
+        raw = getattr(args, field)
+        if raw is None:
+            continue
+        try:
+            over.update(parse_setting(RunConfig, field, raw))
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from exc
+    if "model_seed" in over:
+        over["shuffle_seed"] = over["model_seed"]
     return over
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--variant", help="|".join(VARIANTS) + "|upl-K")
-    p.add_argument("--q", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--step-size", type=int, dest="step_size")
-    p.add_argument("--exemplar-policy", choices=EXEMPLAR_POLICIES,
-                   dest="exemplar_policy")
-    p.add_argument("--bias-correction", choices=("on", "off"),
-                   dest="bias_correction")
-    p.add_argument("--oracle-labels", action="store_true", dest="oracle_labels")
-    p.add_argument("--seed", type=int, help="model and shuffle seed")
+    choices = {f.name: f.metadata["choices"] or () for f in fields(RunConfig)}
+    choices["variant"] += ("upl-K",)
+    for flag, field in _FLAG_FIELDS.items():
+        p.add_argument(flag, dest=field, help="|".join(choices[field]) or None)
+    p.add_argument("--oracle-labels", action="store_true")
 
 
 def _default_out(cfg: RunConfig, tag: str) -> str:
@@ -99,8 +93,10 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
-    if args.repeats < 1:
-        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    repeats = int(args.repeats) if args.repeats.isdecimal() else 0
+    if repeats < 1:
+        raise ValueError(f"--repeats: want an integer >= 1, got "
+                         f"{args.repeats!r}")
     cfg = load_config(args.config, overrides=_config_overrides(args))
     dataset = load_dataset(args.data)
     if "=" not in args.axis:
@@ -108,11 +104,11 @@ def cmd_sweep(args):
     axis, raw = (part.strip() for part in args.axis.split("=", 1))
     values = [v.strip() for v in raw.split(",") if v.strip()]
     out_dir = args.out or _default_out(cfg, f"sweep_{axis}")
-    for run_cfg, _, _ in sweep_runs(cfg, axis, values, out_dir, args.repeats):
+    for run_cfg, _, _ in sweep_runs(cfg, axis, values, out_dir, repeats):
         split_tasks(dataset, run_cfg.step_size, run_cfg.arrangement_seed)
 
     def work():
-        rows = run_sweep(cfg, dataset, axis, values, out_dir, args.repeats)
+        rows = run_sweep(cfg, dataset, axis, values, out_dir, repeats)
         print(f"{axis:>12} {'seed':>6} {'avg_acc':>8} {'last_acc':>9}")
         for row in rows:
             if row["error"] is None:
@@ -192,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a parameter sweep")
     p.add_argument("config")
     p.add_argument("--axis", required=True, help="e.g. q=2,5,10,20")
-    p.add_argument("--repeats", type=int, default=1)
+    p.add_argument("--repeats", default="1")
     _add_run_flags(p)
     p.set_defaults(func=cmd_sweep)
 

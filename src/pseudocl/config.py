@@ -125,7 +125,7 @@ def _check_bounds(cls, values: dict) -> None:
             raise ValueError(f"unknown {name.replace('_', ' ')} {value!r}")
 
 
-def coerce_field(cls, field: str, raw: str):
+def _coerce(cls, field: str, raw: str):
     """Convert a raw string to the type of field ``field`` of dataclass
     ``cls``; an optional ``int | None`` field reads as ``int``."""
     kinds = {f.name: f.type.split(" |")[0] for f in dataclasses.fields(cls)}
@@ -158,11 +158,23 @@ def parse_variant(text: str) -> tuple[str, int]:
     return "ours", int(period)
 
 
+def parse_setting(cls, field: str, raw: str) -> dict:
+    """The checked values (field -> value) that the text ``raw`` of a
+    config line, run flag or sweep axis gives setting ``field`` of ``cls``.
+    Variant text names the whole variant: 'upl-K' sets upl_k to K, any
+    other variant to 0."""
+    values = {field: _coerce(cls, field, raw)}
+    if field == "variant":
+        values["variant"], values["upl_k"] = parse_variant(values["variant"])
+    _check_bounds(cls, values)
+    return values
+
+
 def read_key_values(path: str, cls) -> dict:
     """Read a flat ``key = value`` file of ``cls`` settings, ``#`` starting
     a comment. A field's key is the one it declares, else its bare name;
-    each value is coerced and bounds-checked, and errors name
-    ``path:lineno`` and the key."""
+    each value is read by ``parse_setting``, lines apply in order, and
+    errors name ``path:lineno`` and the key."""
     keys = _keys(cls)
     values: dict = {}
     # a byte that is not UTF-8 reads as U+FFFD, which no key or value holds
@@ -177,14 +189,14 @@ def read_key_values(path: str, cls) -> dict:
             if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                value = coerce_field(cls, keys[key], raw)
-                checked = {keys[key]: value}
-                if keys[key] == "variant":  # 'upl-K' is variant 'ours'
-                    checked["variant"], checked["upl_k"] = parse_variant(value)
-                _check_bounds(cls, checked)
+                parsed = parse_setting(cls, keys[key], raw)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
-            values[keys[key]] = value
+            if keys[key] == "variant" and not parsed["upl_k"]:
+                # a plain variant leaves upl_k to its own line, which
+                # config.txt writes first
+                del parsed["upl_k"]
+            values.update(parsed)
     return values
 
 
@@ -203,14 +215,8 @@ def load_spec(path: str) -> BlobSpec:
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
     """Read a run config; only the dotted keys of CONFIG_KEYS are accepted."""
-    values = read_key_values(path, RunConfig)
-    if "variant" in values:
-        values["variant"], upl_k = parse_variant(values["variant"])
-        if upl_k:
-            values["upl_k"] = upl_k
-    if overrides:
-        values.update(overrides)
-    return RunConfig(**values)
+    return RunConfig(**{**read_key_values(path, RunConfig),
+                        **(overrides or {})})
 
 
 def dump_config(cfg: RunConfig, path: str) -> None:

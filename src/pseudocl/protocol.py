@@ -13,7 +13,7 @@ import numpy as np
 
 from . import nn
 from .clustering import kmeans, pca_fit, pca_project
-from .config import RunConfig, coerce_field, dump_config, parse_variant
+from .config import RunConfig, dump_config, parse_setting
 from .data import (Dataset, _write_atomic, _write_table, write_checkpoint,
                    write_report, write_summary)
 from .labeling import (ExemplarStore, assign_pseudo_labels, merge_replay,
@@ -311,7 +311,7 @@ def _persist_step(out_dir, model, store, tasks, reports) -> None:
 def sweep_runs(base_cfg: RunConfig, axis: str, values: list, out_dir: str,
                repeats: int = 1) -> list[tuple[RunConfig, object, str]]:
     """The ordered (cfg, value, run_dir) runs of a sweep: ``base_cfg`` with
-    field ``axis`` set to each value, converted by field type, repeated
+    field ``axis`` set to each value as ``parse_setting`` reads it, repeated
     with both seeds counting up from the swept config's.
 
     An empty or unknown axis, a value the field rejects, or two values that
@@ -322,12 +322,8 @@ def sweep_runs(base_cfg: RunConfig, axis: str, values: list, out_dir: str,
         if not values:
             raise ValueError("no values")
         for value in values:
-            if axis == "variant":
-                variant, upl_k = parse_variant(str(value))
-                cfg = replace(base_cfg, variant=variant, upl_k=upl_k)
-            else:
-                cfg = replace(base_cfg, **{
-                    axis: coerce_field(RunConfig, axis, str(value))})
+            cfg = replace(base_cfg,
+                          **parse_setting(RunConfig, axis, str(value)))
             for rep in range(repeats):
                 run = replace(cfg, model_seed=cfg.model_seed + rep,
                               shuffle_seed=cfg.shuffle_seed + rep)

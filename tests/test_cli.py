@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudocl import cli
+from pseudocl import cli, data
+from pseudocl.config import CONFIG_KEYS
 from pseudocl.data import load_dataset, write_checkpoint
 from pseudocl.nn import init_model
 
@@ -240,8 +241,8 @@ class TestRun:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("extra, flags, where, text", [
-        ("", ["--variant", "upl-x"], "", "upl-x"),
-        ("", ["--variant", "UPL--3"], "", "upl--3"),
+        ("", ["--variant", "upl-x"], "--variant: ", "upl-x"),
+        ("", ["--variant", "UPL--3"], "--variant: ", "upl--3"),
         ("run.variant = upl3\n", [], "{cfg}:7: key 'run.variant': ", "upl3")],
         ids=["flag", "flag-double-dash", "file"])
     def test_malformed_upl_is_unknown_variant(self, workdir, tmp_path, capsys,
@@ -575,6 +576,9 @@ _CHECK_FAILURES = {
     "sweep-bad-split": (["sweep", "{cfg}", "--axis", "step_size=2,3",
                          "--data", "{data}", "--out", "{out}"],
                         "step_size 3 does not divide the dataset's 4 classes"),
+    "sweep-repeats-text": (["sweep", "{cfg}", "--axis", "q=1", "--repeats",
+                            "abc", "--data", "{data}", "--out", "{out}"],
+                           "--repeats: want an integer >= 1, got 'abc'"),
     "eval-missing-checkpoint": (
         ["eval", "{tmp}/nope.ckpt", "{data}", "--out", "{out}"],
         "{tmp}/nope.ckpt: No such file or directory"),
@@ -604,6 +608,65 @@ def test_check_failure_exits_2_and_writes_nothing(workdir, run_dir, tmp_path,
     assert err == f"error: {message.format(**paths)}\n"
     assert out == ""
     assert sorted(os.listdir(tmp_path)) == before
+
+
+# field, bad text, the reason each place gives for it
+_BAD_SETTINGS = [
+    ("q", "abc", "invalid literal for int() with base 10: 'abc'"),
+    ("q", "0", "q must be >= 1, got 0"),
+    ("mode", "x", "unknown mode 'x'"),
+    ("bias_correction", "maybe", "bad boolean 'maybe' for bias_correction"),
+    ("variant", "upl-x", "unknown variant 'upl-x'"),
+    ("lr", "nan", "lr must be finite, got nan")]
+
+
+@pytest.mark.parametrize("way", ["file", "flag", "axis"])
+@pytest.mark.parametrize("field, raw, reason", _BAD_SETTINGS,
+                         ids=[f"{f}={raw}" for f, raw, _ in _BAD_SETTINGS])
+def test_bad_setting_reads_alike_as_line_flag_and_axis(
+        workdir, tmp_path, capsys, way, field, raw, reason):
+    # a setting's text is read by one decoder wherever it is given; only
+    # the place named before the reason differs
+    key = next(k for k, f in CONFIG_KEYS.items() if f == field)
+    flag = "--" + field.replace("_", "-")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG + (f"{key} = {raw}\n" if way == "file" else ""))
+    command, extra, where = {
+        "file": ("run", [], f"{cfg}:7: key '{key}': "),
+        "flag": ("run", [flag, raw], f"{flag}: "),
+        "axis": ("sweep", ["--axis", f"{field}={raw}"],
+                 f"sweep axis '{field}': ")}[way]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main([command, str(cfg), "--data", str(workdir["data"]),
+                     "--out", str(out), *extra]) == 2
+    assert capsys.readouterr() == ("", f"error: {where}{reason}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("word, want", [
+    ("on", True), ("yes", True), ("TRUE", True), ("1", True),
+    ("off", False), ("no", False), ("false", False), ("0", False)])
+def test_bias_correction_flag_takes_config_booleans(word, want):
+    args = cli.build_parser().parse_args(
+        ["run", "run.cfg", "--data", "d.csv", "--bias-correction", word])
+    assert cli._config_overrides(args) == {"bias_correction": want}
+
+
+def test_failed_check_writes_only_the_parse_cache(workdir, tmp_path,
+                                                  monkeypatch):
+    # the one file a check may write is its input CSV's parse cache, keyed
+    # by the CSV's sha256; a CSV copied alone has none yet
+    csv = tmp_path / "data.csv"
+    csv.write_bytes(workdir["data"].read_bytes())
+    assert cli.main(["run", str(workdir["cfg"]), "--data", str(csv),
+                     "--out", str(tmp_path / "out"), "--step-size", "3"]) == 2
+    assert sorted(os.listdir(tmp_path)) == ["data.csv", "data.csv.parsed"]
+
+    def no_parse(fh, path):
+        raise AssertionError("parsed a CSV whose sidecar is intact")
+    monkeypatch.setattr(data, "_parse_csv", no_parse)
+    assert len(load_dataset(str(csv))) == 100
 
 
 def _reseal_header(path, **changes):

@@ -140,6 +140,17 @@ seeds.model = 42
         cfg = config.load_config(path)
         assert cfg.variant == "ours" and cfg.upl_k == 5
 
+    @pytest.mark.parametrize("text, upl_k", [
+        ("run.variant = upl-3\nrun.upl_k = 0\n", 0),
+        ("run.upl_k = 0\nrun.variant = upl-3\n", 3),
+        ("run.upl_k = 2\nrun.variant = ours\n", 2)],
+        ids=["period-reset", "variant-last", "plain-variant-keeps-period"])
+    def test_lines_apply_in_order(self, tmp_path, text, upl_k):
+        # a plain variant leaves upl_k alone, since config.txt writes
+        # run.upl_k before run.variant
+        cfg = config.load_config(write_cfg(tmp_path, text))
+        assert cfg.variant == "ours" and cfg.upl_k == upl_k
+
     def test_upl_at_epochs_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "train.epochs = 4\nrun.variant = upl-4\n")
         with pytest.raises(ValueError, match="upl_k"):
