@@ -154,16 +154,21 @@ def generate_gaussian_stream(spec: BlobSpec) -> Dataset:
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Write the dataset CSV, then its sidecar ``<path>.parsed`` (see
     ``load_dataset``)."""
-    head = [] if dataset.seed is None else [f"# seed={dataset.seed}\n"]
-    head.append("id,label," + ",".join(f"f{i}" for i in range(dataset.dim))
-                + "\n")
-    # repr round-trips exactly; Python floats of one row at a time
-    rows = (f"{i},{y},{','.join(map(repr, f.tolist()))}\n"
-            for i, y, f in zip(dataset.ids.tolist(),
-                               dataset.sealed._peek().tolist(),
-                               dataset.features))
+    head = "" if dataset.seed is None else f"# seed={dataset.seed}\n"
+    head += "id,label," + ",".join(f"f{i}" for i in range(dataset.dim)) + "\n"
+    # 17 significant digits read back as the same float64, and %-formatting
+    # them is faster than repr; Python floats of one row at a time
+    template = b"%d,%d," + b",".join([b"%.17g"] * dataset.dim) + b"\n"
+    records = zip(dataset.ids.tolist(), dataset.sealed._peek().tolist(),
+                  dataset.features)
+    # hashed and written 64 rows at a time, which amortises the calls and
+    # keeps little in flight; the first empty chunk ends the file
+    chunks = iter(lambda: b"".join([
+        template % (i, y, *f.tolist())
+        for i, y, f in itertools.islice(records, 64)]), b"")
     digest = hashlib.sha256()
-    _write_atomic(path, _hashed(itertools.chain(head, rows), digest), "wb")
+    _write_atomic(path, _hashed(itertools.chain([head.encode()], chunks),
+                                digest), "wb")
     # a sidecar must hold what parsing its CSV gives, so a CSV that does not
     # load back (no feature column, a seed that is not an int) gets none
     if dataset.dim and (dataset.seed is None or type(dataset.seed) is int):
@@ -245,10 +250,15 @@ def write_summary(summary: dict, path: str) -> None:
 def _write_atomic(path: str, chunks, mode: str = "w") -> None:
     """Write ``chunks`` to ``<path>.tmp`` beside ``path``, then os.replace it
     into place: ``path`` holds the old file or the whole new one, never part
-    of one. A write that raises removes the temporary file."""
+    of one. A write that raises removes the temporary file; a failed open
+    raises its OSError under ``path``, the file the caller asked for."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, mode) as fh:
+        fh = open(tmp, mode)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
@@ -257,11 +267,10 @@ def _write_atomic(path: str, chunks, mode: str = "w") -> None:
 
 
 def _hashed(chunks, digest):
-    """Encode each text chunk, feed it to ``digest`` and pass it on."""
+    """Feed each bytes chunk to ``digest`` and pass it on."""
     for chunk in chunks:
-        data = chunk.encode()
-        digest.update(data)
-        yield data
+        digest.update(chunk)
+        yield chunk
 
 
 def _sha256(fh) -> bytes:

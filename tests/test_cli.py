@@ -122,6 +122,13 @@ class TestGenData:
         # a directory cannot be replaced by the dataset file
         assert cli.main(["gen-data", str(workdir["spec"]), str(tmp_path)]) == 1
 
+    def test_missing_output_directory_names_the_target(self, workdir,
+                                                       tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert cli.main(["gen-data", str(workdir["spec"]), str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out}: No such file or directory\n")
+
 
 class TestRun:
     def test_basic_run(self, workdir, tmp_path, capsys):
@@ -477,6 +484,14 @@ class TestEval:
         assert cli.main(["eval", str(tmp_path), str(workdir["data"])]) == 2
         assert cli.main(["eval", ckpt, str(tmp_path)]) == 2
         assert cli.main(["eval", ckpt, str(tmp_path / "missing.csv")]) == 2
+
+    def test_missing_out_directory_names_the_target(self, workdir, run_dir,
+                                                    tmp_path, capsys):
+        out = tmp_path / "missing" / "e.csv"
+        assert cli.main(["eval", str(run_dir / "step_2.ckpt"),
+                         str(workdir["data"]), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out}: No such file or directory\n")
 
     @pytest.mark.parametrize("spec_line, message", [
         ("dim = 5", "dataset dim 5 != model input 4"),

@@ -179,7 +179,63 @@ class TestSealedLabels:
         assert sealed.reveal([2, 0]).tolist() == [7, 5]
 
 
+# float64 values whose text is hardest to read back: the subnormal and
+# finite extremes, signed zeros, values needing 17 significant digits
+# and integer-valued floats
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.30000000000000004,
+               -0.13603749051420111, 1 / 3, 1.0, -7.0, 2.0 ** 53, 1e22]
+finite_floats = (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from(EDGE_FLOATS))
+int64s = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@st.composite
+def csv_datasets(draw):
+    """A Dataset of int64 ids and labels, two rows per class so that the
+    eval split leaves each class a training row, and any finite features."""
+    dim = draw(st.integers(1, 5))
+    classes = draw(st.lists(int64s, min_size=1, max_size=4, unique=True))
+    n = 2 * len(classes)
+    ids = draw(st.lists(int64s, min_size=n, max_size=n, unique=True))
+    rows = draw(st.lists(st.lists(finite_floats, min_size=dim, max_size=dim),
+                         min_size=n, max_size=n))
+    return data.Dataset(np.array(ids), np.array(rows), np.repeat(classes, 2))
+
+
+def _assert_parse_gives(path, ds):
+    """load_dataset parses the CSV, no sidecar read, into ``ds``'s bytes."""
+    _sidecar(path).unlink(missing_ok=True)
+    back = data.load_dataset(str(path))
+    for got, want in [(back.ids, ds.ids), (back.features, ds.features),
+                      (back.sealed._peek(), ds.sealed._peek())]:
+        assert got.tobytes() == want.tobytes()
+
+
 class TestCsvRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(ds=csv_datasets())
+    def test_parse_reads_back_every_byte(self, tmp_path_factory, ds):
+        path = tmp_path_factory.mktemp("csv") / "ds.csv"
+        data.save_dataset(ds, str(path))
+        _assert_parse_gives(path, ds)
+        rows = path.read_bytes().splitlines()[1:]
+        assert [row.split(b",")[2:] for row in rows] == [
+            [b"%.17g" % v for v in f] for f in ds.features.tolist()]
+
+    @settings(max_examples=60, deadline=None)
+    @given(ds=csv_datasets())
+    def test_csv_written_with_repr_loads_the_same(self, tmp_path_factory,
+                                                  ds):
+        path = tmp_path_factory.mktemp("csv") / "ds.csv"
+        path.write_text("id,label," + ",".join(
+            f"f{i}" for i in range(ds.dim)) + "\n" + "".join(
+            f"{i},{y},{','.join(map(repr, f))}\n" for i, y, f in zip(
+                ds.ids.tolist(), ds.sealed._peek().tolist(),
+                ds.features.tolist())))
+        _assert_parse_gives(path, ds)
+
     def test_bitwise_feature_round_trip(self, tmp_path):
         ds = data.generate_gaussian_stream(tiny_spec(seed=13))
         path = str(tmp_path / "ds.csv")
