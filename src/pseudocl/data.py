@@ -7,6 +7,7 @@ evaluator may reveal labels.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -32,6 +33,12 @@ _CKPT_MAGIC = b"PCLCKPT1"
 # The dataset sidecar holds one parse's result, so bump its version when the
 # CSV's parse rules or the sidecar's header change; older ones go unused.
 _DSET_MAGIC = b"PCLDSET2"
+
+# The dataset CSV is formatted this many rows at a time (see _csv_rows).
+# Larger blocks format a little faster, but at 128 or 256 rows of 64
+# features what they left on the heap raised a later run's peak RSS by up
+# to 0.8 MB
+_CSV_BLOCK_ROWS = 64
 
 
 class FormatError(ValueError):
@@ -156,16 +163,13 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     ``load_dataset``)."""
     head = "" if dataset.seed is None else f"# seed={dataset.seed}\n"
     head += "id,label," + ",".join(f"f{i}" for i in range(dataset.dim)) + "\n"
-    # 17 significant digits read back as the same float64, and %-formatting
-    # them is faster than repr; Python floats of one row at a time
-    template = b"%d,%d," + b",".join([b"%.17g"] * dataset.dim) + b"\n"
-    records = zip(dataset.ids.tolist(), dataset.sealed._peek().tolist(),
-                  dataset.features)
-    # hashed and written 64 rows at a time, which amortises the calls and
-    # keeps little in flight; the first empty chunk ends the file
-    chunks = iter(lambda: b"".join([
-        template % (i, y, *f.tolist())
-        for i, y, f in itertools.islice(records, 64)]), b"")
+    ids, labels = dataset.ids, dataset.sealed._peek()
+    # formatted, hashed and written one block of rows at a time, so little
+    # is in flight whatever the dataset's size
+    chunks = (_csv_rows(ids[i:i + _CSV_BLOCK_ROWS],
+                        labels[i:i + _CSV_BLOCK_ROWS],
+                        dataset.features[i:i + _CSV_BLOCK_ROWS])
+              for i in range(0, len(dataset), _CSV_BLOCK_ROWS))
     digest = hashlib.sha256()
     _write_atomic(path, _hashed(itertools.chain([head.encode()], chunks),
                                 digest), "wb")
@@ -279,6 +283,170 @@ def _sha256(fh) -> bytes:
     for chunk in iter(lambda: fh.read(1 << 20), b""):
         digest.update(chunk)
     return digest.digest()
+
+
+# The two tables below are built on the first write, not at import: the
+# numpy calls that build them page in code that a run writing no CSV would
+# never touch, which raised the peak RSS of such a run by about 0.4 MB
+
+@functools.cache
+def _digit_groups() -> np.ndarray:
+    """The ASCII digits of 0000..9999, each group packed in one uint32; at
+    10000 + c, those of c with its trailing zeros NUL."""
+    group = np.arange(10000)[:, None]
+    digits = group // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    trailing_zero = group % np.array([10000, 1000, 100, 10]) == 0
+    text = np.concatenate([digits, np.where(trailing_zero, 0, digits)])
+    return text.astype(np.uint8).view(np.uint32).ravel()
+
+
+@functools.cache
+def _powers_of_5() -> tuple[np.ndarray, np.ndarray]:
+    """5**j for j = 0..20 in 32-bit halves, low then high: 5**20 < 2**47."""
+    powers = 5 ** np.arange(21, dtype=np.uint64)
+    return powers & 0xFFFFFFFF, powers >> 32
+
+
+# the longest fixed-notation text of a float64 is 23 bytes,
+# "-0.00012345678901234567", then the comma or newline after it
+_FIELD = 24
+
+
+def _csv_rows(ids: np.ndarray, labels: np.ndarray,
+              features: np.ndarray) -> bytes:
+    """The CSV rows of these samples: ``b"%d,%d," % (id, label)``, then
+    ``b"%.17g" % v`` of each feature, comma-separated, and a newline.
+
+    A row whose features %.17g all prints in fixed notation, by far the
+    commonest, is built from exact integer digits (``_fixed_digits``):
+    each value's text goes in a NUL-padded field, the values are grouped
+    by decimal exponent so that each group is laid out with static slices,
+    and deleting the NULs joins the fields. Any other row, and a row
+    without features, is %-formatted whole."""
+    n, d = features.shape
+    template = b"%d,%d," + b",".join([b"%.17g"] * d) + b"\n"
+
+    def formatted(index):
+        return [template % (i, y, *f) for i, y, f in zip(
+            ids[index].tolist(), labels[index].tolist(),
+            features[index].tolist())]
+
+    magnitude = np.abs(features)
+    # no row takes the digit path when each holds a value that %.17g
+    # prints in scientific notation: 0 < |v| < 1e-4 or |v| >= 1e17
+    if d == 0 or ((magnitude < 1e-4) & (magnitude > 0)
+                  | (magnitude >= 1e17)).any(axis=1).all():
+        return b"".join(formatted(slice(None)))
+    values = np.ravel(features)
+    key, significands = _fixed_digits(values)
+    slow = np.flatnonzero((key.reshape(n, d) == 21).any(axis=1))
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=22)
+    fields = np.zeros((len(values), _FIELD), np.uint8)
+    fields[:, 0] = np.signbit(values[order]) * ord("-")
+    digits = _digit_text(significands[order[:len(values) - counts[21]]])
+    start = 0
+    for k in (np.flatnonzero(counts[:21]) - 4).tolist():  # exponents present
+        stop = start + counts[k + 4]
+        text, digit = fields[start:stop, 1:], digits[start:stop]
+        if k < 0:  # "0.", -k - 1 zeros, then the digits
+            text[:, :1 - k] = np.frombuffer(b"0.000"[:1 - k], np.uint8)
+            text[:, 1 - k:18 - k] = digit
+        else:  # k + 1 integer digits, whose NULs stand for zeros, then the
+            # point unless every fraction digit is a trailing zero
+            text[:, :k + 1] = digit[:, :k + 1] | ord("0")
+            if k < 16:
+                text[:, k + 1] = (digit[:, k + 1] != 0) * ord(".")
+                text[:, k + 2:18] = digit[:, k + 1:]
+        start = stop
+    row, column = np.divmod(order, d)
+    fields[:, -1] = np.where(column == d - 1, ord("\n"), ord(","))
+    rows = np.empty((n, d + 2, _FIELD), np.uint8)
+    # the id and label fill two fields: an int64 is at most 20 bytes
+    rows[:, :2] = np.array([b"%d,%d," % p for p in zip(ids.tolist(),
+                                                        labels.tolist())],
+                           f"S{2 * _FIELD}").view(np.uint8).reshape(n, 2, -1)
+    # each value's field follows the id and label fields of its row
+    rows.reshape(-1, _FIELD)[order + 2 * row + 2] = fields
+    # a byte 1 marks where each %-formatted row goes
+    rows[slow] = 0
+    rows[slow, 0, 0] = 1
+    pieces = [b""] * (2 * len(slow) + 1)
+    pieces[::2] = rows.tobytes().translate(None, b"\0").split(b"\1")
+    pieces[1::2] = formatted(slow)
+    return b"".join(pieces)
+
+
+def _fixed_digits(values: np.ndarray):
+    """(key, significand) of each float64 in ``values``. For a value that
+    %.17g prints in fixed notation, key is its decimal exponent k + 4
+    (-4 <= k <= 16) and significand its 17 significant digits, the integer
+    round-half-even(|v| * 10**(16 - k)) in [10**16, 10**17); ±0 has key 4
+    and significand 0. Any other value has key 21."""
+    bits = values.view(np.uint64)
+    biased = (bits >> 52) & 0x7FF
+    key = np.full(len(values), 21, np.uint8)
+    key[(bits << 1) == 0] = 4
+    significands = np.zeros(len(values), np.uint64)
+    # normal values in [2**-17, 2**57), which holds [1e-5, 1e17)
+    near = np.flatnonzero((biased >= 1006) & (biased <= 1079))
+    m = (bits[near] & ((1 << 52) - 1)) | (1 << 52)
+    e = biased[near].astype(np.int64) - 1075  # |v| = m * 2**e
+    k = np.clip(np.floor(np.log10(np.abs(values[near]))), -4, 16).astype(
+        np.int64)
+    q, rounded = _scaled(m, e, k)
+    # log10 may be one off next to a power of ten: q then falls outside
+    # [10**16, 10**17), and k moves by one
+    off = (q >= 10 ** 17).astype(np.int64) - (q < 10 ** 16)
+    redo = np.flatnonzero(off)
+    k[redo] = np.clip(k[redo] + off[redo], -4, 16)
+    q[redo], rounded[redo] = _scaled(m[redo], e[redo], k[redo])
+    # a significand rounded up to 10**17 would move k; no float64 does
+    fixed = (q >= 10 ** 16) & (rounded < 10 ** 17)
+    key[near[fixed]] = k[fixed] + 4
+    significands[near[fixed]] = rounded[fixed]
+    return key, significands
+
+
+def _scaled(m: np.ndarray, e: np.ndarray, k: np.ndarray):
+    """(floor(x), round-half-even(x)) for x = m * 2**e * 10**(16 - k), in
+    exact uint64 arithmetic. Needs m < 2**53, 0 <= 16 - k <= 20 and
+    2**37 < x < 2**62, which keep every shift below 64 bits."""
+    j = 16 - k
+    lo5, hi5 = (half[j] for half in _powers_of_5())
+    mlo, mhi = m & 0xFFFFFFFF, m >> 32
+    # m * 5**j < 2**100 as hi * 2**64 + lo, from 32-bit partial products
+    low = mlo * lo5
+    mid = mhi * lo5 + mlo * hi5
+    lo = low + (mid << 32)
+    hi = mhi * hi5 + (mid >> 32) + (lo < low)
+    # x = m * 5**j * 2**(e + j); shift right by t to keep one more bit
+    t = -(e + j) - 1
+    right = np.maximum(t, 0).astype(np.uint64)
+    q2 = ((hi << (63 - right) << 1) | (lo >> right)) << np.maximum(
+        -t, 0).astype(np.uint64)
+    sticky = (lo & ((1 << right) - 1)) != 0
+    q = q2 >> 1
+    # round up when the half bit is set and the rest is not an exact tie
+    # with an even q
+    return q, q + (q2 & 1 & (sticky | q))
+
+
+def _digit_text(significands: np.ndarray) -> np.ndarray:
+    """The 17 ASCII digits of each significand, as an (n, 17) uint8 array,
+    with its trailing zeros NUL (all 17 for 0)."""
+    hi, lo = np.divmod(significands, 10 ** 8)  # < 10**9: uint32 from here
+    first, hi = np.divmod(hi.astype(np.uint32), 10 ** 8)
+    groups = [first, *np.divmod(hi, 10 ** 4),
+              *np.divmod(lo.astype(np.uint32), 10 ** 4)]
+    text = np.empty((len(significands), 5), np.uint32)
+    # a group followed by zero groups only loses its trailing zeros
+    later_zero = np.ones(len(significands), bool)
+    for i in range(4, -1, -1):
+        text[:, i] = _digit_groups()[groups[i] + later_zero * 10000]
+        later_zero &= groups[i] == 0
+    # the first group is a single digit, "000d"
+    return text.view(np.uint8)[:, 3:]
 
 
 def _parse_csv(fh, path: str):

@@ -224,6 +224,22 @@ class TestCsvRoundTrip:
         assert [row.split(b",")[2:] for row in rows] == [
             [b"%.17g" % v for v in f] for f in ds.features.tolist()]
 
+    @settings(max_examples=20, deadline=None)
+    @given(pool=st.lists(finite_floats, min_size=1, max_size=30),
+           dim=st.integers(1, 3), extra=st.integers(1, 300),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_past_one_block_read_back(self, tmp_path_factory, pool, dim,
+                                           extra, seed):
+        n = data._CSV_BLOCK_ROWS + extra
+        features = np.random.default_rng(seed).choice(pool, (n, dim))
+        ds = data.Dataset(np.arange(n), features, np.arange(n) % 2)
+        path = tmp_path_factory.mktemp("csv") / "ds.csv"
+        data.save_dataset(ds, str(path))
+        _assert_parse_gives(path, ds)
+        rows = path.read_bytes().splitlines()[1:]
+        assert [row.split(b",")[2:] for row in rows] == [
+            [b"%.17g" % v for v in f] for f in ds.features.tolist()]
+
     @settings(max_examples=60, deadline=None)
     @given(ds=csv_datasets())
     def test_csv_written_with_repr_loads_the_same(self, tmp_path_factory,

@@ -5,12 +5,16 @@ reference. Where the arithmetic is unchanged the results must be equal bit
 for bit, not merely close: report.csv and every checkpoint depend on them.
 """
 
+import fractions
+import hashlib
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
 
-from pseudocl import clustering, data, labeling, metrics, nn, protocol
+from pseudocl import clustering, config, data, labeling, metrics, nn, protocol
 from pseudocl.config import RunConfig
 from test_acceptance import _herd_brute
 
@@ -806,3 +810,162 @@ class TestTrainLoop:
         monkeypatch.setattr(nn, "forward", counting)
         protocol._train(student, x, y, teacher, 5, 5, cfg, 2)
         assert sum(rows) == len(x)
+
+
+def csv_rows_oracle(ids, labels, features):
+    """Dataset CSV rows as one bytes template of %.17g fields formats
+    them, a row at a time."""
+    template = b"%d,%d," + b",".join([b"%.17g"] * features.shape[1]) + b"\n"
+    return b"".join(template % (i, y, *f) for i, y, f in zip(
+        ids.tolist(), labels.tolist(), features.tolist()))
+
+
+def halfway_values(rng, count):
+    """(k, v) for float64 values v exactly halfway between two decimals of
+    17 significant digits and decimal exponent k, -4 <= k <= 15: with
+    g = 16 - k, (D + 1/2) * 10**-g is m * 2**(k - 17) for the odd
+    m = (2D + 1) / 5**g, a float64 when m < 2**53."""
+    values = []
+    for k in range(-4, 16):
+        g = 16 - k
+        low = -(-2 * 10 ** 16 // 5 ** g) | 1   # first odd m, 2D + 1 >= 2e16
+        high = min((2 * 10 ** 17 - 1) // 5 ** g, 2 ** 53 - 1)
+        for _ in range(count):
+            m = low + 2 * int(rng.integers((high - low) // 2 + 1))
+            values.append((k, math.ldexp(m, k - 17)))
+    return values
+
+
+class TestCsvRows:
+    """data._csv_rows, which builds the digits of most features with numpy,
+    against the per-row %.17g template."""
+
+    BLOCK = data._CSV_BLOCK_ROWS
+
+    def assert_same_rows(self, values, d=64, seed=0):
+        """The values with both signs, shuffled, d to a row, give the
+        template's bytes. Those that %.17g prints in fixed notation fill
+        rows of their own, which take the digit path; a row holding any
+        other value is %-formatted whole."""
+        rng = np.random.default_rng(seed)
+        values = np.array(values, dtype=np.float64)
+        values = np.concatenate([values, -values])
+        exponent = np.array([b"e" in b"%.17g" % v for v in values.tolist()])
+        # only what %.17g prints with an exponent misses the digit path
+        key, _ = data._fixed_digits(values)
+        assert ((key == 21) == exponent).all()
+        values = np.concatenate([rng.permutation(values[~exponent]),
+                                 rng.permutation(values[exponent])])
+        values = np.resize(values, (-(-len(values) // d), d))
+        ids = rng.permutation(len(values)) - 7
+        labels = rng.integers(0, 5, len(values))
+        assert data._csv_rows(ids, labels, values) == csv_rows_oracle(
+            ids, labels, values)
+
+    def test_random_bits_of_every_exponent(self):
+        rng = np.random.default_rng(1)
+        exponents = np.repeat(np.arange(2047, dtype=np.uint64), 16)
+        fraction_bits = rng.integers(0, 2 ** 52, len(exponents),
+                                     dtype=np.uint64)
+        patterns = (exponents << np.uint64(52)) | fraction_bits
+        extremes = [0.0, 5e-324, 2.2250738585072009e-308,
+                    2.2250738585072014e-308, 1.7976931348623157e308]
+        self.assert_same_rows([*patterns.view(np.float64), *extremes])
+
+    def test_decades(self):
+        rng = np.random.default_rng(2)
+        values = [10.0 ** p * m for p in range(-12, 19)
+                  for m in [1.0, *rng.uniform(1, 10, 40)]]
+        self.assert_same_rows(values)
+
+    def test_next_to_every_power_of_ten(self):
+        # %g switches notation where the rounded exponent leaves -4..16
+        values = [float(f"1e{p}") for p in range(-8, 20)]
+        for _ in range(3):
+            values = [*values, *np.nextafter(values, 0),
+                      *np.nextafter(values, np.inf)]
+        texts = {b"%.17g" % v for v in values}
+        assert b"0.0001" in texts and b"9.9999999999999991e-05" in texts
+        assert b"1e+17" in texts and b"99999999999999984" in texts
+        self.assert_same_rows(values)
+
+    def test_halfway_cases_round_to_even(self):
+        cases = halfway_values(np.random.default_rng(3), 200)
+        parities = set()
+        for k, v in cases:
+            scaled = fractions.Fraction(v) * 10 ** (16 - k)
+            assert scaled.denominator == 2  # exactly halfway
+            parities.add(int(scaled) % 2)
+        assert parities == {0, 1}  # ties both round down and round up
+        self.assert_same_rows([v for _, v in cases])
+
+    def test_int64_extreme_ids_and_labels(self):
+        extremes = np.array([-2 ** 63, 2 ** 63 - 1, -1, 0, 1])
+        features = np.random.default_rng(4).standard_normal((5, 3))
+        assert data._csv_rows(extremes, extremes[::-1], features) == \
+            csv_rows_oracle(extremes, extremes[::-1], features)
+
+    @pytest.mark.parametrize("d", [1, 64])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_row_counts(self, tmp_path, n, d):
+        rng = np.random.default_rng(n + d)
+        features = rng.standard_normal((n, d)) * 10.0 ** rng.integers(
+            -6, 19, (n, d))
+        ids, labels = np.arange(n), np.arange(n) % 2
+        want = csv_rows_oracle(ids, labels, features)
+        assert data._csv_rows(ids, labels, features) == want
+        if n > 1:  # a Dataset needs a training row besides its eval row
+            path = tmp_path / "ds.csv"
+            data.save_dataset(data.Dataset(ids, features, labels, seed=3),
+                              str(path))
+            header = ",".join(["id", "label", *(f"f{i}" for i in range(d))])
+            assert path.read_bytes() == (f"# seed=3\n{header}\n".encode()
+                                         + want)
+
+    def test_no_feature_columns(self, tmp_path):
+        n = self.BLOCK + 3
+        ds = data.Dataset(np.arange(n), np.zeros((n, 0)), np.arange(n) % 3)
+        path = tmp_path / "ds.csv"
+        data.save_dataset(ds, str(path))
+        assert path.read_bytes() == b"id,label,\n" + b"".join(
+            b"%d,%d,\n" % (i, i % 3) for i in range(n))
+        assert not (tmp_path / "ds.csv.parsed").exists()
+
+    def test_values_outside_fixed_notation(self, tmp_path):
+        spec = config.BlobSpec(num_classes=3, dim=5, samples_per_class=200,
+                               separation=1e18, std=0.15, seed=5,
+                               signal_dims=2, noise_std=1e-7)
+        ds = data.generate_gaussian_stream(spec)
+        extremes = np.array([5e-324, 2.2250738585072009e-308, 1e300])
+        ds.features[:3, 2:] = np.resize(extremes, (3, 3))
+        key, _ = data._fixed_digits(ds.features.ravel())
+        assert (key == 21).all()  # every value takes the %.17g fallback
+        path = tmp_path / "ds.csv"
+        data.save_dataset(ds, str(path))
+        assert path.read_bytes().split(b"\n", 2)[2] == csv_rows_oracle(
+            ds.ids, ds.sealed._peek(), ds.features)
+
+    def test_streams_one_block_at_a_time(self, tmp_path, monkeypatch):
+        n = 5 * self.BLOCK
+        ds = data.Dataset(np.arange(n), np.random.default_rng(6)
+                          .standard_normal((n, 4)), np.arange(n) % 4, seed=1)
+        path = tmp_path / "ds.csv"
+        chunks = []
+        real = data._write_atomic
+
+        def spy(target, parts, mode="w"):
+            if target == str(path):
+                assert not isinstance(parts, (list, tuple))
+                parts = (chunks.append(part) or part for part in parts)
+            real(target, parts, mode)
+
+        monkeypatch.setattr(data, "_write_atomic", spy)
+        data.save_dataset(ds, str(path))
+        blob = path.read_bytes()
+        assert b"".join(chunks) == blob
+        assert [chunk.count(b"\n") for chunk in chunks] == [2] + [
+            self.BLOCK] * 5
+        sealed = (tmp_path / "ds.csv.parsed").read_bytes()
+        header = json.loads(sealed[16:16 + int.from_bytes(sealed[8:16],
+                                                          "little")])
+        assert header["csv_sha256"] == hashlib.sha256(blob).hexdigest()
