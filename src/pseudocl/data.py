@@ -285,9 +285,9 @@ def _sha256(fh) -> bytes:
     return digest.digest()
 
 
-# The two tables below are built on the first write, not at import: the
-# numpy calls that build them page in code that a run writing no CSV would
-# never touch, which raised the peak RSS of such a run by about 0.4 MB
+# The digit table is built on the first write, not at import: the numpy
+# calls that build it page in code that a run writing no CSV would never
+# touch, which raised the peak RSS of such a run by about 0.4 MB
 
 @functools.cache
 def _digit_groups() -> np.ndarray:
@@ -300,11 +300,9 @@ def _digit_groups() -> np.ndarray:
     return text.astype(np.uint8).view(np.uint32).ravel()
 
 
-@functools.cache
-def _powers_of_5() -> tuple[np.ndarray, np.ndarray]:
-    """5**j for j = 0..20 in 32-bit halves, low then high: 5**20 < 2**47."""
-    powers = 5 ** np.arange(21, dtype=np.uint64)
-    return powers & 0xFFFFFFFF, powers >> 32
+# 10**j for j = 0..20, each exact in float64, converted from Python ints so
+# that no numpy ufunc runs at import
+_POWERS_OF_10 = np.array([float(10 ** j) for j in range(21)])
 
 
 # the longest fixed-notation text of a float64 is 23 bytes,
@@ -383,24 +381,20 @@ def _fixed_digits(values: np.ndarray):
     (-4 <= k <= 16) and significand its 17 significant digits, the integer
     round-half-even(|v| * 10**(16 - k)) in [10**16, 10**17); ±0 has key 4
     and significand 0. Any other value has key 21."""
-    bits = values.view(np.uint64)
-    biased = (bits >> 52) & 0x7FF
     key = np.full(len(values), 21, np.uint8)
-    key[(bits << 1) == 0] = 4
-    significands = np.zeros(len(values), np.uint64)
-    # normal values in [2**-17, 2**57), which holds [1e-5, 1e17)
-    near = np.flatnonzero((biased >= 1006) & (biased <= 1079))
-    m = (bits[near] & ((1 << 52) - 1)) | (1 << 52)
-    e = biased[near].astype(np.int64) - 1075  # |v| = m * 2**e
-    k = np.clip(np.floor(np.log10(np.abs(values[near]))), -4, 16).astype(
-        np.int64)
-    q, rounded = _scaled(m, e, k)
+    key[values == 0] = 4
+    significands = np.zeros(len(values), np.int64)
+    magnitude = np.abs(values)
+    near = np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e17))
+    a = magnitude[near]
+    k = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
+    q, rounded = _scaled(a, k)
     # log10 may be one off next to a power of ten: q then falls outside
     # [10**16, 10**17), and k moves by one
     off = (q >= 10 ** 17).astype(np.int64) - (q < 10 ** 16)
     redo = np.flatnonzero(off)
     k[redo] = np.clip(k[redo] + off[redo], -4, 16)
-    q[redo], rounded[redo] = _scaled(m[redo], e[redo], k[redo])
+    q[redo], rounded[redo] = _scaled(a[redo], k[redo])
     # a significand rounded up to 10**17 would move k; no float64 does
     fixed = (q >= 10 ** 16) & (rounded < 10 ** 17)
     key[near[fixed]] = k[fixed] + 4
@@ -408,28 +402,29 @@ def _fixed_digits(values: np.ndarray):
     return key, significands
 
 
-def _scaled(m: np.ndarray, e: np.ndarray, k: np.ndarray):
-    """(floor(x), round-half-even(x)) for x = m * 2**e * 10**(16 - k), in
-    exact uint64 arithmetic. Needs m < 2**53, 0 <= 16 - k <= 20 and
-    2**37 < x < 2**62, which keep every shift below 64 bits."""
-    j = 16 - k
-    lo5, hi5 = (half[j] for half in _powers_of_5())
-    mlo, mhi = m & 0xFFFFFFFF, m >> 32
-    # m * 5**j < 2**100 as hi * 2**64 + lo, from 32-bit partial products
-    low = mlo * lo5
-    mid = mhi * lo5 + mlo * hi5
-    lo = low + (mid << 32)
-    hi = mhi * hi5 + (mid >> 32) + (lo < low)
-    # x = m * 5**j * 2**(e + j); shift right by t to keep one more bit
-    t = -(e + j) - 1
-    right = np.maximum(t, 0).astype(np.uint64)
-    q2 = ((hi << (63 - right) << 1) | (lo >> right)) << np.maximum(
-        -t, 0).astype(np.uint64)
-    sticky = (lo & ((1 << right) - 1)) != 0
-    q = q2 >> 1
-    # round up when the half bit is set and the rest is not an exact tie
-    # with an even q
-    return q, q + (q2 & 1 & (sticky | q))
+def _scaled(a: np.ndarray, k: np.ndarray):
+    """(floor(x), round-half-even(x)) as int64 for x = a * 10**(16 - k),
+    a >= 1e-5 and -4 <= k <= 16: both exact when 10**16 <= x < 10**18, and
+    both below 10**16 when x is. Dekker's two-product gives x = p + e
+    exactly, p = fl(x). From 10**16 > 2**53 on, p is an even integer and
+    |e| <= ulp(p) / 2, so adding e's floor, or e rounded half to even, to p
+    is exact. Below 10**16, p <= 10**16 and no x is within 1/2 of 10**16."""
+    b = _POWERS_OF_10[16 - k]
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    whole = p.astype(np.int64)
+    return (whole + np.floor(e).astype(np.int64),
+            whole + np.rint(e).astype(np.int64))
+
+
+def _split(v: np.ndarray):
+    """Veltkamp's split: (hi, lo) with hi + lo == v exactly, each of at
+    most 26 significant bits."""
+    c = v * 134217729.0  # 2**27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
 
 
 def _digit_text(significands: np.ndarray) -> np.ndarray:

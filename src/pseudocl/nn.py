@@ -100,10 +100,11 @@ def softened_probs(logits: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature-softened softmax, numerically stabilised."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    z = np.asarray(logits, dtype=float) / temperature
-    z = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    p = np.asarray(logits, dtype=float) / temperature
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
 def _forward_cached(model: Model, x: np.ndarray):
@@ -166,10 +167,7 @@ def backward(model: Model, x: np.ndarray, teacher_probs: np.ndarray | None,
 
     l_d = 0.0
     if alpha > 0.0:
-        p = logits[:, :m] / temperature
-        p -= p.max(axis=1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=1, keepdims=True)
+        p = softened_probs(logits[:, :m], temperature)
         l_d = -(p_hat * np.log(p)).sum(axis=1)
         p -= p_hat
         p *= alpha

@@ -899,6 +899,35 @@ class TestCsvRows:
         assert parities == {0, 1}  # ties both round down and round up
         self.assert_same_rows([v for _, v in cases])
 
+    def test_scaled_is_exact_from_1e16(self):
+        # x = a * 10**(16 - k) at random in [1e15, 1e18) for every k, within
+        # 3 ulps of 10**16, 2**53 and 10**17, and exactly halfway
+        rng = np.random.default_rng(8)
+        cases = []
+        for k in range(-4, 17):
+            near = np.array([float(fractions.Fraction(c, 10 ** (16 - k)))
+                             for c in (10 ** 16, 2 ** 53, 10 ** 17)])
+            for _ in range(3):
+                near = np.concatenate([near, np.nextafter(near, 0),
+                                       np.nextafter(near, np.inf)])
+            cases += [(k, a) for a in [*np.unique(near).tolist(),
+                                       *(10.0 ** rng.uniform(k - 1, k + 2,
+                                                             200)).tolist()]]
+        cases += halfway_values(rng, 20)
+        ks, values = zip(*cases)
+        q, rounded = data._scaled(np.array(values), np.array(ks))
+        below, tie_parities = 0, set()
+        for k, a, q_i, r_i in zip(ks, values, q.tolist(), rounded.tolist()):
+            x = fractions.Fraction(a) * 10 ** (16 - k)
+            if x >= 10 ** 16:
+                assert (q_i, r_i) == (math.floor(x), round(x)), (k, a)
+                if x.denominator == 2:
+                    tie_parities.add(q_i % 2)
+            else:
+                assert q_i < 10 ** 16 and r_i < 10 ** 16, (k, a)
+                below += 1
+        assert below and tie_parities == {0, 1}
+
     def test_int64_extreme_ids_and_labels(self):
         extremes = np.array([-2 ** 63, 2 ** 63 - 1, -1, 0, 1])
         features = np.random.default_rng(4).standard_normal((5, 3))
