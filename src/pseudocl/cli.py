@@ -134,6 +134,10 @@ def cmd_eval(args):
         raise ValueError(f"{args.checkpoint}: checkpoint's classes_seen must "
                          "be a nonempty list of ints and its step an int, "
                          f"got {classes!r} and {step!r}")
+    if len(classes) != model.out_dim or len(set(classes)) != len(classes):
+        raise ValueError(f"{args.checkpoint}: checkpoint's classes_seen must "
+                         f"be {model.out_dim} distinct classes, one per head "
+                         f"output, got {len(set(classes))} of {len(classes)}")
     if dataset.dim != model.in_dim:
         raise ValueError(f"{args.data}: dataset dim {dataset.dim} != model "
                          f"input {model.in_dim}")

@@ -75,6 +75,14 @@ def init_model(in_dim: int, hidden_width: int, n_hidden: int, out_dim: int,
     return model
 
 
+def _hidden(model: Model, a: np.ndarray):
+    """Yield each hidden layer's activations of rows ``a``, in order."""
+    for w, b in model.layers[:-1]:
+        a = a @ w
+        a += b
+        yield np.maximum(a, 0.0, out=a)
+
+
 def extract_features(model: Model, x: np.ndarray) -> np.ndarray:
     """Activations feeding the head for rows ``x``; the model minus its
     final layer."""
@@ -82,10 +90,8 @@ def extract_features(model: Model, x: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[1] != model.in_dim:
         raise ValueError(f"input shape {a.shape} does not match rows of "
                          f"model dim {model.in_dim}")
-    for w, b in model.layers[:-1]:
-        a = a @ w
-        a += b
-        np.maximum(a, 0.0, out=a)
+    for a in _hidden(model, a):  # holds one layer's activations at a time
+        pass
     return a
 
 
@@ -108,11 +114,7 @@ def softened_probs(logits: np.ndarray, temperature: float) -> np.ndarray:
 
 
 def _forward_cached(model: Model, x: np.ndarray):
-    acts = [x]  # pre-head activations, acts[i] feeds layer i
-    for w, b in model.layers[:-1]:
-        a = acts[-1] @ w
-        a += b
-        acts.append(np.maximum(a, 0.0, out=a))
+    acts = [x, *_hidden(model, x)]  # acts[i] feeds layer i
     w, b = model.layers[-1]
     logits = acts[-1] @ w
     logits += b

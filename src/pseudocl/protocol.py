@@ -74,26 +74,22 @@ def _lr_at(cfg: RunConfig, epoch: int) -> float:
 @np.errstate(all="ignore")
 def _train(model: nn.Model, x: np.ndarray, y: np.ndarray,
            teacher: nn.Model | None, m: int, n: int, cfg: RunConfig,
-           step: int, refresh=None) -> nn.Model:
-    """SGD on the cross-distillation loss over the merged set, in place;
-    cfg.epochs passes, or one pass on an online incremental step (the
-    supervised first task always trains cfg.epochs). A non-finite loss or
-    parameter raises ProtocolError.
+           step: int, epochs: range, n_epochs: int) -> None:
+    """SGD on the cross-distillation loss over the merged set, in place,
+    for ``epochs``, a run of the step's ``n_epochs`` epochs. A non-finite
+    loss, or non-finite parameters after the last update, raise
+    ProtocolError.
 
     The distillation weight is alpha = m / (m + n): 0 on the supervised
-    first task (m == 0, no teacher). refresh, when given, is called every
-    cfg.upl_k epochs and returns a replacement label array (UPL pseudo-label
-    updates).
+    first task (m == 0, no teacher).
     """
     alpha = m / (m + n)
-    one_pass = cfg.mode == "online" and m > 0
-    epochs = 1 if one_pass else cfg.epochs
     base_seed = _seed(cfg.shuffle_seed, "task", step)
-    y = y.copy()
     p_hat = None
     if teacher is not None:
         # the teacher is frozen for the step, so its softened old-class
-        # probabilities are computed once. Row blocks of batch_size keep the
+        # probabilities are computed once a call and freed with it, before
+        # herding and evaluation. Row blocks of batch_size keep the
         # matrix shapes of a training batch: one product over all rows can
         # take another BLAS kernel that rounds differently.
         p_hat = np.empty((len(x), m))
@@ -101,11 +97,9 @@ def _train(model: nn.Model, x: np.ndarray, y: np.ndarray,
             block = nn.forward(teacher, x[start:start + cfg.batch_size])
             p_hat[start:start + cfg.batch_size] = nn.softened_probs(
                 block[:, :m], cfg.temperature)
-    for epoch in range(epochs):
-        if refresh is not None and epoch > 0 and epoch % cfg.upl_k == 0:
-            y = refresh(model, y, epoch)
+    for epoch in epochs:
         lr = _lr_at(cfg, epoch)
-        if one_pass:
+        if cfg.mode == "online" and m > 0:
             order = np.arange(len(x))  # merged order already shuffled
         else:
             order = np.random.default_rng(
@@ -118,13 +112,13 @@ def _train(model: nn.Model, x: np.ndarray, y: np.ndarray,
             if not math.isfinite(loss):
                 raise ProtocolError(
                     f"training diverged at step {step}, epoch {epoch + 1} "
-                    f"of {epochs}: loss {loss}")
+                    f"of {n_epochs}: loss {loss}")
             nn.sgd_step(model, grads, lr, cfg.weight_decay)
     # the last update is not followed by a loss that would show it
     if not np.isfinite(model.params).all():
         raise ProtocolError(f"training diverged at step {step}, epoch "
-                            f"{epochs} of {epochs}: non-finite parameters")
-    return model
+                            f"{epochs.stop} of {n_epochs}: non-finite "
+                            "parameters")
 
 
 def _variant_features(model: nn.Model, h1: nn.Model, x: np.ndarray,
@@ -218,20 +212,18 @@ def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
                                     store.labels,
                                     _seed(cfg.shuffle_seed, "merge", step))
 
-    def refresh(current: nn.Model, y_now: np.ndarray, epoch: int) -> np.ndarray:
-        # re-cluster current-task data with the in-training extractor;
-        # replayed labels stay fixed, and this step's exemplars are picked
-        # from and labelled by the last clustering
-        nonlocal assignments, labels
-        assignments = cluster(nn.extract_features(current, x_train), epoch)
-        labels = assign_pseudo_labels(assignments, m)
-        out = y_now.copy()
-        new_rows = origin >= 0
-        out[new_rows] = labels[origin[new_rows]]
-        return out
-
-    model = _train(model, x, y, teacher, m, n, cfg, step,
-                   refresh=None if supervised or cfg.upl_k == 0 else refresh)
+    # UPL trains in segments of upl_k epochs and re-clusters the task with
+    # the model in training before each but the first; replayed labels stay
+    # fixed, and this step's exemplars follow the last clustering
+    n_epochs = 1 if cfg.mode == "online" and m > 0 else cfg.epochs
+    seg = n_epochs if supervised or cfg.upl_k == 0 else cfg.upl_k
+    for start in range(0, n_epochs, seg):
+        if start:
+            assignments = cluster(nn.extract_features(model, x_train), start)
+            labels = assign_pseudo_labels(assignments, m)
+            y[origin >= 0] = labels[origin[origin >= 0]]
+        _train(model, x, y, teacher, m, n, cfg, step,
+               range(start, min(start + seg, n_epochs)), n_epochs)
 
     if cfg.bias_correction and m > 0:
         model = nn.weight_align(model, m, n)

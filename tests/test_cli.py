@@ -557,6 +557,23 @@ class TestEval:
                               "an int, ")
         assert err.endswith(shown + "\n")
 
+    @pytest.mark.parametrize("classes, shown", [
+        ([0, 1], "got 2 of 2"),
+        ([0, 1, 1, 2], "got 3 of 4")],
+        ids=["fewer-than-head", "repeated-class"])
+    def test_classes_seen_not_one_per_head_output(self, workdir, run_dir,
+                                                  tmp_path, capsys, classes,
+                                                  shown):
+        # step 2's head has 4 outputs; scoring it against other classes
+        # would print a result for classes the run never trained together
+        ckpt = tmp_path / "step_2.ckpt"
+        ckpt.write_bytes((run_dir / "step_2.ckpt").read_bytes())
+        _reseal_header(ckpt, meta={"step": 2, "classes_seen": classes})
+        assert cli.main(["eval", str(ckpt), str(workdir["data"])]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: checkpoint's classes_seen must be 4 distinct "
+            f"classes, one per head output, {shown}\n")
+
 
 # name -> (argv, stderr): a bad input to each writing command. {tmp} is
 # the test's own directory, which starts with bad.cfg (an unknown key) and

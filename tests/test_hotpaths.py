@@ -762,9 +762,10 @@ class TestLeanBackward:
 
 
 class TestTrainLoop:
-    """_train forwards the frozen teacher once per step; the per-batch loop
-    it replaced is the oracle. A step trains m + 5 classes with a teacher of
-    m, at the widths of the benchmark's standard run."""
+    """_train forwards the frozen teacher once per call, a step or one of
+    its UPL segments; the per-batch loop it replaced is the oracle. A step
+    trains m + 5 classes with a teacher of m, at the widths of the
+    benchmark's standard run."""
     BATCH = 32
 
     def step_inputs(self, m, rows):
@@ -778,7 +779,9 @@ class TestTrainLoop:
     def train_both(self, m, rest):
         student, x, y, teacher, cfg = self.step_inputs(m, 5 * self.BATCH
                                                        + rest)
-        got = protocol._train(student.copy(), x, y, teacher, m, 5, cfg, 2)
+        got = student.copy()
+        protocol._train(got, x, y, teacher, m, 5, cfg, 2, range(cfg.epochs),
+                        cfg.epochs)
         want = train_oracle(student.copy(), x, y, teacher, m, 5, cfg, 2)
         return got.params, want.params
 
@@ -808,7 +811,8 @@ class TestTrainLoop:
             return real(model, xb)
 
         monkeypatch.setattr(nn, "forward", counting)
-        protocol._train(student, x, y, teacher, 5, 5, cfg, 2)
+        protocol._train(student, x, y, teacher, 5, 5, cfg, 2,
+                        range(cfg.epochs), cfg.epochs)
         assert sum(rows) == len(x)
 
 

@@ -432,6 +432,25 @@ class TestRunExperiment:
             protocol.run_experiment(fast_cfg(epochs=1, batch_size=1000),
                                     dataset)
 
+    def test_non_finite_update_before_refresh_is_caught(self, dataset,
+                                                         monkeypatch):
+        # one batch an epoch: step 2's second update ends its first UPL
+        # segment, and the refresh after it must not cluster broken features
+        real = nn.sgd_step
+        updates = []
+
+        def blow_up(model, grads, lr, weight_decay=0.0):
+            real(model, grads, lr, weight_decay)
+            updates.append(model.out_dim)
+            if updates.count(4) == 2:  # step 2 trains a 4-class head
+                model.params[...] = np.inf
+
+        monkeypatch.setattr(nn, "sgd_step", blow_up)
+        with pytest.raises(protocol.ProtocolError,
+                           match="step 2, epoch 2 of 5: non-finite parameters"):
+            protocol.run_experiment(fast_cfg(epochs=5, upl_k=2,
+                                             batch_size=1000), dataset)
+
 
 class TestVariants:
     @pytest.mark.parametrize("variant", ["ours", "pca"])
