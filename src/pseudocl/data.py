@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import warnings
 from typing import TYPE_CHECKING
@@ -69,6 +70,9 @@ class Dataset:
         labels = np.asarray(labels, dtype=int)
         if features.ndim != 2 or len(features) == 0 or len(ids) != len(features):
             raise FormatError("features must be a nonempty 2-D array with one id per row")
+        if features.shape[1] == 0:
+            raise FormatError(f"features of shape {features.shape} have no "
+                              "column; a dataset needs at least one")
         if len(labels) != len(ids):
             raise FormatError("label count mismatch")
         finite = np.isfinite(features).all(axis=1)
@@ -80,7 +84,11 @@ class Dataset:
         self.ids = ids
         self.features = features
         self.sealed = SealedLabels(labels)
-        self.seed = seed
+        try:  # an integer, numpy's too, is stored as an int
+            self.seed = None if seed is None else operator.index(seed)
+        except TypeError:
+            raise FormatError(f"seed must be an integer or None, "
+                              f"not {seed!r}") from None
         self._order = np.argsort(ids, kind="stable")
         self._sorted_ids = ids[self._order]
         self.is_eval = _stratified_eval_mask(labels, EVAL_FRACTION, SPLIT_SEED)
@@ -173,10 +181,7 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     digest = hashlib.sha256()
     _write_atomic(path, _hashed(itertools.chain([head.encode()], chunks),
                                 digest), "wb")
-    # a sidecar must hold what parsing its CSV gives, so a CSV that does not
-    # load back (no feature column, a seed that is not an int) gets none
-    if dataset.dim and (dataset.seed is None or type(dataset.seed) is int):
-        _write_sidecar(path, digest.digest(), dataset)
+    _write_sidecar(path, digest.digest(), dataset)
 
 
 def load_dataset(path: str) -> Dataset:
@@ -319,22 +324,9 @@ def _csv_rows(ids: np.ndarray, labels: np.ndarray,
     commonest, is built from exact integer digits (``_fixed_digits``):
     each value's text goes in a NUL-padded field, the values are grouped
     by decimal exponent so that each group is laid out with static slices,
-    and deleting the NULs joins the fields. Any other row, and a row
-    without features, is %-formatted whole."""
+    and deleting the NULs joins the fields. Any other row is %-formatted
+    whole and spliced in."""
     n, d = features.shape
-    template = b"%d,%d," + b",".join([b"%.17g"] * d) + b"\n"
-
-    def formatted(index):
-        return [template % (i, y, *f) for i, y, f in zip(
-            ids[index].tolist(), labels[index].tolist(),
-            features[index].tolist())]
-
-    magnitude = np.abs(features)
-    # no row takes the digit path when each holds a value that %.17g
-    # prints in scientific notation: 0 < |v| < 1e-4 or |v| >= 1e17
-    if d == 0 or ((magnitude < 1e-4) & (magnitude > 0)
-                  | (magnitude >= 1e17)).any(axis=1).all():
-        return b"".join(formatted(slice(None)))
     values = np.ravel(features)
     key, significands = _fixed_digits(values)
     slow = np.flatnonzero((key.reshape(n, d) == 21).any(axis=1))
@@ -371,7 +363,9 @@ def _csv_rows(ids: np.ndarray, labels: np.ndarray,
     rows[slow, 0, 0] = 1
     pieces = [b""] * (2 * len(slow) + 1)
     pieces[::2] = rows.tobytes().translate(None, b"\0").split(b"\1")
-    pieces[1::2] = formatted(slow)
+    template = b"%d,%d," + b",".join([b"%.17g"] * d) + b"\n"
+    pieces[1::2] = [template % (i, y, *f) for i, y, f in zip(
+        ids[slow].tolist(), labels[slow].tolist(), features[slow].tolist())]
     return b"".join(pieces)
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -159,6 +161,27 @@ class TestDataset:
                            match="^sample 12 has a non-finite feature"):
             data.Dataset(np.arange(10, 16), features, np.arange(6) % 2)
 
+    def test_no_feature_column_rejected_naming_shape(self):
+        with pytest.raises(data.FormatError, match=r"^features of shape "
+                                                   r"\(10, 0\) have no column"):
+            data.Dataset(np.arange(10), np.zeros((10, 0)), np.arange(10) % 2)
+
+    @pytest.mark.parametrize("seed", [3.5, "7"], ids=["float", "str"])
+    def test_seed_that_is_no_integer_rejected_naming_it(self, seed):
+        with pytest.raises(data.FormatError, match="^seed must be an integer "
+                           f"or None, not {re.escape(repr(seed))}$"):
+            data.Dataset(np.arange(10), np.zeros((10, 2)), np.arange(10) % 2,
+                         seed=seed)
+
+    def test_numpy_integer_seed_stored_as_int(self, tmp_path, monkeypatch):
+        ds = data.Dataset(np.arange(10), np.zeros((10, 2)), np.arange(10) % 2,
+                          seed=np.int64(3))
+        assert type(ds.seed) is int and ds.seed == 3
+        path = tmp_path / "ds.csv"
+        data.save_dataset(ds, str(path))
+        monkeypatch.setattr(data, "_parse_csv", _no_parse)
+        assert data.load_dataset(str(path)).seed == 3
+
 
 class TestSealedLabels:
     def test_access_counter(self):
@@ -189,28 +212,42 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
 finite_floats = (st.floats(allow_nan=False, allow_infinity=False)
                  | st.sampled_from(EDGE_FLOATS))
 int64s = st.integers(-2 ** 63, 2 ** 63 - 1)
+# a seed is any Python int, negative, zero or beyond int64, or none
+seeds = st.none() | st.integers() | st.sampled_from([0, -1, 2 ** 64])
 
 
 @st.composite
 def csv_datasets(draw):
     """A Dataset of int64 ids and labels, two rows per class so that the
-    eval split leaves each class a training row, and any finite features."""
+    eval split leaves each class a training row, any finite features and
+    any seed."""
     dim = draw(st.integers(1, 5))
     classes = draw(st.lists(int64s, min_size=1, max_size=4, unique=True))
     n = 2 * len(classes)
     ids = draw(st.lists(int64s, min_size=n, max_size=n, unique=True))
     rows = draw(st.lists(st.lists(finite_floats, min_size=dim, max_size=dim),
                          min_size=n, max_size=n))
-    return data.Dataset(np.array(ids), np.array(rows), np.repeat(classes, 2))
+    return data.Dataset(np.array(ids), np.array(rows), np.repeat(classes, 2),
+                        seed=draw(seeds))
+
+
+def _no_parse(fh, path):
+    raise AssertionError("parsed a CSV whose sidecar is intact")
 
 
 def _assert_parse_gives(path, ds):
-    """load_dataset parses the CSV, no sidecar read, into ``ds``'s bytes."""
+    """load_dataset parses the CSV, no sidecar read, into ``ds``'s bytes and
+    seed; the next load reads the sidecar that parse wrote and gives the
+    same."""
     _sidecar(path).unlink(missing_ok=True)
-    back = data.load_dataset(str(path))
-    for got, want in [(back.ids, ds.ids), (back.features, ds.features),
-                      (back.sealed._peek(), ds.sealed._peek())]:
-        assert got.tobytes() == want.tobytes()
+    parsed = data.load_dataset(str(path))
+    with mock.patch.object(data, "_parse_csv", _no_parse):
+        cached = data.load_dataset(str(path))
+    for back in (parsed, cached):
+        for got, want in [(back.ids, ds.ids), (back.features, ds.features),
+                          (back.sealed._peek(), ds.sealed._peek())]:
+            assert got.tobytes() == want.tobytes()
+        assert back.seed == ds.seed and type(back.seed) is type(ds.seed)
 
 
 class TestCsvRoundTrip:
@@ -220,7 +257,7 @@ class TestCsvRoundTrip:
         path = tmp_path_factory.mktemp("csv") / "ds.csv"
         data.save_dataset(ds, str(path))
         _assert_parse_gives(path, ds)
-        rows = path.read_bytes().splitlines()[1:]
+        rows = path.read_bytes().splitlines()[-len(ds):]
         assert [row.split(b",")[2:] for row in rows] == [
             [b"%.17g" % v for v in f] for f in ds.features.tolist()]
 
@@ -245,7 +282,8 @@ class TestCsvRoundTrip:
     def test_csv_written_with_repr_loads_the_same(self, tmp_path_factory,
                                                   ds):
         path = tmp_path_factory.mktemp("csv") / "ds.csv"
-        path.write_text("id,label," + ",".join(
+        path.write_text(("" if ds.seed is None else f"# seed={ds.seed}\n")
+                        + "id,label," + ",".join(
             f"f{i}" for i in range(ds.dim)) + "\n" + "".join(
             f"{i},{y},{','.join(map(repr, f))}\n" for i, y, f in zip(
                 ds.ids.tolist(), ds.sealed._peek().tolist(),
@@ -412,10 +450,7 @@ class TestSidecar:
 
     def test_hit_matches_parse(self, saved, monkeypatch):
         parsed = self.parsed(saved)
-
-        def no_parse(fh, path):
-            raise AssertionError("parsed a CSV whose sidecar is intact")
-        monkeypatch.setattr(data, "_parse_csv", no_parse)
+        monkeypatch.setattr(data, "_parse_csv", _no_parse)
         hit = data.load_dataset(str(saved))
         self.assert_same(hit, parsed)
         assert hit.features.flags.c_contiguous and hit.seed == 13
@@ -527,19 +562,6 @@ class TestSidecar:
         with pytest.raises(AttributeError):
             data.save_dataset(ds, str(saved))
         assert (saved.read_bytes(), _sidecar(saved).read_bytes()) == before
-
-    @pytest.mark.parametrize("seed, dim", [(True, 3), (0, 0)],
-                             ids=["bool-seed", "no-features"])
-    def test_csv_that_does_not_load_gets_no_sidecar(self, tmp_path, seed,
-                                                    dim):
-        labels = np.arange(10) % 2
-        ds = data.Dataset(np.arange(10), np.zeros((10, dim)), labels,
-                          seed=seed)
-        path = tmp_path / "ds.csv"
-        data.save_dataset(ds, str(path))
-        assert not _sidecar(path).exists()
-        with pytest.raises(data.FormatError):
-            data.load_dataset(str(path))
 
 
 class TestCheckpoint:

@@ -955,15 +955,6 @@ class TestCsvRows:
             assert path.read_bytes() == (f"# seed=3\n{header}\n".encode()
                                          + want)
 
-    def test_no_feature_columns(self, tmp_path):
-        n = self.BLOCK + 3
-        ds = data.Dataset(np.arange(n), np.zeros((n, 0)), np.arange(n) % 3)
-        path = tmp_path / "ds.csv"
-        data.save_dataset(ds, str(path))
-        assert path.read_bytes() == b"id,label,\n" + b"".join(
-            b"%d,%d,\n" % (i, i % 3) for i in range(n))
-        assert not (tmp_path / "ds.csv.parsed").exists()
-
     def test_values_outside_fixed_notation(self, tmp_path):
         spec = config.BlobSpec(num_classes=3, dim=5, samples_per_class=200,
                                separation=1e18, std=0.15, seed=5,
@@ -974,6 +965,19 @@ class TestCsvRows:
         key, _ = data._fixed_digits(ds.features.ravel())
         assert (key == 21).all()  # every value takes the %.17g fallback
         path = tmp_path / "ds.csv"
+        data.save_dataset(ds, str(path))
+        assert path.read_bytes().split(b"\n", 2)[2] == csv_rows_oracle(
+            ds.ids, ds.sealed._peek(), ds.features)
+        # blocks whose rows all, half or none hold such a value, in turn
+        n = 3 * self.BLOCK
+        features = np.random.default_rng(9).standard_normal((n, 4))
+        features[:self.BLOCK] *= 1e20
+        features[self.BLOCK:2 * self.BLOCK:2, 1] *= 1e-9
+        key, _ = data._fixed_digits(features.ravel())
+        outside = (key == 21).reshape(n, 4).any(axis=1)
+        assert outside.reshape(3, -1).sum(axis=1).tolist() == [
+            self.BLOCK, self.BLOCK // 2, 0]
+        ds = data.Dataset(np.arange(n), features, np.arange(n) % 3, seed=5)
         data.save_dataset(ds, str(path))
         assert path.read_bytes().split(b"\n", 2)[2] == csv_rows_oracle(
             ds.ids, ds.sealed._peek(), ds.features)
