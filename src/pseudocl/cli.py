@@ -157,9 +157,11 @@ def cmd_eval(args):
 def cmd_report(args):
     path = os.path.join(args.run_dir, "report.csv")
     header, rows = _read_table(path)
+    counts = [key in ("step", "classes_seen") for key in header]
     try:
-        lines = [" ".join(f"{float(c):>12.4f}" if "." in c else f"{c:>12}"
-                          for c in row) for row in [header, *rows]]
+        lines = [" ".join(f"{c:>12}" for c in header)] + [
+            " ".join(f"{int(c):>12}" if count else f"{float(c):>12.4f}"
+                     for c, count in zip(row, counts)) for row in rows]
     except ValueError as exc:  # a cell that is no number
         raise ValueError(f"{path}: {exc}") from exc
     path = os.path.join(args.run_dir, "summary.csv")

@@ -17,12 +17,6 @@ class ClusterResult:
     objective_trace: list[float] = field(default_factory=list)
 
 
-@dataclass
-class PcaBasis:
-    components: np.ndarray         # (d_out, d), orthonormal rows
-    mean: np.ndarray               # (d,)
-
-
 def _validate_points(points: np.ndarray, k: int) -> np.ndarray:
     x = np.asarray(points, dtype=float)
     if x.ndim != 2:
@@ -213,16 +207,16 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
     return best  # type: ignore[return-value]
 
 
-def pca_fit(points: np.ndarray, d_out: int) -> PcaBasis:
-    """Top d_out principal components via full symmetric eigendecomposition."""
+def pca_coordinates(points: np.ndarray, d_out: int) -> np.ndarray:
+    """The rows' coordinates on their top d_out principal components, by
+    full symmetric eigendecomposition."""
     x = np.asarray(points, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need at least two points")
     d = x.shape[1]
     if not 1 <= d_out <= d:
         raise ValueError(f"d_out must lie in [1, {d}]")
-    mean = x.mean(axis=0)
-    xc = x - mean
+    xc = x - x.mean(axis=0)
     cov = xc.T @ xc / (x.shape[0] - 1)
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1][:d_out]
@@ -232,9 +226,4 @@ def pca_fit(points: np.ndarray, d_out: int) -> PcaBasis:
         pivot = np.argmax(np.abs(row))
         if row[pivot] < 0:
             row *= -1.0
-    return PcaBasis(components, mean)
-
-
-def pca_project(basis: PcaBasis, point: np.ndarray) -> np.ndarray:
-    x = np.asarray(point, dtype=float)
-    return (x - basis.mean) @ basis.components.T
+    return xc @ components.T

@@ -1,4 +1,4 @@
-"""Pseudo labels from cluster assignments and exemplar selection."""
+"""Exemplar selection and replay of pseudo-labelled samples."""
 
 from __future__ import annotations
 
@@ -12,20 +12,6 @@ class ExemplarStore:
     q: int
     ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     labels: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def assign_pseudo_labels(assignments: np.ndarray, m: int) -> np.ndarray:
-    """Offset cluster assignments by the number of already-learned classes,
-    giving per-sample class indices in {m .. m+n-1}."""
-    a = np.asarray(assignments, dtype=int)
-    if np.any(a < 0):
-        raise ValueError("negative cluster assignment")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return a + m
 
 
 def _store(q: int, rows: np.ndarray, pseudo_labels: np.ndarray,
@@ -134,8 +120,8 @@ def merge_replay(x_new: np.ndarray, y_new: np.ndarray, x_old: np.ndarray,
     The third return value maps each output row to its index in x_new,
     or -1 for replayed exemplar rows.
     """
-    x = np.vstack([x_new, x_old]).astype(float)
-    y = np.concatenate([y_new, y_old]).astype(int)
+    x = np.vstack([x_new, x_old]).astype(float, copy=False)
+    y = np.concatenate([y_new, y_old]).astype(int, copy=False)
     origin = np.concatenate([np.arange(len(x_new)), np.full(len(x_old), -1)])
     perm = np.random.default_rng(seed).permutation(len(x))
     return x[perm], y[perm], origin[perm]

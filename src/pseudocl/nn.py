@@ -58,9 +58,6 @@ class Model:
     def feature_dim(self) -> int:
         return self.dims[-2]
 
-    def copy(self) -> "Model":
-        return Model(self.dims, self.params.copy(), self.seeds)
-
 
 def init_model(in_dim: int, hidden_width: int, n_hidden: int, out_dim: int,
                seed: int) -> Model:
@@ -220,8 +217,9 @@ def expand_head(model: Model, n_new: int, seed: int) -> Model:
     return out
 
 
-def weight_align(model: Model, m: int, n: int) -> Model:
-    """Scale new-class head weights so mean norms of old and new rows match."""
+def weight_align(model: Model, m: int, n: int) -> None:
+    """In place: scale the new-class head weights so the mean norms of the
+    old and the new classes' weight columns match."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     if model.out_dim != m + n:
@@ -231,6 +229,4 @@ def weight_align(model: Model, m: int, n: int) -> Model:
     if mean_new == 0.0:
         raise ValueError("all-zero new-class weights; cannot align")
     gamma = float(np.mean(norms[:m])) / mean_new
-    out = model.copy()
-    out.layers[-1][0][:, m:] *= gamma
-    return out
+    model.layers[-1][0][:, m:] *= gamma

@@ -12,12 +12,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
-from .clustering import kmeans, pca_fit, pca_project
+from .clustering import kmeans, pca_coordinates
 from .config import RunConfig, dump_config, parse_setting
 from .data import (Dataset, _write_atomic, _write_table, write_checkpoint,
                    write_report, write_summary)
-from .labeling import (ExemplarStore, assign_pseudo_labels, merge_replay,
-                       select_exemplars_herding, select_exemplars_random)
+from .labeling import (ExemplarStore, merge_replay, select_exemplars_herding,
+                       select_exemplars_random)
 from .metrics import StepReport, step_report
 
 
@@ -133,8 +133,7 @@ def _variant_features(model: nn.Model, h1: nn.Model, x: np.ndarray,
                               _seed(cfg.model_seed, "scratch", step))
         feats = nn.extract_features(fresh, x)
     else:  # "pca"; RunConfig's variant field rejects any other
-        basis = pca_fit(x, min(cfg.pca_dim, x.shape[1]))
-        feats = pca_project(basis, x)
+        feats = pca_coordinates(x, min(cfg.pca_dim, x.shape[1]))
     if cfg.normalize_features:
         norms = np.linalg.norm(feats, axis=1, keepdims=True)
         feats = feats / np.maximum(norms, 1e-12)
@@ -179,8 +178,8 @@ def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
     an oracle run, trains on the true labels; any other step clusters the
     task with a feature extractor and must read no label until evaluation.
 
-    The passed model is left as it is: expand_head and weight_align each
-    build a new model, so it can serve as the teacher (and as h1) uncopied.
+    The passed model is left as it is, to serve as the teacher (and h1):
+    training and weight_align update the new model that expand_head builds.
     """
     classes = tasks[step - 1]
     n = len(classes)
@@ -198,7 +197,7 @@ def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
         assignments = _true_slots(dataset, classes, train_ids)
     else:
         assignments = cluster(_variant_features(model, h1, x_train, cfg, step))
-    labels = assign_pseudo_labels(assignments, m)
+    labels = assignments + m  # slots m..m+n-1 follow the m learned classes
 
     teacher = model
     if model is None:
@@ -220,13 +219,13 @@ def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
     for start in range(0, n_epochs, seg):
         if start:
             assignments = cluster(nn.extract_features(model, x_train), start)
-            labels = assign_pseudo_labels(assignments, m)
+            labels = assignments + m
             y[origin >= 0] = labels[origin[origin >= 0]]
         _train(model, x, y, teacher, m, n, cfg, step,
                range(start, min(start + seg, n_epochs)), n_epochs)
 
     if cfg.bias_correction and m > 0:
-        model = nn.weight_align(model, m, n)
+        nn.weight_align(model, m, n)
 
     store = _update_store(store, model, x_train, assignments, labels,
                           train_ids, cfg, step)

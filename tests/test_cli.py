@@ -854,11 +854,14 @@ class TestReport:
 
     @pytest.mark.parametrize("name, text", [
         ("report.csv", None), ("report.csv", ""),
-        ("report.csv", "step,acc\n1,x.5\n"), ("summary.csv", ""),
+        ("report.csv", "step,acc\n1,x.5\n"),
+        ("report.csv", "step,acc\n1,abc\n"),
+        ("report.csv", "step,acc\n1e-05,0.5\n"), ("summary.csv", ""),
         ("summary.csv", "avg_acc,seed\n"),
         ("summary.csv", "avg_acc,seed\n0.5\n")],
-        ids=["no-report", "empty-report", "bad-float", "empty-summary",
-             "no-summary-row", "short-summary-row"])
+        ids=["no-report", "empty-report", "bad-float", "no-dot-text",
+             "float-step", "empty-summary", "no-summary-row",
+             "short-summary-row"])
     def test_unreadable_table_is_usage_error(self, tmp_path, capsys, name,
                                              text):
         (tmp_path / "report.csv").write_text("step,acc\n1,0.5\n")
@@ -872,6 +875,15 @@ class TestReport:
         assert re.match(rf"error: {re.escape(str(tmp_path / name))}(:\d+)?: ",
                         err), err
         assert out == ""
+
+    def test_counts_print_as_ints_and_metrics_as_floats(self, tmp_path,
+                                                        capsys):
+        # _write_table writes the float 1/100000 as "1e-05", with no "."
+        (tmp_path / "report.csv").write_text(
+            "step,classes_seen,acc,nmi,ari\n2,10,1e-05,1,0.5\n")
+        assert cli.main(["report", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["2", "10", "0.0000", "1.0000", "0.5000"]
 
     @pytest.mark.parametrize("name", ["report.csv", "summary.csv"])
     def test_non_utf8_table_names_path(self, tmp_path, capsys, name):

@@ -108,29 +108,51 @@ def char_poly_eigvals_2x2(cov):
     return np.sort([(tr - disc) / 2, (tr + disc) / 2])[::-1]
 
 
+def eigh_components(x, d_out):
+    """Top d_out principal components of rows x, straight from eigh of
+    np.cov, each with its largest-magnitude entry positive."""
+    evecs = np.linalg.eigh(np.cov(x, rowvar=False))[1][:, ::-1]
+    comps = evecs[:, :d_out].T
+    pivots = comps[np.arange(d_out), np.argmax(np.abs(comps), axis=1)]
+    return comps * np.sign(pivots)[:, None]
+
+
+def components_of(x, z):
+    """The components C behind coordinates z of rows x: the least-squares
+    solution of (x - mean) C^T = z, exact when x has full column rank."""
+    return np.linalg.lstsq(x - x.mean(axis=0), z, rcond=None)[0].T
+
+
 class TestPca:
+    def test_coordinates_match_eigh_oracle(self):
+        rng = np.random.default_rng(30)
+        x = rng.standard_normal((40, 6)) * np.array([4.0, 3.0, 2.0, 1.5, 1.0,
+                                                     0.5])
+        for d_out in (1, 3, 6):
+            z = clustering.pca_coordinates(x, d_out)
+            want = (x - x.mean(axis=0)) @ eigh_components(x, d_out).T
+            assert z.shape == (40, d_out)
+            assert np.allclose(z, want, atol=1e-10)
+
     def test_explained_variance_matches_characteristic_polynomial(self):
         rng = np.random.default_rng(31)
         x = rng.standard_normal((50, 2)) @ np.array([[2.0, 0.3], [0.3, 0.5]])
-        basis = clustering.pca_fit(x, 2)
         xc = x - x.mean(axis=0)
         cov = xc.T @ xc / (x.shape[0] - 1)
         expected = char_poly_eigvals_2x2(cov)
-        explained = np.var(clustering.pca_project(basis, x), axis=0, ddof=1)
+        explained = np.var(clustering.pca_coordinates(x, 2), axis=0, ddof=1)
         assert np.allclose(explained, expected, rtol=1e-10)
 
     def test_components_orthonormal(self):
         rng = np.random.default_rng(32)
         x = rng.standard_normal((40, 6))
-        basis = clustering.pca_fit(x, 4)
-        gram = basis.components @ basis.components.T
-        assert np.allclose(gram, np.eye(4), atol=1e-10)
+        comps = components_of(x, clustering.pca_coordinates(x, 4))
+        assert np.allclose(comps @ comps.T, np.eye(4), atol=1e-10)
 
     def test_variance_ordering_non_increasing(self):
         rng = np.random.default_rng(33)
         x = rng.standard_normal((60, 5)) * np.array([5.0, 3.0, 1.0, 0.5, 0.1])
-        basis = clustering.pca_fit(x, 5)
-        explained = np.var(clustering.pca_project(basis, x), axis=0, ddof=1)
+        explained = np.var(clustering.pca_coordinates(x, 5), axis=0, ddof=1)
         assert np.all(np.diff(explained) <= 1e-12)
 
     def test_axis_aligned_data_recovers_dominant_axis(self):
@@ -138,15 +160,14 @@ class TestPca:
         x = np.zeros((100, 3))
         x[:, 1] = rng.standard_normal(100) * 10.0
         x[:, 0] = rng.standard_normal(100) * 0.01
-        basis = clustering.pca_fit(x, 1)
-        assert abs(basis.components[0, 1]) > 0.999
-        assert basis.components[0, 1] > 0  # sign convention
+        comp = components_of(x, clustering.pca_coordinates(x, 1))[0]
+        assert abs(comp[1]) > 0.999
+        assert comp[1] > 0  # sign convention
 
     def test_projection_preserves_pairwise_distances_at_full_rank(self):
         rng = np.random.default_rng(35)
         x = rng.standard_normal((10, 4))
-        basis = clustering.pca_fit(x, 4)
-        z = np.array([clustering.pca_project(basis, row) for row in x])
+        z = clustering.pca_coordinates(x, 4)
         orig = np.linalg.norm(x[:, None] - x[None, :], axis=2)
         proj = np.linalg.norm(z[:, None] - z[None, :], axis=2)
         assert np.allclose(orig, proj, atol=1e-9)
@@ -154,28 +175,26 @@ class TestPca:
     def test_projection_reconstruction_identity(self):
         rng = np.random.default_rng(36)
         x = rng.standard_normal((30, 3))
-        basis = clustering.pca_fit(x, 3)
-        p = rng.standard_normal(3)
-        z = clustering.pca_project(basis, p)
-        back = z @ basis.components + basis.mean
-        assert np.allclose(back, p, atol=1e-10)
+        z = clustering.pca_coordinates(x, 3)
+        back = z @ eigh_components(x, 3) + x.mean(axis=0)
+        assert np.allclose(back, x, atol=1e-10)
 
     def test_deterministic_sign_fix(self):
         rng = np.random.default_rng(37)
         x = rng.standard_normal((50, 4))
-        a = clustering.pca_fit(x, 3)
-        b = clustering.pca_fit(x.copy(), 3)
-        assert np.array_equal(a.components, b.components)
-        for row in a.components:
+        a = clustering.pca_coordinates(x, 3)
+        b = clustering.pca_coordinates(x.copy(), 3)
+        assert np.array_equal(a, b)
+        for row in components_of(x, a):
             assert row[np.argmax(np.abs(row))] > 0
 
     def test_bad_output_dim_rejected(self):
         x = np.zeros((5, 3))
         with pytest.raises(ValueError):
-            clustering.pca_fit(x, 4)
+            clustering.pca_coordinates(x, 4)
         with pytest.raises(ValueError):
-            clustering.pca_fit(x, 0)
+            clustering.pca_coordinates(x, 0)
 
     def test_one_point_rejected(self):
         with pytest.raises(ValueError, match="two points"):
-            clustering.pca_fit(np.ones((1, 3)), 1)
+            clustering.pca_coordinates(np.ones((1, 3)), 1)

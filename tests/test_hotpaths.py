@@ -779,10 +779,11 @@ class TestTrainLoop:
     def train_both(self, m, rest):
         student, x, y, teacher, cfg = self.step_inputs(m, 5 * self.BATCH
                                                        + rest)
-        got = student.copy()
+        got = nn.Model(student.dims, student.params.copy())
         protocol._train(got, x, y, teacher, m, 5, cfg, 2, range(cfg.epochs),
                         cfg.epochs)
-        want = train_oracle(student.copy(), x, y, teacher, m, 5, cfg, 2)
+        want = train_oracle(nn.Model(student.dims, student.params.copy()),
+                            x, y, teacher, m, 5, cfg, 2)
         return got.params, want.params
 
     @pytest.mark.parametrize("m, rest", [(5, 0), (10, 0), (15, 0), (5, 2),

@@ -4,31 +4,6 @@ import pytest
 from pseudocl import labeling
 
 
-class TestAssignPseudoLabels:
-    def test_offset_added(self):
-        labels = labeling.assign_pseudo_labels(np.array([0, 2, 1, 0]), m=10)
-        assert labels.tolist() == [10, 12, 11, 10]
-
-    def test_zero_offset_is_identity(self):
-        a = np.array([1, 0, 3])
-        assert np.array_equal(labeling.assign_pseudo_labels(a, m=0), a)
-
-    def test_labels_disjoint_from_old_classes(self):
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, 5, 50)
-        labels = labeling.assign_pseudo_labels(a, m=15)
-        assert labels.min() >= 15
-        assert labels.max() < 20
-
-    def test_negative_assignment_rejected(self):
-        with pytest.raises(ValueError):
-            labeling.assign_pseudo_labels(np.array([0, -1]), m=5)
-
-    def test_negative_offset_rejected(self):
-        with pytest.raises(ValueError, match="m must"):
-            labeling.assign_pseudo_labels(np.array([0, 1]), m=-1)
-
-
 def herd_oracle(feats, q):
     """Direct transcription of greedy mean-matching selection, one pick at
     a time, recomputing the candidate running means from scratch."""
@@ -75,7 +50,7 @@ class TestHerding:
         assignments = np.repeat([0, 1, 2], 10)
         store = labeling.select_exemplars_herding(
             feats, assignments, assignments + 5, q=4)
-        assert len(store) == 12
+        assert len(store.ids) == 12
         assert len(set(store.ids)) == 12
         labels, counts = np.unique(store.labels, return_counts=True)
         assert labels.tolist() == [5, 6, 7] and counts.tolist() == [4, 4, 4]
@@ -100,7 +75,7 @@ class TestHerding:
             feats, assignments, assignments, q=10**12)
         assert huge.ids.tolist() == at_largest.ids.tolist()
         assert huge.labels.tolist() == at_largest.labels.tolist()
-        assert len(huge) == 15 and huge.q == 10**12
+        assert len(huge.ids) == 15 and huge.q == 10**12
 
     def test_tie_break_lowest_index(self):
         # symmetric pair: both points equally far from the mean
@@ -137,7 +112,7 @@ class TestRandomSelection:
         assignments = np.repeat([0, 1], 20)
         store = labeling.select_exemplars_random(
             assignments, assignments, q=6, seed=0)
-        assert len(store) == 12
+        assert len(store.ids) == 12
         assert len(set(store.ids)) == 12
 
     def test_members_come_from_own_cluster(self):
@@ -226,5 +201,5 @@ class TestMergeReplay:
 class TestExemplarStore:
     def test_starts_empty_with_int_arrays(self):
         store = labeling.ExemplarStore(5)
-        assert len(store) == 0
+        assert len(store.ids) == 0
         assert store.ids.dtype == store.labels.dtype == np.dtype(int)

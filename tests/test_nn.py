@@ -28,12 +28,6 @@ class TestModel:
         assert np.shares_memory(w, m.params) and np.shares_memory(b, m.params)
         assert sum(w.size + b.size for w, b in m.layers) == m.params.size
 
-    def test_copy_is_independent(self):
-        m = small_model()
-        c = m.copy()
-        c.params[:] = 0.0
-        assert np.any(m.params != 0.0)
-
     def test_wrong_param_count_rejected(self):
         with pytest.raises(ValueError):
             nn.Model([2, 3], np.zeros(8))
@@ -392,10 +386,13 @@ class TestWeightAlign:
         w = np.zeros((4, 4))
         w[:, :2] = np.array([[2.0, 2.0], [0, 0], [0, 0], [0, 0]])  # norms 2
         w[:, 2:] = np.array([[4.0, 4.0], [0, 0], [0, 0], [0, 0]])  # norms 4
-        m = head_only(w, np.zeros(4))
-        out = nn.weight_align(m, 2, 2)
-        head_w = out.layers[-1][0]
+        m = head_only(w, np.arange(4.0))
+        assert nn.weight_align(m, 2, 2) is None
+        head_w = m.layers[-1][0]
         assert np.allclose(head_w[:, 2:], 0.5 * w[:, 2:])
+        # in place, and only the new-class weight columns
+        assert np.array_equal(head_w[:, :2], w[:, :2])
+        assert np.array_equal(m.layers[-1][1], np.arange(4.0))
         norms = np.linalg.norm(head_w, axis=0)
         assert abs(norms[:2].mean() - norms[2:].mean()) < 1e-9
 
@@ -405,22 +402,24 @@ class TestWeightAlign:
         norms = np.linalg.norm(w, axis=0)
         w = w / norms  # all columns unit norm
         m = head_only(w, np.zeros(4))
-        out = nn.weight_align(m, 2, 2)
-        assert np.allclose(out.layers[-1][0], w, atol=1e-12)
+        nn.weight_align(m, 2, 2)
+        assert np.allclose(m.layers[-1][0], w, atol=1e-12)
 
     def test_old_class_argmax_preserved(self):
         model = small_model(seed=40, out_dim=6)
-        aligned = nn.weight_align(model, 4, 2)
         x = np.random.default_rng(9).standard_normal((50, 5))
         before = np.argmax(nn.forward(model, x)[:, :4], axis=1)
-        after = np.argmax(nn.forward(aligned, x)[:, :4], axis=1)
+        nn.weight_align(model, 4, 2)
+        after = np.argmax(nn.forward(model, x)[:, :4], axis=1)
         assert np.array_equal(before, after)
 
     def test_zero_new_rows_rejected(self):
         m = small_model(seed=41, out_dim=4)
         m.layers[-1][0][:, 2:] = 0.0
+        before = m.params.tobytes()
         with pytest.raises(ValueError):
             nn.weight_align(m, 2, 2)
+        assert m.params.tobytes() == before
 
 
 class TestDeterminism:

@@ -109,7 +109,7 @@ class TestContinualStep:
         cfg = fast_cfg()
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
         model = first_task(dataset, tasks, cfg)
-        h1 = model.copy()
+        h1 = model
         store = ExemplarStore(cfg.q)
         model, store, rep = protocol.continual_step(
             model, tasks, 2, store, dataset, cfg, h1)
@@ -119,8 +119,8 @@ class TestContinualStep:
 
     @pytest.mark.parametrize("oracle", [False, True])
     def test_step_leaves_passed_model_unchanged(self, dataset, oracle):
-        # no step copies the model it is given: expand_head and
-        # weight_align each build a new one, and training updates that
+        # no step copies the model it is given: expand_head builds the
+        # step's new model, and training and weight_align update that one
         cfg = fast_cfg(oracle_labels=oracle)
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
         model = first_task(dataset, tasks, cfg)
@@ -133,7 +133,7 @@ class TestContinualStep:
         cfg = fast_cfg()
         result = protocol.run_experiment(cfg, dataset)
         # 3 tasks x 2 classes x q exemplars
-        assert len(result.store) == 6 * cfg.q
+        assert len(result.store.ids) == 6 * cfg.q
         labels, counts = np.unique(result.store.labels, return_counts=True)
         assert labels.tolist() == list(range(6))
         assert counts.tolist() == [cfg.q] * 6
@@ -144,16 +144,16 @@ class TestContinualStep:
         model = first_task(dataset, tasks, cfg)
         store = ExemplarStore(cfg.q, np.array([3, 1]), np.array([0, 1]))
         _, grown, _ = protocol.continual_step(model, tasks, 2, store,
-                                              dataset, cfg, model.copy())
+                                              dataset, cfg, model)
         assert store.ids.tolist() == [3, 1] and store.labels.tolist() == [0, 1]
         assert grown.ids[:2].tolist() == [3, 1]
-        assert len(grown) == 2 + 2 * cfg.q
+        assert len(grown.ids) == 2 + 2 * cfg.q
 
     def test_unsupervised_path_never_reads_labels(self, dataset):
         cfg = fast_cfg()
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
         model = first_task(dataset, tasks, cfg)
-        h1 = model.copy()
+        h1 = model
         before = dataset.sealed.access_count
         model, _, _ = protocol.continual_step(
             model, tasks, 2, ExemplarStore(cfg.q), dataset, cfg, h1)
@@ -164,7 +164,7 @@ class TestContinualStep:
         cfg = fast_cfg()
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
         model = first_task(dataset, tasks, cfg)
-        h1 = model.copy()
+        h1 = model
         real_kmeans = protocol.kmeans
 
         def leaky_kmeans(*args, **kwargs):
@@ -186,7 +186,7 @@ class TestContinualStep:
         cfg = fast_cfg(mode="online", exemplar_policy="none")
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
         model = first_task(dataset, tasks, cfg)
-        h1 = model.copy()
+        h1 = model
         calls = []
         real_step = nn.sgd_step
 
@@ -204,7 +204,7 @@ class TestContinualStep:
         cfg = fast_cfg(exemplar_policy="none")
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
         model = first_task(dataset, tasks, cfg)
-        h1 = model.copy()
+        h1 = model
         calls = []
         real_step = nn.sgd_step
 
@@ -259,7 +259,7 @@ class TestContinualStep:
         cfg = fast_cfg(epochs=5, upl_k=2)
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
         model = first_task(dataset, tasks, cfg)
-        h1 = model.copy()
+        h1 = model
         store = ExemplarStore(cfg.q)
         for step in (2, 3):
             clusterings.clear()
@@ -268,9 +268,9 @@ class TestContinualStep:
             assert len(clusterings) == 3  # the first and two refreshes
             train_ids = dataset.ids_for_classes(tasks[step - 1],
                                                 eval_split=False).tolist()
-            rows = [train_ids.index(i) for i in grown.ids[len(store):]]
+            rows = [train_ids.index(i) for i in grown.ids[len(store.ids):]]
             m = (step - 1) * 2
-            assert grown.labels[len(store):].tolist() == \
+            assert grown.labels[len(store.ids):].tolist() == \
                 (m + clusterings[-1][rows]).tolist()
             store = grown
 
