@@ -1,7 +1,54 @@
 import numpy as np
 import pytest
 
-from pseudocl import labeling
+from pseudocl import labeling, protocol
+from pseudocl.config import BlobSpec, RunConfig
+from pseudocl.data import generate_gaussian_stream
+
+
+def step_labels(monkeypatch, last_step):
+    """The (assignments, pseudo labels) each step of a run hands to exemplar
+    selection, steps 1 .. last_step of a 6-class stream in tasks of 2."""
+    dataset = generate_gaussian_stream(BlobSpec(
+        num_classes=6, dim=6, samples_per_class=30, separation=3.0, std=0.3,
+        seed=5))
+    cfg = RunConfig(step_size=2, epochs=2, batch_size=16, hidden_width=16,
+                    n_hidden=1, q=3, lr=0.1, arrangement_seed=1993)
+    seen = []
+    real = protocol._update_store
+
+    def recording(store, model, x, assignments, labels, *rest):
+        seen.append((np.array(assignments), np.array(labels)))
+        return real(store, model, x, assignments, labels, *rest)
+
+    monkeypatch.setattr(protocol, "_update_store", recording)
+    tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+    model, h1, store = None, None, labeling.ExemplarStore(cfg.q)
+    for step in range(1, last_step + 1):
+        model, store, _ = protocol.continual_step(model, tasks, step, store,
+                                                  dataset, cfg, h1)
+        h1 = h1 or model
+    return seen
+
+
+class TestAssignPseudoLabels:
+    # a step's pseudo labels are its cluster assignments offset by the
+    # m = (step - 1) * n classes already learned
+    def test_offset_added(self, monkeypatch):
+        assignments, labels = step_labels(monkeypatch, 2)[1]
+        assert np.array_equal(labels, assignments + 2)
+        assert set(assignments.tolist()) == {0, 1}
+
+    def test_zero_offset_is_identity(self, monkeypatch):
+        assignments, labels = step_labels(monkeypatch, 1)[0]
+        assert np.array_equal(labels, assignments)
+        assert sorted(set(labels.tolist())) == [0, 1]
+
+    def test_labels_disjoint_from_old_classes(self, monkeypatch):
+        for step, (_, labels) in enumerate(step_labels(monkeypatch, 3), 1):
+            m = (step - 1) * 2
+            assert labels.min() >= m
+            assert labels.max() < m + 2
 
 
 def herd_oracle(feats, q):
