@@ -57,7 +57,9 @@ def select_exemplars_herding(features: np.ndarray, assignments: np.ndarray,
     # each cluster's rows in index order, as one contiguous block, so the
     # block mean sums in the same order as features[assignments == j].mean(0)
     grouped = features[order]
-    mu = np.empty((len(clusters), features.shape[1]))
+    d = features.shape[1]
+    del features  # grouped holds the rows now
+    mu = np.empty((len(clusters), d))
     for j, (lo, hi) in enumerate(zip(starts, ends)):
         mu[j] = grouped[lo:hi].mean(axis=0)
     centred = grouped - mu[cluster_of]
@@ -69,7 +71,6 @@ def select_exemplars_herding(features: np.ndarray, assignments: np.ndarray,
     rounds = min(q, sizes.max(initial=0))
     picks = np.zeros((len(clusters), rounds), dtype=int)
     eps = np.finfo(float).eps
-    d = features.shape[1]
     for k in range(1, rounds + 1):
         key = 2.0 * np.einsum("ij,ij->i", centred, centred_sum[cluster_of]) + sq
         key[picked] = np.inf
@@ -115,12 +116,12 @@ def select_exemplars_random(assignments: np.ndarray, pseudo_labels: np.ndarray,
 def merge_replay(x_new: np.ndarray, y_new: np.ndarray, x_old: np.ndarray,
                  y_old: np.ndarray,
                  seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate new data with replayed exemplars and shuffle (seeded).
+    """Concatenate new rows with replayed exemplars and shuffle (seeded).
 
-    The third return value maps each output row to its index in x_new,
-    or -1 for replayed exemplar rows.
+    The rows may be feature rows or sample ids. The third return value maps
+    each output row to its index in x_new, or -1 for replayed exemplar rows.
     """
-    x = np.vstack([x_new, x_old]).astype(float, copy=False)
+    x = np.concatenate([x_new, x_old])
     y = np.concatenate([y_new, y_old]).astype(int, copy=False)
     origin = np.concatenate([np.arange(len(x_new)), np.full(len(x_old), -1)])
     perm = np.random.default_rng(seed).permutation(len(x))

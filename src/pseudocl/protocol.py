@@ -140,16 +140,16 @@ def _variant_features(model: nn.Model, h1: nn.Model, x: np.ndarray,
     return feats
 
 
-def _update_store(store: ExemplarStore, model: nn.Model, x: np.ndarray,
+def _update_store(store: ExemplarStore, model: nn.Model, dataset: Dataset,
                   assignments: np.ndarray, labels: np.ndarray,
                   sample_ids: np.ndarray, cfg: RunConfig,
                   step: int) -> ExemplarStore:
     if cfg.exemplar_policy == "none":
         return store
     if cfg.exemplar_policy == "herding":
-        picked = select_exemplars_herding(nn.extract_features(model, x),
-                                          assignments, labels, cfg.q,
-                                          sample_ids)
+        picked = select_exemplars_herding(
+            nn.extract_features(model, dataset.features_for(sample_ids)),
+            assignments, labels, cfg.q, sample_ids)
     else:
         picked = select_exemplars_random(assignments, labels, cfg.q,
                                          _seed(cfg.shuffle_seed, "random-ex",
@@ -158,13 +158,25 @@ def _update_store(store: ExemplarStore, model: nn.Model, x: np.ndarray,
                          np.concatenate([store.labels, picked.labels]))
 
 
+# held-out rows go through the model this many at a time; a constant, since
+# `pseudocl eval` has no run config and must print the run's own report row
+EVAL_BLOCK = 512
+
+
 def evaluate(model: nn.Model, dataset: Dataset, classes,
              step: int) -> StepReport:
     """Cluster-quality metrics of the model's predictions on the held-out
-    samples of ``classes``, the classes seen so far."""
+    samples of ``classes``, the classes seen so far.
+
+    The model forwards the rows in blocks of EVAL_BLOCK, in order, so the
+    logits never hold more than EVAL_BLOCK rows however many are held out.
+    """
     eval_ids = dataset.ids_for_classes(classes, eval_split=True)
     x = dataset.features_for(eval_ids)
-    preds = np.argmax(nn.forward(model, x), axis=1)
+    preds = np.empty(len(x), dtype=int)
+    for start in range(0, len(x), EVAL_BLOCK):
+        preds[start:start + EVAL_BLOCK] = np.argmax(
+            nn.forward(model, x[start:start + EVAL_BLOCK]), axis=1)
     truth = dataset.sealed.reveal(dataset.positions(eval_ids))
     return step_report(step, model.out_dim, preds, truth)
 
@@ -185,31 +197,33 @@ def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
     n = len(classes)
     m = (step - 1) * n
     train_ids = dataset.ids_for_classes(classes, eval_split=False)
-    x_train = dataset.features_for(train_ids)
     supervised = model is None or cfg.oracle_labels
 
     def cluster(feats: np.ndarray, *tag) -> np.ndarray:
         seed = _seed(cfg.shuffle_seed, "cluster", step, *tag)
         return kmeans(feats, n, seed=seed, n_restarts=cfg.n_restarts).assignments
 
+    # the step holds one copy of its rows, the merged set while it trains:
+    # every other reader of the task's rows gathers them by id
     reads_before = dataset.sealed.access_count
     if supervised:
         assignments = _true_slots(dataset, classes, train_ids)
     else:
-        assignments = cluster(_variant_features(model, h1, x_train, cfg, step))
+        assignments = cluster(_variant_features(
+            model, h1, dataset.features_for(train_ids), cfg, step))
     labels = assignments + m  # slots m..m+n-1 follow the m learned classes
 
     teacher = model
     if model is None:
         model = nn.init_model(dataset.dim, cfg.hidden_width, cfg.n_hidden, n,
                               cfg.model_seed)
-        x, y = x_train, labels
+        ids, y = train_ids, labels
     else:
         model = nn.expand_head(model, n, _seed(cfg.model_seed, "expand", step))
-        x, y, origin = merge_replay(x_train, labels,
-                                    dataset.features_for(store.ids),
-                                    store.labels,
-                                    _seed(cfg.shuffle_seed, "merge", step))
+        ids, y, origin = merge_replay(train_ids, labels, store.ids,
+                                      store.labels,
+                                      _seed(cfg.shuffle_seed, "merge", step))
+    x = dataset.features_for(ids)
 
     # UPL trains in segments of upl_k epochs and re-clusters the task with
     # the model in training before each but the first; replayed labels stay
@@ -218,16 +232,22 @@ def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
     seg = n_epochs if supervised or cfg.upl_k == 0 else cfg.upl_k
     for start in range(0, n_epochs, seg):
         if start:
-            assignments = cluster(nn.extract_features(model, x_train), start)
+            assignments = cluster(nn.extract_features(
+                model, dataset.features_for(train_ids)), start)
             labels = assignments + m
             y[origin >= 0] = labels[origin[origin >= 0]]
         _train(model, x, y, teacher, m, n, cfg, step,
                range(start, min(start + seg, n_epochs)), n_epochs)
+    del ids, x, y
 
     if cfg.bias_correction and m > 0:
-        nn.weight_align(model, m, n)
+        try:
+            nn.weight_align(model, m, n)
+        except ValueError as exc:
+            raise ProtocolError(f"weight alignment failed at step {step}: "
+                                f"{exc}") from exc
 
-    store = _update_store(store, model, x_train, assignments, labels,
+    store = _update_store(store, model, dataset, assignments, labels,
                           train_ids, cfg, step)
     if not supervised:
         training_reads = dataset.sealed.access_count - reads_before

@@ -287,6 +287,29 @@ class TestRun:
         lines = (out / "report.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines] == ["step", "1"]
 
+    def test_alignment_failure_names_step(self, tmp_path, capsys):
+        # step 2's new-class head weights end all zero: lr * weight_decay
+        # = 1 zeroes the columns that dead ReLUs feed
+        spec = tmp_path / "spec.cfg"
+        spec.write_text("num_classes = 4\ndim = 1\nsamples_per_class = 6\n"
+                        "separation = 0.001\nstd = 0.1\nseed = 90\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model.hidden_width = 3\ncluster.n_restarts = 2\n")
+        csv = tmp_path / "data.csv"
+        assert cli.main(["gen-data", str(spec), str(csv)]) == 0
+        out = tmp_path / "run"
+        code = cli.main(["run", str(cfg), "--data", str(csv), "--out", str(out),
+                         "--mode", "online", "--variant", "ffe", "--q", "50",
+                         "--step-size", "2", "--oracle-labels", "--epochs",
+                         "1", "--batch", "2", "--temperature", "100",
+                         "--weight-decay", "10", "--seed", "4"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: weight alignment failed at step 2: all-zero new-class "
+            "weights; cannot align\n")
+        assert (out / "step_1.ckpt").exists()
+        assert not (out / "step_2.ckpt").exists()
+
     def test_step_size_not_dividing_classes_is_usage_error(
             self, workdir, tmp_path, capsys):
         # 4 classes with step size 3 cannot be split into equal tasks

@@ -244,6 +244,26 @@ class TestMergeReplay:
         pairs = {(float(a[0]), int(b)) for a, b in zip(x, y)}
         assert pairs == {(1.0, 10), (2.0, 20), (3.0, 30)}
 
+    @pytest.mark.parametrize("old_ids", [[7, 1, 3], []])
+    def test_ids_merge_as_their_rows_do(self, old_ids):
+        # merged sample ids keep the order and origin map of a merge of
+        # their feature rows at the same seed, with or without a store, so
+        # gathering the merged ids gives the merged rows
+        features = np.random.default_rng(4).standard_normal((9, 3))
+        new_ids = np.array([6, 2, 8, 0, 5])
+        store = labeling.ExemplarStore(
+            3, np.array(old_ids, dtype=int), np.full(len(old_ids), 4))
+        y_new = np.array([0, 1, 1, 0, 1])
+        x, y, origin = labeling.merge_replay(
+            features[new_ids], y_new, features[store.ids], store.labels,
+            seed=11)
+        ids, id_y, id_origin = labeling.merge_replay(
+            new_ids, y_new, store.ids, store.labels, seed=11)
+        assert ids.dtype == id_y.dtype == np.dtype(int)
+        assert np.array_equal(features[ids], x)
+        assert np.array_equal(id_y, y)
+        assert np.array_equal(id_origin, origin)
+
 
 class TestExemplarStore:
     def test_starts_empty_with_int_arrays(self):

@@ -1,5 +1,6 @@
 import math
 import os
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 
 from pseudocl import nn, protocol
 from pseudocl.config import BlobSpec, RunConfig
-from pseudocl.data import generate_gaussian_stream
+from pseudocl.data import Dataset, generate_gaussian_stream
 from pseudocl.labeling import ExemplarStore
-from pseudocl.metrics import StepReport
+from pseudocl.metrics import StepReport, step_report
 
 
 @pytest.fixture(scope="module")
@@ -450,6 +451,97 @@ class TestRunExperiment:
                            match="step 2, epoch 2 of 5: non-finite parameters"):
             protocol.run_experiment(fast_cfg(epochs=5, upl_k=2,
                                              batch_size=1000), dataset)
+
+    def test_alignment_failure_names_step_and_keeps_finished_files(
+            self, tmp_path):
+        # lr * weight_decay = 1 sets the parameters to -lr * grad at each
+        # update, so head columns behind dead ReLUs become zero: step 2's
+        # new-class weights end all zero and cannot be aligned
+        small = generate_gaussian_stream(BlobSpec(
+            num_classes=4, dim=1, samples_per_class=6, separation=0.001,
+            std=0.1, seed=90))
+        cfg = RunConfig(mode="online", variant="ffe", q=50, step_size=2,
+                        oracle_labels=True, epochs=1, batch_size=2,
+                        temperature=100.0, weight_decay=10.0, hidden_width=3,
+                        n_restarts=2, model_seed=4, shuffle_seed=4)
+        out = tmp_path / "run"
+        with pytest.raises(protocol.ProtocolError, match=(
+                r"^weight alignment failed at step 2: all-zero new-class "
+                r"weights; cannot align$")):
+            protocol.run_experiment(cfg, small, str(out))
+        assert sorted(os.listdir(out)) == [
+            "config.txt", "exemplars_step_1.json", "report.csv",
+            "step_1.ckpt"]
+
+
+class TestStepMemory:
+    def test_step_rows_are_gone_before_herding_and_evaluation(
+            self, dataset, monkeypatch):
+        # a step holds one copy of its rows, the merged set it trains on;
+        # the task's rows are gathered by id for each other reader. So every
+        # array of step 2's rows made before exemplar selection is freed by
+        # the time it runs, and the rows herding read are freed before
+        # evaluation
+        cfg = fast_cfg()
+        tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        model = first_task(dataset, tasks, cfg)
+        refs, alive = [], []
+        real_features_for = Dataset.features_for
+        real_merge = protocol.merge_replay
+
+        def features_for(self, ids):
+            rows = real_features_for(self, ids)
+            refs.append(weakref.ref(rows))
+            return rows
+
+        def merge_replay(*args):
+            merged = real_merge(*args)
+            refs.extend(weakref.ref(a) for a in merged[:2])
+            return merged
+
+        def checked(real):
+            def call(*args, **kwargs):
+                alive.append([r() is not None for r in refs])
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(Dataset, "features_for", features_for)
+        monkeypatch.setattr(protocol, "merge_replay", merge_replay)
+        monkeypatch.setattr(protocol, "_update_store",
+                            checked(protocol._update_store))
+        monkeypatch.setattr(protocol, "evaluate", checked(protocol.evaluate))
+        protocol.continual_step(model, tasks, 2, ExemplarStore(cfg.q),
+                                dataset, cfg, model)
+        # before herding: the task's rows clustered, the merged ids and
+        # labels, and the merged rows trained on; before evaluation, also
+        # the task's rows herding read
+        assert alive == [[False] * 4, [False] * 5]
+
+    def test_evaluate_forwards_row_blocks(self, monkeypatch):
+        # 600 held-out rows: a block and a part of one
+        big = generate_gaussian_stream(BlobSpec(
+            num_classes=3, dim=4, samples_per_class=1000, separation=3.0,
+            std=0.3, seed=5))
+        classes = big.classes()
+        eval_ids = big.ids_for_classes(classes, eval_split=True)
+        assert protocol.EVAL_BLOCK < len(eval_ids) < 2 * protocol.EVAL_BLOCK
+        model = nn.init_model(4, 16, 1, 3, seed=0)
+        preds = np.argmax(nn.forward(model, big.features_for(eval_ids)),
+                          axis=1)
+        assert len(set(preds.tolist())) == 3
+        one_shot = step_report(1, 3, preds,
+                               big.sealed.reveal(big.positions(eval_ids)))
+        rows = []
+        real = nn.forward
+
+        def forward(model, x):
+            rows.append(len(x))
+            return real(model, x)
+
+        monkeypatch.setattr(nn, "forward", forward)
+        assert protocol.evaluate(model, big, classes, 1) == one_shot
+        assert max(rows) == protocol.EVAL_BLOCK
+        assert sum(rows) == len(eval_ids)
 
 
 class TestVariants:
