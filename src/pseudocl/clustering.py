@@ -34,6 +34,14 @@ def _sq_norms(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a)
 
 
+def _sum_sq(diff: np.ndarray) -> np.ndarray:
+    """Sums of ``diff`` squared along its last axis, the exact form of a
+    squared distance when ``diff`` holds the differences. Squares ``diff``
+    in place, so the form takes no temporary beyond the differences."""
+    diff *= diff
+    return np.add.reduce(diff, axis=-1)
+
+
 def _rounding(d: int) -> float:
     """Bound factor r: each form of a squared distance D = |x - c|^2 in d
     dimensions is within r S of D, with S = |x|^2 + |c|^2.
@@ -70,7 +78,7 @@ def _kmeans_pp_init(x: np.ndarray, xx: np.ndarray, k: int,
     centroids = np.empty((k, x.shape[1]))
     idx = int(rng.integers(n))
     centroids[0] = x[idx]
-    d2 = np.sum((x - centroids[0]) ** 2, axis=1)
+    d2 = _sum_sq(x - centroids[0])
     slack = 3 * _rounding(x.shape[1])
     slack_x = slack * xx
     g = np.empty(n)
@@ -91,8 +99,13 @@ def _kmeans_pp_init(x: np.ndarray, xx: np.ndarray, k: int,
             g -= slack * cc
             # NaN > d2 is false, so an overflowed row takes the exact form
             rows = np.flatnonzero(~(g > d2))
-        d2[rows] = np.minimum(d2[rows], np.sum((x[rows] - c) ** 2, axis=1))
+        diff = x[rows]
+        diff -= c
+        d2[rows] = np.minimum(d2[rows], _sum_sq(diff))
     return centroids
+
+
+_EXACT_BLOCK = 4096  # row-centroid pairs per block of _assign's exact form
 
 
 def _assign(x: np.ndarray, xx: np.ndarray,
@@ -122,9 +135,12 @@ def _assign(x: np.ndarray, xx: np.ndarray,
         gap -= first
         slack = 4 * _rounding(x.shape[1]) * (xx + cc.max())
         near = np.flatnonzero(~(gap > slack))
-    if near.size:
-        diff = x[near, None, :] - centroids[None, :, :]
-        best[near] = np.argmin(np.sum(diff ** 2, axis=2), axis=1)
+    # blocks of rows hold at most _EXACT_BLOCK distances, whatever k and
+    # however many rows are near a tie
+    step = max(1, _EXACT_BLOCK // centroids.shape[0])
+    for start in range(0, near.size, step):
+        rows = near[start:start + step]
+        best[rows] = np.argmin(_sum_sq(x[rows, None, :] - centroids), axis=1)
     return best
 
 
@@ -133,8 +149,7 @@ def _objective(x: np.ndarray, centroids: np.ndarray,
     """Mean squared distance to the assigned centroid."""
     diff = centroids[assignments]
     np.subtract(x, diff, out=diff)
-    diff *= diff
-    return float(np.mean(np.add.reduce(diff, axis=1)))
+    return float(np.mean(_sum_sq(diff)))
 
 
 def _update(x: np.ndarray, centroids: np.ndarray,
@@ -153,13 +168,16 @@ def _update(x: np.ndarray, centroids: np.ndarray,
     grouped = x[np.argsort(assignments, kind="stable")]
     for j in np.flatnonzero(counts):
         new_centroids[j] = grouped[ends[j] - counts[j]:ends[j]].mean(axis=0)
+    del grouped  # the repair's distances are the one (n, d) temporary
     # empty-cluster repair: seed each empty cluster with the point
     # currently farthest from its own centroid (lowest index on ties);
     # a repair that empties a later cluster is repaired in the same pass
     for j in range(k):
         if counts[j]:
             continue
-        dists = np.sum((x - new_centroids[assignments]) ** 2, axis=1)
+        diff = new_centroids[assignments]
+        np.subtract(x, diff, out=diff)
+        dists = _sum_sq(diff)
         far = int(np.argmax(dists))
         new_centroids[j] = x[far]
         counts[assignments[far]] -= 1
@@ -194,11 +212,18 @@ def _kmeans_single(x: np.ndarray, xx: np.ndarray, k: int, seed: int,
 
 def kmeans(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
            n_restarts: int = 1) -> ClusterResult:
-    """Lloyd iterations from k-means++ init; deterministic given seed."""
+    """Lloyd iterations from k-means++ init; deterministic given seed.
+    Points must be finite, and a ValueError rejects any whose squared norms
+    overflow."""
     x = _validate_points(points, k)
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
-    xx = _sq_norms(x)
+    with np.errstate(over="ignore"):
+        xx = _sq_norms(x)
+        # the rounding bounds assume a finite S = |x|^2 + |c|^2, and the
+        # seeding's distance total stays below 4 n max |x|^2
+        if not np.isfinite(4.0 * len(x) * xx.max()):
+            raise ValueError("points' squared norms overflow")
     best: ClusterResult | None = None
     for r in range(n_restarts):
         res = _kmeans_single(x, xx, k, seed + r, tol)

@@ -22,6 +22,9 @@ def _store(q: int, rows: np.ndarray, pseudo_labels: np.ndarray,
     return ExemplarStore(q, ids, np.asarray(pseudo_labels, dtype=int)[rows])
 
 
+_KEY_BLOCK = 512  # rows per block of a herding round's key
+
+
 def select_exemplars_herding(features: np.ndarray, assignments: np.ndarray,
                              pseudo_labels: np.ndarray, q: int,
                              sample_ids: np.ndarray | None = None) -> ExemplarStore:
@@ -42,7 +45,8 @@ def select_exemplars_herding(features: np.ndarray, assignments: np.ndarray,
     of the square root. Twice their sum is below
     32 (d + k + 10) k^2 eps R^2, so a row whose key exceeds its cluster's
     smallest key by more than that cannot be the first minimum; only the
-    remaining rows get the exact distance. Features must be finite.
+    remaining rows get the exact distance. A ValueError rejects features
+    whose squared norms overflow, for which the bounds say nothing.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -55,31 +59,44 @@ def select_exemplars_herding(features: np.ndarray, assignments: np.ndarray,
     ends = np.cumsum(sizes)
     starts = ends - sizes
     # each cluster's rows in index order, as one contiguous block, so the
-    # block mean sums in the same order as features[assignments == j].mean(0)
-    grouped = features[order]
+    # block mean sums in the same order as features[assignments == j].mean(0);
+    # each block then becomes its rows minus their mean, in place
+    centred = features[order]
     d = features.shape[1]
-    del features  # grouped holds the rows now
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm2 = np.maximum.reduceat(np.einsum("ij,ij->i", centred, centred),
+                                    starts)
+        # a mean sums up to n rows, and keys and distances stay below
+        # 8 q R^2 with q <= n, so a finite 8 n R^2 keeps them all finite
+        if not np.isfinite(8.0 * len(order) * norm2.max(initial=0.0)):
+            raise ValueError("features' squared norms overflow")
     mu = np.empty((len(clusters), d))
     for j, (lo, hi) in enumerate(zip(starts, ends)):
-        mu[j] = grouped[lo:hi].mean(axis=0)
-    centred = grouped - mu[cluster_of]
+        mu[j] = centred[lo:hi].mean(axis=0)
+        centred[lo:hi] -= mu[j]
     sq = np.einsum("ij,ij->i", centred, centred)
-    norm2 = np.maximum.reduceat(np.einsum("ij,ij->i", grouped, grouped), starts)
     running = np.zeros_like(mu)
     centred_sum = np.zeros_like(mu)
     picked = np.zeros(len(order), dtype=bool)
     rounds = min(q, sizes.max(initial=0))
     picks = np.zeros((len(clusters), rounds), dtype=int)
+    key = np.empty(len(order))
     eps = np.finfo(float).eps
     for k in range(1, rounds + 1):
-        key = 2.0 * np.einsum("ij,ij->i", centred, centred_sum[cluster_of]) + sq
+        # in row blocks, so each round gathers no (n, d) array
+        for lo in range(0, len(order), _KEY_BLOCK):
+            hi = lo + _KEY_BLOCK
+            np.einsum("ij,ij->i", centred[lo:hi],
+                      centred_sum[cluster_of[lo:hi]], out=key[lo:hi])
+        key *= 2.0
+        key += sq
         key[picked] = np.inf
         slack = 32 * (d + k + 10) * k * k * eps * norm2
         near = ~(key > np.minimum.reduceat(key, starts)[cluster_of]
                  + slack[cluster_of]) & ~picked
         rows = np.flatnonzero(near)
         c = cluster_of[rows]
-        diff = mu[c] - (running[c] + grouped[rows]) / k
+        diff = mu[c] - (running[c] + features[order[rows]]) / k
         # row-by-row BLAS dot products: the same rounding as
         # np.linalg.norm of each row on its own, which a reduction along
         # axis 1 does not reproduce
@@ -91,7 +108,7 @@ def select_exemplars_herding(features: np.ndarray, assignments: np.ndarray,
         best, j = rows[first], c[first]
         picked[best] = True
         picks[j, k - 1] = best
-        running[j] = running[j] + grouped[best]
+        running[j] = running[j] + features[order[best]]
         centred_sum[j] = centred_sum[j] + centred[best]
     taken = np.arange(rounds) < sizes[:, None]
     return _store(q, order[picks[taken]], pseudo_labels, sample_ids)

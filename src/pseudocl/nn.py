@@ -224,9 +224,12 @@ def weight_align(model: Model, m: int, n: int) -> None:
         raise ValueError("m and n must be >= 1")
     if model.out_dim != m + n:
         raise ValueError("head size does not equal m + n")
-    norms = np.linalg.norm(model.layers[-1][0], axis=0)
-    mean_new = float(np.mean(norms[m:]))
+    with np.errstate(all="ignore"):
+        norms = np.linalg.norm(model.layers[-1][0], axis=0)
+        mean_old, mean_new = np.mean(norms[:m]), np.mean(norms[m:])
+        gamma = mean_old / mean_new
     if mean_new == 0.0:
         raise ValueError("all-zero new-class weights; cannot align")
-    gamma = float(np.mean(norms[:m])) / mean_new
+    if not np.isfinite([mean_old, mean_new, gamma]).all():
+        raise ValueError("head weight norms overflow; cannot align")
     model.layers[-1][0][:, m:] *= gamma

@@ -72,13 +72,14 @@ def _lr_at(cfg: RunConfig, epoch: int) -> float:
 # its loss turns non-finite; the finiteness checks report that as a
 # ProtocolError, not as numpy warnings
 @np.errstate(all="ignore")
-def _train(model: nn.Model, x: np.ndarray, y: np.ndarray,
-           teacher: nn.Model | None, m: int, n: int, cfg: RunConfig,
-           step: int, epochs: range, n_epochs: int) -> None:
-    """SGD on the cross-distillation loss over the merged set, in place,
-    for ``epochs``, a run of the step's ``n_epochs`` epochs. A non-finite
-    loss, or non-finite parameters after the last update, raise
-    ProtocolError.
+def _train(model: nn.Model, features: np.ndarray, pos: np.ndarray,
+           y: np.ndarray, teacher: nn.Model | None, m: int, n: int,
+           cfg: RunConfig, step: int, epochs: range, n_epochs: int) -> None:
+    """SGD on the cross-distillation loss over the merged set, the rows
+    ``features[pos]`` with labels ``y``, in place, for ``epochs``, a run of
+    the step's ``n_epochs`` epochs. Each minibatch gathers its own rows, so
+    no copy of the merged set is made. A non-finite loss, or non-finite
+    parameters after the last update, raise ProtocolError.
 
     The distillation weight is alpha = m / (m + n): 0 on the supervised
     first task (m == 0, no teacher).
@@ -92,23 +93,26 @@ def _train(model: nn.Model, x: np.ndarray, y: np.ndarray,
         # herding and evaluation. Row blocks of batch_size keep the
         # matrix shapes of a training batch: one product over all rows can
         # take another BLAS kernel that rounds differently.
-        p_hat = np.empty((len(x), m))
-        for start in range(0, len(x), cfg.batch_size):
-            block = nn.forward(teacher, x[start:start + cfg.batch_size])
+        p_hat = np.empty((len(pos), m))
+        for start in range(0, len(pos), cfg.batch_size):
+            block = nn.forward(teacher,
+                               features[pos[start:start + cfg.batch_size]])
             p_hat[start:start + cfg.batch_size] = nn.softened_probs(
                 block[:, :m], cfg.temperature)
     for epoch in epochs:
         lr = _lr_at(cfg, epoch)
         if cfg.mode == "online" and m > 0:
-            order = np.arange(len(x))  # merged order already shuffled
+            order = np.arange(len(pos))  # merged order already shuffled
         else:
             order = np.random.default_rng(
-                _seed(base_seed, "epoch", epoch)).permutation(len(x))
+                _seed(base_seed, "epoch", epoch)).permutation(len(pos))
+        rows = pos[order]
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, grads = nn.backward(model, x[idx],
-                                      None if p_hat is None else p_hat[idx],
-                                      y[idx], alpha, cfg.temperature, m)
+            loss, grads = nn.backward(
+                model, features[rows[start:start + cfg.batch_size]],
+                None if p_hat is None else p_hat[idx], y[idx], alpha,
+                cfg.temperature, m)
             if not math.isfinite(loss):
                 raise ProtocolError(
                     f"training diverged at step {step}, epoch {epoch + 1} "
@@ -121,22 +125,58 @@ def _train(model: nn.Model, x: np.ndarray, y: np.ndarray,
                             "parameters")
 
 
-def _variant_features(model: nn.Model, h1: nn.Model, x: np.ndarray,
-                      cfg: RunConfig, step: int) -> np.ndarray:
+# rows go through the model this many at a time outside training; a
+# constant, since `pseudocl eval` has no run config and must print the run's
+# own report row. At least 3, so a block that gives a row to a 1-row tail
+# keeps two
+EVAL_BLOCK = 512
+
+
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of n rows in order, in blocks of at most EVAL_BLOCK.
+    A 1-row tail takes a row from the block before it: BLAS computes a
+    single row with its matrix-vector kernel, which can round differently
+    from the same row in a block of two or more."""
+    stops = [*range(EVAL_BLOCK, n, EVAL_BLOCK), n]
+    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        stops[-2] -= 1
+    return list(zip([0, *stops[:-1]], stops))
+
+
+@np.errstate(all="ignore")  # k-means and herding refuse overflowed rows
+def _row_features(model: nn.Model, dataset: Dataset,
+                  ids: np.ndarray) -> np.ndarray:
+    """The model's features of the samples ``ids``, in order, gathered and
+    extracted a block of rows at a time into one (len(ids), width) array."""
+    feats = np.empty((len(ids), model.feature_dim))
+    for start, stop in _blocks(len(ids)):
+        feats[start:stop] = nn.extract_features(
+            model, dataset.features_for(ids[start:stop]))
+    return feats
+
+
+@np.errstate(all="ignore")  # overflowed rows are refused
+def _variant_features(model: nn.Model, h1: nn.Model, dataset: Dataset,
+                      ids: np.ndarray, cfg: RunConfig,
+                      step: int) -> np.ndarray:
+    """The features the variant clusters the samples ``ids`` by."""
     if cfg.variant == "ours":
-        feats = nn.extract_features(model, x)
+        feats = _row_features(model, dataset, ids)
     elif cfg.variant == "ffe":
-        feats = nn.extract_features(h1, x)
+        feats = _row_features(h1, dataset, ids)
     elif cfg.variant == "scratch":
-        fresh = nn.init_model(x.shape[1], cfg.hidden_width, cfg.n_hidden,
+        fresh = nn.init_model(dataset.dim, cfg.hidden_width, cfg.n_hidden,
                               cfg.step_size,
                               _seed(cfg.model_seed, "scratch", step))
-        feats = nn.extract_features(fresh, x)
-    else:  # "pca"; RunConfig's variant field rejects any other
-        feats = pca_coordinates(x, min(cfg.pca_dim, x.shape[1]))
+        feats = _row_features(fresh, dataset, ids)
+    else:  # "pca", which needs every row at once; RunConfig rejects others
+        feats = pca_coordinates(dataset.features_for(ids),
+                                min(cfg.pca_dim, dataset.dim))
     if cfg.normalize_features:
         norms = np.linalg.norm(feats, axis=1, keepdims=True)
-        feats = feats / np.maximum(norms, 1e-12)
+        if not np.isfinite(norms).all():  # it would divide rows to zeros
+            raise ValueError("features' squared norms overflow")
+        feats /= np.maximum(norms, 1e-12)
     return feats
 
 
@@ -147,9 +187,13 @@ def _update_store(store: ExemplarStore, model: nn.Model, dataset: Dataset,
     if cfg.exemplar_policy == "none":
         return store
     if cfg.exemplar_policy == "herding":
-        picked = select_exemplars_herding(
-            nn.extract_features(model, dataset.features_for(sample_ids)),
-            assignments, labels, cfg.q, sample_ids)
+        try:
+            picked = select_exemplars_herding(
+                _row_features(model, dataset, sample_ids), assignments,
+                labels, cfg.q, sample_ids)
+        except ValueError as exc:
+            raise ProtocolError(f"exemplar selection failed at step {step}: "
+                                f"{exc}") from exc
     else:
         picked = select_exemplars_random(assignments, labels, cfg.q,
                                          _seed(cfg.shuffle_seed, "random-ex",
@@ -158,25 +202,26 @@ def _update_store(store: ExemplarStore, model: nn.Model, dataset: Dataset,
                          np.concatenate([store.labels, picked.labels]))
 
 
-# held-out rows go through the model this many at a time; a constant, since
-# `pseudocl eval` has no run config and must print the run's own report row
-EVAL_BLOCK = 512
-
-
 def evaluate(model: nn.Model, dataset: Dataset, classes,
              step: int) -> StepReport:
     """Cluster-quality metrics of the model's predictions on the held-out
     samples of ``classes``, the classes seen so far.
 
-    The model forwards the rows in blocks of EVAL_BLOCK, in order, so the
-    logits never hold more than EVAL_BLOCK rows however many are held out.
+    The rows are gathered and forwarded in the blocks of ``_blocks``, so
+    neither they nor the logits are held whole, however many are held out.
+    A model with finite parameters can still overflow, as a diverging one
+    does; its non-finite logits raise ProtocolError.
     """
     eval_ids = dataset.ids_for_classes(classes, eval_split=True)
-    x = dataset.features_for(eval_ids)
-    preds = np.empty(len(x), dtype=int)
-    for start in range(0, len(x), EVAL_BLOCK):
-        preds[start:start + EVAL_BLOCK] = np.argmax(
-            nn.forward(model, x[start:start + EVAL_BLOCK]), axis=1)
+    preds = np.empty(len(eval_ids), dtype=int)
+    for start, stop in _blocks(len(eval_ids)):
+        with np.errstate(all="ignore"):
+            logits = nn.forward(model,
+                                dataset.features_for(eval_ids[start:stop]))
+        if not np.isfinite(logits).all():
+            raise ProtocolError(f"evaluation failed at step {step}: the "
+                                "model's logits overflow")
+        preds[start:stop] = np.argmax(logits, axis=1)
     truth = dataset.sealed.reveal(dataset.positions(eval_ids))
     return step_report(step, model.out_dim, preds, truth)
 
@@ -199,18 +244,25 @@ def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
     train_ids = dataset.ids_for_classes(classes, eval_split=False)
     supervised = model is None or cfg.oracle_labels
 
-    def cluster(feats: np.ndarray, *tag) -> np.ndarray:
+    def cluster(features, *tag) -> np.ndarray:
+        """k-means slots of the task's rows by the array ``features()``
+        returns; a ValueError of either names the step."""
         seed = _seed(cfg.shuffle_seed, "cluster", step, *tag)
-        return kmeans(feats, n, seed=seed, n_restarts=cfg.n_restarts).assignments
+        try:
+            return kmeans(features(), n, seed=seed,
+                          n_restarts=cfg.n_restarts).assignments
+        except ValueError as exc:
+            raise ProtocolError(f"clustering failed at step {step}: "
+                                f"{exc}") from exc
 
-    # the step holds one copy of its rows, the merged set while it trains:
-    # every other reader of the task's rows gathers them by id
+    # the step copies no rows whole: training indexes the dataset's rows by
+    # position, and every other reader gathers its rows by id in blocks
     reads_before = dataset.sealed.access_count
     if supervised:
         assignments = _true_slots(dataset, classes, train_ids)
     else:
-        assignments = cluster(_variant_features(
-            model, h1, dataset.features_for(train_ids), cfg, step))
+        assignments = cluster(lambda: _variant_features(
+            model, h1, dataset, train_ids, cfg, step))
     labels = assignments + m  # slots m..m+n-1 follow the m learned classes
 
     teacher = model
@@ -223,7 +275,7 @@ def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
         ids, y, origin = merge_replay(train_ids, labels, store.ids,
                                       store.labels,
                                       _seed(cfg.shuffle_seed, "merge", step))
-    x = dataset.features_for(ids)
+    pos = dataset.positions(ids)
 
     # UPL trains in segments of upl_k epochs and re-clusters the task with
     # the model in training before each but the first; replayed labels stay
@@ -232,13 +284,12 @@ def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
     seg = n_epochs if supervised or cfg.upl_k == 0 else cfg.upl_k
     for start in range(0, n_epochs, seg):
         if start:
-            assignments = cluster(nn.extract_features(
-                model, dataset.features_for(train_ids)), start)
+            assignments = cluster(
+                lambda: _row_features(model, dataset, train_ids), start)
             labels = assignments + m
             y[origin >= 0] = labels[origin[origin >= 0]]
-        _train(model, x, y, teacher, m, n, cfg, step,
+        _train(model, dataset.features, pos, y, teacher, m, n, cfg, step,
                range(start, min(start + seg, n_epochs)), n_epochs)
-    del ids, x, y
 
     if cfg.bias_correction and m > 0:
         try:

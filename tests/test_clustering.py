@@ -91,6 +91,14 @@ class TestKmeans:
         with pytest.raises(ValueError):
             clustering.kmeans(x, 2)
 
+    @pytest.mark.parametrize("rows, value", [(4, 1e155), (1000, 1e153)],
+                             ids=["norms-overflow", "distance-total-overflows"])
+    def test_overflowing_squared_norms_rejected(self, rows, value):
+        # |x|^2 = 2e310 overflows; at 1e153 it is 2e306, but the seeding's
+        # distance total over 1,000 rows could reach 8e309
+        with pytest.raises(ValueError, match="squared norms overflow"):
+            clustering.kmeans(np.full((rows, 2), value), 2)
+
     @pytest.mark.parametrize("points, k, n_restarts, message", [
         (np.zeros(4), 2, 1, "2-D"), (np.zeros((4, 2)), 0, 1, "k must"),
         (np.zeros((4, 2)), 2, 0, "n_restarts must")],

@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,6 +380,25 @@ class TestAssign:
         assert len(np.unique(want)) > 1
         assert np.array_equal(assign(x, c), want)
 
+    def test_every_row_near_a_tie_takes_exact_form_in_blocks(self):
+        # duplicated centroids put every row's two nearest at equal GEMM
+        # distance, so every row takes the exact form; its (rows, k, d)
+        # differences come a block at a time, not for all rows at once
+        rng = np.random.default_rng(19)
+        c = rng.normal(size=(20, 16))
+        c = np.vstack([c, c])
+        x = rng.normal(size=(2000, 16))
+        want = assign_oracle(x, c)
+        tracemalloc.start()
+        try:
+            got = assign(x, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        # a few (n, k) arrays of GEMM distances and a block of differences
+        assert peak <= 4 * 2000 * 40 * 8 + 2 * clustering._EXACT_BLOCK * 16 * 8
+
 
 class TestKmeansPPInit:
     """Seeding screens rows with the GEMM form; the exact distances of
@@ -741,6 +761,39 @@ class TestTrueSlots:
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+class TestRowBlocks:
+    """The feature passes gather and extract rows in blocks, and their
+    bytes are those of one pass over every row: blocks of two or more rows
+    take the matrix-matrix kernel a whole pass takes, so a 1-row tail takes
+    a row from the block before it."""
+
+    @pytest.mark.parametrize("block", [3, 4, 7, 512])
+    def test_blocks_cover_rows_with_no_single_row_tail(self, monkeypatch,
+                                                       block):
+        monkeypatch.setattr(protocol, "EVAL_BLOCK", block)
+        for n in [*range(0, 5 * block + 2), 2 * block + 1, 3 * block + 1]:
+            spans = protocol._blocks(n)
+            assert [a for span in spans for a in range(*span)] == list(range(n))
+            sizes = [stop - start for start, stop in spans]
+            assert all(size <= block for size in sizes)
+            assert n < 2 or min(sizes) >= 2
+
+    @pytest.mark.parametrize("dims", [(16, 64, 2), (64, 64, 2), (6, 16, 1)],
+                             ids=["standard", "wide", "small"])
+    @pytest.mark.parametrize("n", [513, 1025])
+    def test_tail_features_match_one_shot(self, dims, n):
+        # n = 1 (mod EVAL_BLOCK): 512-row blocks would leave one row
+        d, width, n_hidden = dims
+        rng = np.random.default_rng(n)
+        ds = data.Dataset(rng.permutation(2 * n), rng.normal(size=(2 * n, d)),
+                          np.zeros(2 * n, dtype=int))
+        ids = rng.permutation(ds.ids)[:n]
+        model = nn.init_model(d, width, n_hidden, 5, seed=n)
+        want = nn.extract_features(model, ds.features_for(ids))
+        got = protocol._row_features(model, ds, ids)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestLeanBackward:
     def test_same_bytes_as_oracle(self):
         rng = np.random.default_rng(11)
@@ -765,23 +818,27 @@ class TestTrainLoop:
     """_train forwards the frozen teacher once per call, a step or one of
     its UPL segments; the per-batch loop it replaced is the oracle. A step
     trains m + 5 classes with a teacher of m, at the widths of the
-    benchmark's standard run."""
+    benchmark's standard run. _train reads the merged rows by position in a
+    larger feature array; the oracle gets them gathered."""
     BATCH = 32
 
     def step_inputs(self, m, rows):
         rng = np.random.default_rng(rows)
         teacher = nn.init_model(16, 64, 2, m, seed=3)
-        x = rng.normal(size=(rows, 16)) * 2.0
+        features = rng.normal(size=(2 * rows, 16)) * 2.0
+        pos = rng.permutation(2 * rows)[:rows]
         y = rng.integers(0, m + 5, rows)
         cfg = RunConfig(epochs=4, lr_decay_period=2, batch_size=self.BATCH)
-        return nn.expand_head(teacher, 5, seed=4), x, y, teacher, cfg
+        return (nn.expand_head(teacher, 5, seed=4), features, pos, y, teacher,
+                cfg)
 
     def train_both(self, m, rest):
-        student, x, y, teacher, cfg = self.step_inputs(m, 5 * self.BATCH
-                                                       + rest)
+        student, features, pos, y, teacher, cfg = self.step_inputs(
+            m, 5 * self.BATCH + rest)
         got = nn.Model(student.dims, student.params.copy())
-        protocol._train(got, x, y, teacher, m, 5, cfg, 2, range(cfg.epochs),
-                        cfg.epochs)
+        protocol._train(got, features, pos, y, teacher, m, 5, cfg, 2,
+                        range(cfg.epochs), cfg.epochs)
+        x = features[pos]
         want = train_oracle(nn.Model(student.dims, student.params.copy()),
                             x, y, teacher, m, 5, cfg, 2)
         return got.params, want.params
@@ -803,7 +860,8 @@ class TestTrainLoop:
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_teacher_forwarded_once_per_step(self, monkeypatch):
-        student, x, y, teacher, cfg = self.step_inputs(5, 5 * self.BATCH + 2)
+        student, features, pos, y, teacher, cfg = self.step_inputs(
+            5, 5 * self.BATCH + 2)
         rows = []
         real = nn.forward
 
@@ -812,9 +870,9 @@ class TestTrainLoop:
             return real(model, xb)
 
         monkeypatch.setattr(nn, "forward", counting)
-        protocol._train(student, x, y, teacher, 5, 5, cfg, 2,
+        protocol._train(student, features, pos, y, teacher, 5, 5, cfg, 2,
                         range(cfg.epochs), cfg.epochs)
-        assert sum(rows) == len(x)
+        assert sum(rows) == len(pos)
 
 
 def csv_rows_oracle(ids, labels, features):

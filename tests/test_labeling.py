@@ -153,6 +153,17 @@ class TestHerding:
                 np.zeros((3, 2)), np.zeros(3, dtype=int),
                 np.zeros(3, dtype=int), q=0)
 
+    @pytest.mark.parametrize("value", [1e160, np.inf],
+                             ids=["norms-overflow", "non-finite"])
+    def test_overflowing_features_rejected(self, value):
+        # a finite row of 1e160 has a squared norm of 1e320, which the key
+        # bounds cannot cover
+        feats = np.zeros((4, 2))
+        feats[2, 1] = value
+        with pytest.raises(ValueError, match="squared norms overflow"):
+            labeling.select_exemplars_herding(
+                feats, np.array([0, 0, 1, 1]), np.zeros(4, dtype=int), q=1)
+
 
 class TestRandomSelection:
     def test_counts_and_uniqueness(self):

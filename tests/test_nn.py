@@ -421,6 +421,18 @@ class TestWeightAlign:
             nn.weight_align(m, 2, 2)
         assert m.params.tobytes() == before
 
+    @pytest.mark.parametrize("columns", [slice(None, 2), slice(2, None)],
+                             ids=["old", "new"])
+    def test_overflowing_norms_rejected(self, columns):
+        # finite weights of 1e200 have norms that overflow, which would
+        # scale the new columns by inf, zero or NaN
+        m = small_model(seed=41, out_dim=4)
+        m.layers[-1][0][:, columns] *= 1e200
+        before = m.params.tobytes()
+        with pytest.raises(ValueError, match="norms overflow; cannot align"):
+            nn.weight_align(m, 2, 2)
+        assert m.params.tobytes() == before
+
 
 class TestDeterminism:
     def test_identical_seeds_identical_training(self):

@@ -1,10 +1,14 @@
 import math
 import os
-import weakref
-from dataclasses import replace
+import re
+import tracemalloc
+from dataclasses import astuple, replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudocl import nn, protocol
 from pseudocl.config import BlobSpec, RunConfig
@@ -474,48 +478,120 @@ class TestRunExperiment:
             "step_1.ckpt"]
 
 
-class TestStepMemory:
-    def test_step_rows_are_gone_before_herding_and_evaluation(
-            self, dataset, monkeypatch):
-        # a step holds one copy of its rows, the merged set it trains on;
-        # the task's rows are gathered by id for each other reader. So every
-        # array of step 2's rows made before exemplar selection is freed by
-        # the time it runs, and the rows herding read are freed before
-        # evaluation
-        cfg = fast_cfg()
+    # pytest's configuration turns RuntimeWarnings into errors already; the
+    # mark keeps this test strict wherever it runs
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kw", [
+        {}, {"variant": "ffe"}, {"normalize_features": True}],
+        ids=["ours", "ffe", "normalized"])
+    def test_clustering_failure_names_step(self, dataset, kw):
+        # finite parameters scaled by 1e200 give features whose squares
+        # overflow, which k-means refuses before its seeding draws from
+        # them, and which normalizing would divide to zeros
+        cfg = fast_cfg(**kw)
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
         model = first_task(dataset, tasks, cfg)
-        refs, alive = [], []
-        real_features_for = Dataset.features_for
-        real_merge = protocol.merge_replay
+        model.params *= 1e200
+        assert np.isfinite(model.params).all()
+        with pytest.raises(protocol.ProtocolError, match=(
+                r"^clustering failed at step 2: \w+' squared norms "
+                r"overflow$")):
+            protocol.continual_step(model, tasks, 2, ExemplarStore(cfg.q),
+                                    dataset, cfg, model)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("step, kw, message", [
+        (1, {}, "exemplar selection failed at step 1: features' squared "
+         "norms overflow"),
+        (1, {"exemplar_policy": "none"},
+         "evaluation failed at step 1: the model's logits overflow"),
+        (2, {"oracle_labels": True}, "weight alignment failed at step 2: "
+         "head weight norms overflow; cannot align")],
+        ids=["herding", "evaluation", "alignment"])
+    def test_overflowing_model_names_step(self, dataset, monkeypatch, step,
+                                          kw, message):
+        # training that ends in finite parameters of 1e160 passes its
+        # checks, but the features and logits of such a model overflow
+        cfg = fast_cfg(**kw)
+        tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        model = None if step == 1 else first_task(dataset, tasks, cfg)
+        real = protocol._train
+
+        def scaled(model, *args):
+            real(model, *args)
+            model.params *= 1e160
+
+        monkeypatch.setattr(protocol, "_train", scaled)
+        with pytest.raises(protocol.ProtocolError, match=f"^{message}$"):
+            protocol.continual_step(model, tasks, step, ExemplarStore(cfg.q),
+                                    dataset, cfg, model)
+
+
+class TestStepMemory:
+    @pytest.fixture(scope="class")
+    def big(self):
+        """A stream whose task 2 has 2,080 training rows, more than four
+        blocks, of 64 features each."""
+        return generate_gaussian_stream(BlobSpec(
+            num_classes=4, dim=64, samples_per_class=1300, separation=3.0,
+            std=0.3, seed=5))
+
+    @pytest.mark.parametrize("upl_k", [0, 1], ids=["ours", "upl-1"])
+    def test_step_holds_no_copy_of_its_rows(self, big, upl_k):
+        # a step gathers its rows a block at a time: training indexes the
+        # dataset by position, and the feature passes write into one
+        # (rows x width) array. Above its start, step 2 holds the teacher
+        # probabilities, its int vectors and a few blocks of rows; a copy
+        # of the task's 2,080 rows of 64 features alone is over four blocks
+        cfg = fast_cfg(epochs=2, batch_size=64, q=5, upl_k=upl_k)
+        tasks = protocol.split_tasks(big, 2, cfg.arrangement_seed)
+        model, store, _ = protocol.continual_step(
+            None, tasks, 1, ExemplarStore(cfg.q), big, cfg, None)
+        merged = (len(big.ids_for_classes(tasks[1], eval_split=False))
+                  + len(store.ids))
+        p_hat = merged * 2 * 8  # two old classes
+        ints = 8 * merged * 8
+        block = protocol.EVAL_BLOCK * max(big.dim, cfg.hidden_width) * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            protocol.continual_step(model, tasks, 2, store, big, cfg, model)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= p_hat + ints + 4 * block
+
+    @pytest.mark.parametrize("kw", [
+        {}, {"variant": "ffe"}, {"variant": "scratch"}, {"upl_k": 1},
+        {"normalize_features": True}, {"oracle_labels": True},
+        {"mode": "online", "exemplar_policy": "random"}],
+        ids=["ours", "ffe", "scratch", "upl-1", "normalized", "oracle",
+             "online-random"])
+    def test_rows_are_gathered_in_blocks(self, dataset, monkeypatch, kw):
+        # every reader but pca's gathers at most EVAL_BLOCK rows at a time
+        sizes = self.gathered(dataset, monkeypatch, fast_cfg(**kw))
+        assert sizes and max(sizes) <= protocol.EVAL_BLOCK
+
+    def test_pca_gathers_the_task_whole(self, dataset, monkeypatch):
+        sizes = self.gathered(dataset, monkeypatch,
+                              fast_cfg(variant="pca", pca_dim=4))
+        assert max(sizes) > protocol.EVAL_BLOCK
+
+    @staticmethod
+    def gathered(dataset, monkeypatch, cfg):
+        """The id counts a run asks Dataset.features_for for, with blocks
+        of 7 rows so the 6-class stream spans several."""
+        sizes = []
+        real = Dataset.features_for
 
         def features_for(self, ids):
-            rows = real_features_for(self, ids)
-            refs.append(weakref.ref(rows))
-            return rows
+            sizes.append(len(ids))
+            return real(self, ids)
 
-        def merge_replay(*args):
-            merged = real_merge(*args)
-            refs.extend(weakref.ref(a) for a in merged[:2])
-            return merged
-
-        def checked(real):
-            def call(*args, **kwargs):
-                alive.append([r() is not None for r in refs])
-                return real(*args, **kwargs)
-            return call
-
+        monkeypatch.setattr(protocol, "EVAL_BLOCK", 7)
         monkeypatch.setattr(Dataset, "features_for", features_for)
-        monkeypatch.setattr(protocol, "merge_replay", merge_replay)
-        monkeypatch.setattr(protocol, "_update_store",
-                            checked(protocol._update_store))
-        monkeypatch.setattr(protocol, "evaluate", checked(protocol.evaluate))
-        protocol.continual_step(model, tasks, 2, ExemplarStore(cfg.q),
-                                dataset, cfg, model)
-        # before herding: the task's rows clustered, the merged ids and
-        # labels, and the merged rows trained on; before evaluation, also
-        # the task's rows herding read
-        assert alive == [[False] * 4, [False] * 5]
+        protocol.run_experiment(cfg, dataset)
+        return sizes
 
     def test_evaluate_forwards_row_blocks(self, monkeypatch):
         # 600 held-out rows: a block and a part of one
@@ -542,6 +618,93 @@ class TestStepMemory:
         assert protocol.evaluate(model, big, classes, 1) == one_shot
         assert max(rows) == protocol.EVAL_BLOCK
         assert sum(rows) == len(eval_ids)
+
+
+class TestProtocolFuzz:
+    """Every tiny stream and config ends in one of three ways: the run
+    finishes and a rerun gives the same bytes, it raises a ProtocolError
+    naming its step, or the spec or config is rejected when it is built.
+    Blocks of 3 to 6 rows give the row passes tails of every length."""
+
+    @staticmethod
+    def draw(data):
+        """(spec, config, block) of one draw; ValueError if rejected."""
+        num_classes = data.draw(st.integers(2, 6), "num_classes")
+        spec = BlobSpec(
+            num_classes=num_classes, dim=data.draw(st.integers(1, 5), "dim"),
+            samples_per_class=data.draw(st.integers(2, 10), "samples"),
+            separation=data.draw(st.sampled_from([1e-3, 1.0, 3.0, 1e3]),
+                                 "separation"),
+            std=data.draw(st.sampled_from([0.1, 1.0]), "std"),
+            seed=data.draw(st.integers(0, 99), "spec_seed"))
+        step_sizes = [s for s in range(1, num_classes + 1)
+                      if num_classes % s == 0]
+        variant = data.draw(st.sampled_from(["ours", "ffe", "scratch",
+                                             "pca"]), "variant")
+        cfg = RunConfig(
+            mode=data.draw(st.sampled_from(["offline", "online"]), "mode"),
+            variant=variant,
+            # only ours refreshes; online mode or upl_k >= epochs is rejected
+            upl_k=data.draw(st.integers(0, 2), "upl_k") if variant == "ours"
+            else 0,
+            exemplar_policy=data.draw(st.sampled_from(
+                ["herding", "random", "none"]), "policy"),
+            q=data.draw(st.integers(1, 5), "q"),
+            step_size=data.draw(st.sampled_from(step_sizes), "step_size"),
+            bias_correction=data.draw(st.booleans(), "bias_correction"),
+            oracle_labels=data.draw(st.booleans(), "oracle"),
+            epochs=data.draw(st.integers(1, 3), "epochs"),
+            lr=10.0 ** data.draw(st.integers(-3, 3), "log_lr"),
+            lr_decay_period=data.draw(st.integers(1, 3), "decay_period"),
+            batch_size=data.draw(st.integers(1, 8), "batch"),
+            weight_decay=data.draw(st.sampled_from([0.0, 1e-5, 0.1, 10.0]),
+                                   "weight_decay"),
+            temperature=data.draw(st.sampled_from([0.5, 2.0, 100.0]),
+                                  "temperature"),
+            hidden_width=data.draw(st.integers(1, 6), "width"),
+            n_hidden=data.draw(st.integers(0, 2), "n_hidden"),
+            pca_dim=data.draw(st.integers(1, 6), "pca_dim"),
+            n_restarts=data.draw(st.integers(1, 2), "restarts"),
+            normalize_features=data.draw(st.booleans(), "normalize"),
+            arrangement_seed=data.draw(st.integers(0, 9), "arrangement"),
+            model_seed=data.draw(st.integers(0, 9), "model_seed"),
+            shuffle_seed=data.draw(st.integers(0, 9), "shuffle_seed"))
+        return spec, cfg, data.draw(st.integers(3, 6), "block")
+
+    @staticmethod
+    def outcome(spec, cfg):
+        """The run's reports and its bytes, or the message of its
+        ProtocolError."""
+        try:
+            result = protocol.run_experiment(
+                cfg, generate_gaussian_stream(spec))
+        except protocol.ProtocolError as exc:
+            return str(exc)
+        return result.reports, (
+            repr([astuple(r) for r in result.reports]),
+            repr(result.summary), result.model.params.tobytes(),
+            result.store.ids.tobytes(), result.store.labels.tobytes())
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_finishes_or_fails_naming_its_step(self, data):
+        try:
+            spec, cfg, block = self.draw(data)
+        except ValueError:
+            return  # rejected when built
+        with mock.patch.object(protocol, "EVAL_BLOCK", block):
+            first = self.outcome(spec, cfg)
+            if isinstance(first, str):
+                # a split too small names task 1; any other failure, the
+                # step it happened in
+                assert re.search(r"\b(at step|leaves task) \d+\b", first), first
+                return
+            reports, run_bytes = first
+            assert self.outcome(spec, cfg)[1] == run_bytes
+        assert len(reports) == spec.num_classes // cfg.step_size
+        for r in reports:
+            assert 0.0 <= r.acc <= 1.0 and 0.0 <= r.nmi <= 1.0
+            assert -1.0 <= r.ari <= 1.0
 
 
 class TestVariants:
