@@ -17,6 +17,18 @@ class ClusterResult:
     objective_trace: list[float] = field(default_factory=list)
 
 
+# float64 values per k-means temporary: each pass over the rows takes them
+# in blocks whose row count follows from the width of what it computes
+_BLOCK = 1 << 15
+
+
+def _blocks(n: int, width: int):
+    """Slices of n rows in order, each of at most _BLOCK // width rows and
+    at least one."""
+    step = max(1, _BLOCK // max(1, width))
+    return (slice(start, start + step) for start in range(0, n, step))
+
+
 def _validate_points(points: np.ndarray, k: int) -> np.ndarray:
     x = np.asarray(points, dtype=float)
     if x.ndim != 2:
@@ -25,7 +37,7 @@ def _validate_points(points: np.ndarray, k: int) -> np.ndarray:
         raise ValueError("k must be >= 1")
     if x.shape[0] < k:
         raise ValueError(f"{x.shape[0]} points cannot form {k} clusters")
-    if not np.all(np.isfinite(x)):
+    if not all(np.isfinite(x[s]).all() for s in _blocks(*x.shape)):
         raise ValueError("points contain non-finite values")
     return x
 
@@ -40,6 +52,17 @@ def _sum_sq(diff: np.ndarray) -> np.ndarray:
     in place, so the form takes no temporary beyond the differences."""
     diff *= diff
     return np.add.reduce(diff, axis=-1)
+
+
+def _distances(x: np.ndarray, centroids: np.ndarray,
+               assignments: np.ndarray) -> np.ndarray:
+    """Each row's exact squared distance to its assigned centroid."""
+    dists = np.empty(x.shape[0])
+    for s in _blocks(*x.shape):
+        diff = centroids[assignments[s]]
+        np.subtract(x[s], diff, out=diff)
+        dists[s] = _sum_sq(diff)
+    return dists
 
 
 def _rounding(d: int) -> float:
@@ -74,12 +97,14 @@ def _kmeans_pp_init(x: np.ndarray, xx: np.ndarray, k: int,
     rounding of the two subtractions in the test itself. Only the other
     rows, and any row whose g overflowed to NaN, get the exact form.
     """
-    n = x.shape[0]
-    centroids = np.empty((k, x.shape[1]))
+    n, d = x.shape
+    centroids = np.empty((k, d))
     idx = int(rng.integers(n))
     centroids[0] = x[idx]
-    d2 = _sum_sq(x - centroids[0])
-    slack = 3 * _rounding(x.shape[1])
+    d2 = np.empty(n)
+    for s in _blocks(n, d):
+        d2[s] = _sum_sq(x[s] - centroids[0])
+    slack = 3 * _rounding(d)
     slack_x = slack * xx
     g = np.empty(n)
     for j in range(1, k):
@@ -98,14 +123,13 @@ def _kmeans_pp_init(x: np.ndarray, xx: np.ndarray, k: int,
             g -= slack_x
             g -= slack * cc
             # NaN > d2 is false, so an overflowed row takes the exact form
-            rows = np.flatnonzero(~(g > d2))
-        diff = x[rows]
-        diff -= c
-        d2[rows] = np.minimum(d2[rows], _sum_sq(diff))
+            near = np.flatnonzero(~(g > d2))
+        for s in _blocks(near.size, d):
+            rows = near[s]
+            diff = x[rows]
+            diff -= c
+            d2[rows] = np.minimum(d2[rows], _sum_sq(diff))
     return centroids
-
-
-_EXACT_BLOCK = 4096  # row-centroid pairs per block of _assign's exact form
 
 
 def _assign(x: np.ndarray, xx: np.ndarray,
@@ -117,39 +141,39 @@ def _assign(x: np.ndarray, xx: np.ndarray,
     the true distance. A row whose two smallest GEMM distances differ by
     more than four times that bound (with the largest |c|^2) therefore has
     the same argmin under both forms; the remaining rows, and rows whose
-    GEMM distances overflowed to NaN, are decided by the exact form.
+    GEMM distances overflowed to NaN, are decided by the exact form. Both
+    go a block of rows at a time: (rows, k) GEMM distances, then
+    (rows, k, d) differences.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    k, d = centroids.shape
+    best = np.empty(x.shape[0], dtype=np.intp)
+    with np.errstate(over="ignore"):
         cc = _sq_norms(centroids)
-        d2 = x @ centroids.T
-        d2 *= -2.0
-        d2 += xx[:, None]
-        d2 += cc
-        best = np.argmin(d2, axis=1)
-        if centroids.shape[0] == 1:
-            return best
-        rows = np.arange(x.shape[0])
-        first = d2[rows, best]
-        d2[rows, best] = np.inf
-        gap = d2.min(axis=1)
-        gap -= first
-        slack = 4 * _rounding(x.shape[1]) * (xx + cc.max())
-        near = np.flatnonzero(~(gap > slack))
-    # blocks of rows hold at most _EXACT_BLOCK distances, whatever k and
-    # however many rows are near a tie
-    step = max(1, _EXACT_BLOCK // centroids.shape[0])
-    for start in range(0, near.size, step):
-        rows = near[start:start + step]
-        best[rows] = np.argmin(_sum_sq(x[rows, None, :] - centroids), axis=1)
+    for s in _blocks(x.shape[0], k):
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = x[s] @ centroids.T
+            d2 *= -2.0
+            d2 += xx[s, None]
+            d2 += cc
+            block_best = best[s] = np.argmin(d2, axis=1)
+            rows = np.arange(d2.shape[0])
+            first = d2[rows, block_best]
+            d2[rows, block_best] = np.inf
+            gap = d2.min(axis=1)
+            gap -= first
+            slack = 4 * _rounding(d) * (xx[s] + cc.max())
+            near = s.start + np.flatnonzero(~(gap > slack))
+        for t in _blocks(near.size, k * d):
+            rows = near[t]
+            best[rows] = np.argmin(_sum_sq(x[rows, None, :] - centroids),
+                                   axis=1)
     return best
 
 
 def _objective(x: np.ndarray, centroids: np.ndarray,
                assignments: np.ndarray) -> float:
     """Mean squared distance to the assigned centroid."""
-    diff = centroids[assignments]
-    np.subtract(x, diff, out=diff)
-    return float(np.mean(_sum_sq(diff)))
+    return float(np.mean(_distances(x, centroids, assignments)))
 
 
 def _update(x: np.ndarray, centroids: np.ndarray,
@@ -159,26 +183,37 @@ def _update(x: np.ndarray, centroids: np.ndarray,
     Repair moves points between clusters, so ``assignments`` is updated in
     place.
     """
+    n, d = x.shape
     k = centroids.shape[0]
     new_centroids = centroids.copy()
     counts = np.bincount(assignments, minlength=k)
     ends = np.cumsum(counts)
-    # each cluster's rows in index order, as one contiguous block, so the
-    # block mean sums in the same order as x[assignments == j].mean(0)
-    grouped = x[np.argsort(assignments, kind="stable")]
+    order = np.argsort(assignments, kind="stable")
+    # each cluster's rows in index order, gathered a block at a time; each
+    # later block carries the running sums in its first row, so the columns
+    # sum row by row, as x[assignments == j].mean(0) sums them. One column
+    # sums pairwise instead, so it is gathered whole, an (n,) vector at most
+    step = max(2, _BLOCK // d if d > 1 else n)
+    block = np.empty((min(step, n), d))
     for j in np.flatnonzero(counts):
-        new_centroids[j] = grouped[ends[j] - counts[j]:ends[j]].mean(axis=0)
-    del grouped  # the repair's distances are the one (n, d) temporary
+        members = order[ends[j] - counts[j]:ends[j]]
+        # mode="clip" gathers straight into ``out``; "raise" buffers it
+        head = np.take(x, members[:step], axis=0,
+                       out=block[:min(step, counts[j])], mode="clip")
+        total = np.add.reduce(head, axis=0)
+        for start in range(step, members.size, step - 1):
+            part = members[start:start + step - 1]
+            block[0] = total
+            np.take(x, part, axis=0, out=block[1:part.size + 1], mode="clip")
+            total = np.add.reduce(block[:part.size + 1], axis=0)
+        new_centroids[j] = total / counts[j]
     # empty-cluster repair: seed each empty cluster with the point
     # currently farthest from its own centroid (lowest index on ties);
     # a repair that empties a later cluster is repaired in the same pass
     for j in range(k):
         if counts[j]:
             continue
-        diff = new_centroids[assignments]
-        np.subtract(x, diff, out=diff)
-        dists = _sum_sq(diff)
-        far = int(np.argmax(dists))
+        far = int(np.argmax(_distances(x, new_centroids, assignments)))
         new_centroids[j] = x[far]
         counts[assignments[far]] -= 1
         counts[j] += 1

@@ -79,8 +79,13 @@ class Dataset:
         if not finite.all():
             raise FormatError(
                 f"sample {ids[~finite][0]} has a non-finite feature")
-        if len(np.unique(ids)) != len(ids):
-            raise FormatError("duplicate sample ids")
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        # the rows after the first of each id, in row order by the stable sort
+        repeats = order[1:][sorted_ids[1:] == sorted_ids[:-1]]
+        if repeats.size:
+            raise FormatError(f"duplicate sample ids: sample "
+                              f"{ids[repeats.min()]} appears more than once")
         self.ids = ids
         self.features = features
         self.sealed = SealedLabels(labels)
@@ -89,8 +94,8 @@ class Dataset:
         except TypeError:
             raise FormatError(f"seed must be an integer or None, "
                               f"not {seed!r}") from None
-        self._order = np.argsort(ids, kind="stable")
-        self._sorted_ids = ids[self._order]
+        self._order = order
+        self._sorted_ids = sorted_ids
         self.is_eval = _stratified_eval_mask(labels, EVAL_FRACTION, SPLIT_SEED)
 
     def __len__(self) -> int:

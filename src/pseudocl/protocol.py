@@ -161,22 +161,26 @@ def _variant_features(model: nn.Model, h1: nn.Model, dataset: Dataset,
                       step: int) -> np.ndarray:
     """The features the variant clusters the samples ``ids`` by."""
     if cfg.variant == "ours":
-        feats = _row_features(model, dataset, ids)
-    elif cfg.variant == "ffe":
-        feats = _row_features(h1, dataset, ids)
-    elif cfg.variant == "scratch":
+        return _row_features(model, dataset, ids)
+    if cfg.variant == "ffe":
+        return _row_features(h1, dataset, ids)
+    if cfg.variant == "scratch":
         fresh = nn.init_model(dataset.dim, cfg.hidden_width, cfg.n_hidden,
                               cfg.step_size,
                               _seed(cfg.model_seed, "scratch", step))
-        feats = _row_features(fresh, dataset, ids)
-    else:  # "pca", which needs every row at once; RunConfig rejects others
-        feats = pca_coordinates(dataset.features_for(ids),
-                                min(cfg.pca_dim, dataset.dim))
-    if cfg.normalize_features:
-        norms = np.linalg.norm(feats, axis=1, keepdims=True)
-        if not np.isfinite(norms).all():  # it would divide rows to zeros
-            raise ValueError("features' squared norms overflow")
-        feats /= np.maximum(norms, 1e-12)
+        return _row_features(fresh, dataset, ids)
+    # "pca", which needs every row at once; RunConfig rejects others
+    return pca_coordinates(dataset.features_for(ids),
+                           min(cfg.pca_dim, dataset.dim))
+
+
+@np.errstate(all="ignore")  # overflowed norms are refused
+def _unit_rows(feats: np.ndarray) -> np.ndarray:
+    """``feats`` with every row scaled to unit norm, in place."""
+    norms = np.linalg.norm(feats, axis=1, keepdims=True)
+    if not np.isfinite(norms).all():  # it would divide rows to zeros
+        raise ValueError("features' squared norms overflow")
+    feats /= np.maximum(norms, 1e-12)
     return feats
 
 
@@ -246,10 +250,14 @@ def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
 
     def cluster(features, *tag) -> np.ndarray:
         """k-means slots of the task's rows by the array ``features()``
-        returns; a ValueError of either names the step."""
+        returns, its rows scaled to unit norm if the config asks; a
+        ValueError of any of them names the step."""
         seed = _seed(cfg.shuffle_seed, "cluster", step, *tag)
         try:
-            return kmeans(features(), n, seed=seed,
+            feats = features()
+            if cfg.normalize_features:
+                feats = _unit_rows(feats)
+            return kmeans(feats, n, seed=seed,
                           n_restarts=cfg.n_restarts).assignments
         except ValueError as exc:
             raise ProtocolError(f"clustering failed at step {step}: "

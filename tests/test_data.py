@@ -346,8 +346,12 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("rows, message", [
         ("0,0,1.0\n1,0,nan\n2,1,1.0\n", "sample 1 has a non-finite feature"),
         ("0,0,1.0\n0,1,2.0\n", "duplicate sample ids"),
+        # ids 4 and 2 both repeat; the third row repeats an id first
+        ("4,0,1.0\n9,0,1.0\n4,1,1.0\n2,1,1.0\n2,0,1.0\n",
+         "duplicate sample ids: sample 4 appears more than once$"),
         ("", "no records")],
-        ids=["non-finite", "duplicate-id", "header-only"])
+        ids=["non-finite", "duplicate-id", "first-duplicate-named",
+             "header-only"])
     def test_dataset_errors_name_file(self, tmp_path, rows, message):
         path = tmp_path / "bad.csv"
         path.write_text("id,label,f0\n" + rows)

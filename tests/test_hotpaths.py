@@ -396,8 +396,9 @@ class TestAssign:
         finally:
             tracemalloc.stop()
         assert np.array_equal(got, want)
-        # a few (n, k) arrays of GEMM distances and a block of differences
-        assert peak <= 4 * 2000 * 40 * 8 + 2 * clustering._EXACT_BLOCK * 16 * 8
+        # a block of GEMM distances, a block of differences, one more block
+        # of slack and a few (n,) vectors: nothing grows with n times k
+        assert peak <= 3 * clustering._BLOCK * 8 + 4 * 2000 * 8
 
 
 class TestKmeansPPInit:
@@ -533,6 +534,99 @@ class TestKmeansUpdate:
         assert list(map(repr, got.objective_trace)) == list(map(repr,
                                                                 want_trace))
         assert repr(got.objective) == repr(want_trace[-1])
+
+
+class TestKmeansBlocks:
+    """Every k-means pass takes its rows in blocks of at most _BLOCK values.
+    With _BLOCK at 120, 6-dimensional rows come 20 to a block, 4 GEMM
+    distances 30 to a block and 4 x 6 differences 5 to a block, so 61 and
+    62 rows span at least 3 blocks of each width with a tail of 1 or 2
+    rows; every result keeps the oracle's bits."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(clustering, "_BLOCK", 120)
+
+    @pytest.mark.parametrize("n", [61, 62])
+    def test_assign(self, n):
+        rng = np.random.default_rng(n)
+        x = blobs(rng, n, 6, 4) + 1e6
+        c = x[rng.choice(n, 4, replace=False)] + rng.normal(size=(4, 6))
+        assert np.array_equal(assign(x, c), assign_oracle(x, c))
+        # duplicated centroids send every row to the exact form
+        c = np.vstack([c[:2], c[:2]])
+        assert np.array_equal(assign(x, c), assign_oracle(x, c))
+        # so does a GEMM distance that overflows
+        x = near_overflow(rng, n, 6)
+        c = x[:4]
+        want = assign_oracle(x, c)
+        assert len(np.unique(want)) > 1
+        assert np.array_equal(assign(x, c), want)
+
+    @pytest.mark.parametrize("n", [61, 62])
+    def test_kmeans_pp_init(self, n):
+        rng = np.random.default_rng(n)
+        TestKmeansPPInit.check(blobs(rng, n, 6, 4) + 1e6, 4)
+        TestKmeansPPInit.check(near_overflow(rng, n, 6), 4)
+
+    @pytest.mark.parametrize("n", [61, 62])
+    def test_objective(self, n):
+        rng = np.random.default_rng(n)
+        x = blobs(rng, n, 6, 4) + 1e6
+        c = rng.normal(size=(4, 6)) + 1e6
+        a = rng.integers(0, 4, n)
+        assert repr(clustering._objective(x, c, a)) == repr(
+            objective_oracle(x, c, a))
+
+    @pytest.mark.parametrize("d, sizes", [
+        (6, [40, 20, 1]),    # 20 rows, then 19 and a 1-row tail
+        (6, [41, 19, 2]),    # 20 rows, then 19 and a 2-row tail
+        (2, [130, 1, 1]),    # 60 rows, then 59 and 11
+        (1, [200, 30, 5]),   # one column, gathered whole
+    ])
+    def test_update_sums_clusters_larger_than_a_block(self, d, sizes):
+        # the last of k = 4 clusters is empty, so a repair runs over every row
+        rng = np.random.default_rng(sum(sizes) + d)
+        x = rng.normal(size=(sum(sizes), d)) * 1e3 + 1e6
+        a = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        c = rng.normal(size=(4, d))
+        want_a = a.copy()
+        want, repairs = update_oracle(x, c, want_a)
+        got = clustering._update(x, c, a)
+        assert repairs == 1
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(a, want_a)
+
+    @pytest.mark.parametrize("n", [61, 62])
+    def test_kmeans(self, n):
+        rng = np.random.default_rng(n)
+        for seed in range(3):
+            TestKmeansUpdate.check(blobs(rng, n, 6, 4), 4, seed)
+        # 3 distinct rows for 6 clusters: the repairs run over 3 blocks
+        base = rng.normal(size=(3, 6))
+        x = np.repeat(base, [n - 30, 20, 10], axis=0)
+        assert sum(TestKmeansUpdate.check(x, 6, seed) for seed in range(3)) > 0
+        want_c, want_a, _, _, want_trace = kmeans_single_oracle(
+            x, 6, 5, clustering._MAX_ITER, 1e-6)
+        got = clustering.kmeans(x, 6, seed=5)
+        assert got.centroids.tobytes() == want_c.tobytes()
+        assert np.array_equal(got.assignments, want_a)
+        assert repr(got.objective) == repr(want_trace[-1])
+
+
+@pytest.mark.parametrize("n, k", [(6000, 50), (20000, 5), (3200, 100)])
+def test_kmeans_peak_is_a_few_blocks_beyond_its_input(n, k):
+    rng = np.random.default_rng(k)
+    x = blobs(rng, n, 64, k)
+    tracemalloc.start()
+    try:
+        clustering.kmeans(x, k, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few 256 KB blocks and a few (n,) vectors; one (n, 64) copy of the
+    # rows would take 3.1 MB at n = 6,000
+    assert peak <= 1.5e6
 
 
 class TestHerding:

@@ -725,6 +725,21 @@ class TestVariants:
         for norms in seen:
             assert np.allclose(norms, 1.0, rtol=0, atol=1e-12)
 
+    def test_upl_refresh_clusters_unit_rows(self, dataset, monkeypatch):
+        seen = []
+        real = protocol.kmeans
+
+        def recording(points, k, **kwargs):
+            seen.append(np.linalg.norm(points, axis=1))
+            return real(points, k, **kwargs)
+
+        monkeypatch.setattr(protocol, "kmeans", recording)
+        protocol.run_experiment(fast_cfg(upl_k=2, normalize_features=True),
+                                dataset)
+        assert len(seen) == 4  # steps 2 and 3 cluster, then refresh once
+        for norms in seen:
+            assert np.allclose(norms, 1.0, rtol=0, atol=1e-12)
+
     def test_each_variant_runs(self, dataset):
         for variant in ("ours", "ffe", "scratch", "pca"):
             cfg = fast_cfg(variant=variant, pca_dim=4)
