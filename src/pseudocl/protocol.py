@@ -7,6 +7,7 @@ import json
 import math
 import os
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,6 +24,11 @@ from .metrics import StepReport, step_report
 
 class ProtocolError(ValueError):
     pass
+
+
+# the teacher's probabilities of a minibatch, by its indices into the
+# merged rows
+TeacherProbs = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -68,37 +74,67 @@ def _lr_at(cfg: RunConfig, epoch: int) -> float:
     return cfg.lr * cfg.lr_decay ** (epoch // cfg.lr_decay_period)
 
 
+@np.errstate(all="ignore")  # a diverging teacher's rows are not refused
+def _teacher_probs(teacher: nn.Model, features: np.ndarray, pos: np.ndarray,
+                   cfg: RunConfig) -> TeacherProbs:
+    """The frozen teacher's temperature-softened probabilities of the
+    merged rows ``features[pos]``, from one teacher pass.
+
+    The pass keeps the narrower of two per-row arrays. For a teacher of m
+    classes and m at most its feature width, it keeps the (rows x m)
+    probabilities. Else it keeps the teacher's (rows x width) features, and
+    each minibatch's probabilities take one head product over the
+    minibatch's rows, as a forward of the minibatch would.
+
+    The pass takes the rows in blocks of batch_size, so the head's
+    products keep the shape of a training batch: one product over all rows
+    can take another BLAS kernel that rounds differently. No teacher row is
+    computed alone, as BLAS's matrix-vector kernel can round a single row
+    differently from the same row among others: a 1-row tail takes a row
+    from the block before it, blocks hold at least 3 rows, and a 1-row
+    minibatch's head product is taken over the row twice.
+    """
+    width = teacher.feature_dim
+    by_features = teacher.out_dim > width
+    table = np.empty((len(pos), width if by_features else teacher.out_dim))
+    for start, stop in _blocks(len(pos), max(cfg.batch_size, 3)):
+        rows = features[pos[start:stop]]
+        table[start:stop] = (
+            nn.extract_features(teacher, rows) if by_features
+            else nn.softened_probs(nn.forward(teacher, rows), cfg.temperature))
+    if not by_features:
+        return lambda idx: table[idx]
+    w, b = teacher.layers[-1]
+
+    def probs(idx: np.ndarray) -> np.ndarray:
+        feats = table[idx] if len(idx) > 1 else table[np.repeat(idx, 2)]
+        logits = feats @ w
+        logits += b
+        return nn.softened_probs(logits[:len(idx)], cfg.temperature)
+    return probs
+
+
 # a diverging run overflows, and its softmax underflows to log(0), before
 # its loss turns non-finite; the finiteness checks report that as a
 # ProtocolError, not as numpy warnings
 @np.errstate(all="ignore")
 def _train(model: nn.Model, features: np.ndarray, pos: np.ndarray,
-           y: np.ndarray, teacher: nn.Model | None, m: int, n: int,
-           cfg: RunConfig, step: int, epochs: range, n_epochs: int) -> None:
+           y: np.ndarray, teacher_probs: TeacherProbs | None, m: int,
+           n: int, cfg: RunConfig, step: int, epochs: range,
+           n_epochs: int) -> None:
     """SGD on the cross-distillation loss over the merged set, the rows
     ``features[pos]`` with labels ``y``, in place, for ``epochs``, a run of
     the step's ``n_epochs`` epochs. Each minibatch gathers its own rows, so
-    no copy of the merged set is made. A non-finite loss, or non-finite
-    parameters after the last update, raise ProtocolError.
+    no copy of the merged set is made, and takes the teacher's
+    probabilities of its rows from ``teacher_probs``, the function
+    ``_teacher_probs`` returns. A non-finite loss, or non-finite parameters
+    after the last update, raise ProtocolError.
 
     The distillation weight is alpha = m / (m + n): 0 on the supervised
-    first task (m == 0, no teacher).
+    first task (m == 0, no teacher, ``teacher_probs`` None).
     """
     alpha = m / (m + n)
     base_seed = _seed(cfg.shuffle_seed, "task", step)
-    p_hat = None
-    if teacher is not None:
-        # the teacher is frozen for the step, so its softened old-class
-        # probabilities are computed once a call and freed with it, before
-        # herding and evaluation. Row blocks of batch_size keep the
-        # matrix shapes of a training batch: one product over all rows can
-        # take another BLAS kernel that rounds differently.
-        p_hat = np.empty((len(pos), m))
-        for start in range(0, len(pos), cfg.batch_size):
-            block = nn.forward(teacher,
-                               features[pos[start:start + cfg.batch_size]])
-            p_hat[start:start + cfg.batch_size] = nn.softened_probs(
-                block[:, :m], cfg.temperature)
     for epoch in epochs:
         lr = _lr_at(cfg, epoch)
         if cfg.mode == "online" and m > 0:
@@ -111,8 +147,8 @@ def _train(model: nn.Model, features: np.ndarray, pos: np.ndarray,
             idx = order[start:start + cfg.batch_size]
             loss, grads = nn.backward(
                 model, features[rows[start:start + cfg.batch_size]],
-                None if p_hat is None else p_hat[idx], y[idx], alpha,
-                cfg.temperature, m)
+                None if teacher_probs is None else teacher_probs(idx), y[idx],
+                alpha, cfg.temperature, m)
             if not math.isfinite(loss):
                 raise ProtocolError(
                     f"training diverged at step {step}, epoch {epoch + 1} "
@@ -132,12 +168,13 @@ def _train(model: nn.Model, features: np.ndarray, pos: np.ndarray,
 EVAL_BLOCK = 512
 
 
-def _blocks(n: int) -> list[tuple[int, int]]:
-    """(start, stop) of n rows in order, in blocks of at most EVAL_BLOCK.
-    A 1-row tail takes a row from the block before it: BLAS computes a
-    single row with its matrix-vector kernel, which can round differently
-    from the same row in a block of two or more."""
-    stops = [*range(EVAL_BLOCK, n, EVAL_BLOCK), n]
+def _blocks(n: int, size: int) -> list[tuple[int, int]]:
+    """(start, stop) of n rows in order, in blocks of at most ``size``
+    rows, which must be at least 3. A 1-row tail takes a row from the block
+    before it: BLAS computes a single row with its matrix-vector kernel,
+    which can round differently from the same row in a block of two or
+    more."""
+    stops = [*range(size, n, size), n]
     if len(stops) > 1 and stops[-1] - stops[-2] == 1:
         stops[-2] -= 1
     return list(zip([0, *stops[:-1]], stops))
@@ -149,7 +186,7 @@ def _row_features(model: nn.Model, dataset: Dataset,
     """The model's features of the samples ``ids``, in order, gathered and
     extracted a block of rows at a time into one (len(ids), width) array."""
     feats = np.empty((len(ids), model.feature_dim))
-    for start, stop in _blocks(len(ids)):
+    for start, stop in _blocks(len(ids), EVAL_BLOCK):
         feats[start:stop] = nn.extract_features(
             model, dataset.features_for(ids[start:stop]))
     return feats
@@ -176,11 +213,15 @@ def _variant_features(model: nn.Model, h1: nn.Model, dataset: Dataset,
 
 @np.errstate(all="ignore")  # overflowed norms are refused
 def _unit_rows(feats: np.ndarray) -> np.ndarray:
-    """``feats`` with every row scaled to unit norm, in place."""
-    norms = np.linalg.norm(feats, axis=1, keepdims=True)
-    if not np.isfinite(norms).all():  # it would divide rows to zeros
-        raise ValueError("features' squared norms overflow")
-    feats /= np.maximum(norms, 1e-12)
+    """``feats`` with every row scaled to unit norm, in place, a block of
+    rows at a time. The norms are ``np.linalg.norm``'s, by its own formula,
+    without its (rows x width) array of squares."""
+    for start, stop in _blocks(len(feats), EVAL_BLOCK):
+        rows = feats[start:stop]
+        norms = np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
+        if not np.isfinite(norms).all():  # it would divide rows to zeros
+            raise ValueError("features' squared norms overflow")
+        rows /= np.maximum(norms, 1e-12)
     return feats
 
 
@@ -218,7 +259,7 @@ def evaluate(model: nn.Model, dataset: Dataset, classes,
     """
     eval_ids = dataset.ids_for_classes(classes, eval_split=True)
     preds = np.empty(len(eval_ids), dtype=int)
-    for start, stop in _blocks(len(eval_ids)):
+    for start, stop in _blocks(len(eval_ids), EVAL_BLOCK):
         with np.errstate(all="ignore"):
             logits = nn.forward(model,
                                 dataset.features_for(eval_ids[start:stop]))
@@ -287,17 +328,22 @@ def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
 
     # UPL trains in segments of upl_k epochs and re-clusters the task with
     # the model in training before each but the first; replayed labels stay
-    # fixed, and this step's exemplars follow the last clustering
+    # fixed, and this step's exemplars follow the last clustering. The
+    # teacher and the merged rows stay fixed, so the segments share one
+    # teacher pass, freed before herding and evaluation
     n_epochs = 1 if cfg.mode == "online" and m > 0 else cfg.epochs
     seg = n_epochs if supervised or cfg.upl_k == 0 else cfg.upl_k
+    teacher_probs = (None if teacher is None else
+                     _teacher_probs(teacher, dataset.features, pos, cfg))
     for start in range(0, n_epochs, seg):
         if start:
             assignments = cluster(
                 lambda: _row_features(model, dataset, train_ids), start)
             labels = assignments + m
             y[origin >= 0] = labels[origin[origin >= 0]]
-        _train(model, dataset.features, pos, y, teacher, m, n, cfg, step,
-               range(start, min(start + seg, n_epochs)), n_epochs)
+        _train(model, dataset.features, pos, y, teacher_probs, m, n, cfg,
+               step, range(start, min(start + seg, n_epochs)), n_epochs)
+    del teacher_probs
 
     if cfg.bias_correction and m > 0:
         try:

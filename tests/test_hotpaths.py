@@ -305,7 +305,7 @@ def backward_oracle(model, x, teacher_logits, labels, alpha, temperature, m):
     return loss, grads
 
 
-def train_oracle(model, x, y, teacher, m, n, cfg, step):
+def train_oracle(model, x, y, teacher, m, n, cfg, step, forward=nn.forward):
     """The offline loop of protocol._train with a fresh teacher forward for
     every minibatch."""
     alpha = m / (m + n)
@@ -317,7 +317,7 @@ def train_oracle(model, x, y, teacher, m, n, cfg, step):
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             xb = x[idx]
-            _, grads = backward_oracle(model, xb, nn.forward(teacher, xb),
+            _, grads = backward_oracle(model, xb, forward(teacher, xb),
                                        y[idx], alpha, cfg.temperature, m)
             nn.sgd_step(model, grads, lr, cfg.weight_decay)
     return model
@@ -862,11 +862,9 @@ class TestRowBlocks:
     a row from the block before it."""
 
     @pytest.mark.parametrize("block", [3, 4, 7, 512])
-    def test_blocks_cover_rows_with_no_single_row_tail(self, monkeypatch,
-                                                       block):
-        monkeypatch.setattr(protocol, "EVAL_BLOCK", block)
+    def test_blocks_cover_rows_with_no_single_row_tail(self, block):
         for n in [*range(0, 5 * block + 2), 2 * block + 1, 3 * block + 1]:
-            spans = protocol._blocks(n)
+            spans = protocol._blocks(n, block)
             assert [a for span in spans for a in range(*span)] == list(range(n))
             sizes = [stop - start for start, stop in spans]
             assert all(size <= block for size in sizes)
@@ -886,6 +884,40 @@ class TestRowBlocks:
         want = nn.extract_features(model, ds.features_for(ids))
         got = protocol._row_features(model, ds, ids)
         assert got.tobytes() == want.tobytes()
+
+
+class TestUnitRows:
+    """_unit_rows scales rows by np.linalg.norm's norms, taken by its own
+    formula a block of rows at a time."""
+
+    @staticmethod
+    def oracle(feats):
+        return feats / np.maximum(np.linalg.norm(feats, axis=1, keepdims=True),
+                                  1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 16, 64, 65])
+    def test_same_bytes_as_linalg_norm(self, d):
+        rng = np.random.default_rng(d)
+        for n in [0, 1, 2, 511, 512, 513, 1025, 1500]:
+            scale = 10.0 ** rng.integers(-3, 4, (n, 1))
+            feats = rng.normal(size=(n, d)) * scale
+            feats[::7] = 0.0  # zero rows divide by the floor
+            want = self.oracle(feats)
+            got = protocol._unit_rows(feats.copy())
+            assert got.tobytes() == want.tobytes()
+
+    def test_holds_a_block_beyond_its_input(self):
+        feats = np.random.default_rng(0).normal(size=(4800, 64))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            protocol._unit_rows(feats)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # a block of squares and a few per-row vectors; np.linalg.norm took
+        # 2.5 MB
+        assert peak <= protocol.EVAL_BLOCK * 64 * 8 + 16384
 
 
 class TestLeanBackward:
@@ -908,37 +940,47 @@ class TestLeanBackward:
             assert got[1].tobytes() == want[1].tobytes()
 
 
+def forward_no_row_alone(model, x):
+    """nn.forward of rows ``x``, a single row taken as two copies of
+    itself, so no row goes through BLAS's matrix-vector kernel."""
+    return nn.forward(model, x if len(x) > 1 else np.repeat(x, 2, 0))[:len(x)]
+
+
 class TestTrainLoop:
-    """_train forwards the frozen teacher once per call, a step or one of
-    its UPL segments; the per-batch loop it replaced is the oracle. A step
-    trains m + 5 classes with a teacher of m, at the widths of the
-    benchmark's standard run. _train reads the merged rows by position in a
-    larger feature array; the oracle gets them gathered."""
+    """Training takes the frozen teacher's probabilities from one teacher
+    pass a step; the per-batch loop it replaced is the oracle. A step
+    trains m + 5 classes with a teacher of m on 64-wide features: m of 5 to
+    15, as on the benchmark's standard run, keeps a table of the teacher's
+    probabilities, and m of 100, as on its wide run, the teacher's features.
+    _train reads the merged rows by position in a larger feature array; the
+    oracle gets them gathered."""
     BATCH = 32
 
-    def step_inputs(self, m, rows):
+    def step_inputs(self, m, rows, batch=BATCH):
         rng = np.random.default_rng(rows)
         teacher = nn.init_model(16, 64, 2, m, seed=3)
         features = rng.normal(size=(2 * rows, 16)) * 2.0
         pos = rng.permutation(2 * rows)[:rows]
         y = rng.integers(0, m + 5, rows)
-        cfg = RunConfig(epochs=4, lr_decay_period=2, batch_size=self.BATCH)
+        cfg = RunConfig(epochs=4, lr_decay_period=2, batch_size=batch)
         return (nn.expand_head(teacher, 5, seed=4), features, pos, y, teacher,
                 cfg)
 
-    def train_both(self, m, rest):
+    def train_both(self, m, rest, forward=nn.forward, batch=BATCH):
         student, features, pos, y, teacher, cfg = self.step_inputs(
-            m, 5 * self.BATCH + rest)
+            m, 5 * batch + rest, batch)
         got = nn.Model(student.dims, student.params.copy())
-        protocol._train(got, features, pos, y, teacher, m, 5, cfg, 2,
-                        range(cfg.epochs), cfg.epochs)
+        protocol._train(got, features, pos, y,
+                        protocol._teacher_probs(teacher, features, pos, cfg),
+                        m, 5, cfg, 2, range(cfg.epochs), cfg.epochs)
         x = features[pos]
         want = train_oracle(nn.Model(student.dims, student.params.copy()),
-                            x, y, teacher, m, 5, cfg, 2)
+                            x, y, teacher, m, 5, cfg, 2, forward)
         return got.params, want.params
 
     @pytest.mark.parametrize("m, rest", [(5, 0), (10, 0), (15, 0), (5, 2),
-                                         (5, BATCH - 1), (15, 2)])
+                                         (5, BATCH - 1), (15, 2), (100, 0),
+                                         (100, 2), (100, BATCH - 1)])
     def test_params_match_per_batch_loop(self, m, rest):
         got, want = self.train_both(m, rest)
         assert got.tobytes() == want.tobytes()
@@ -953,20 +995,54 @@ class TestTrainLoop:
         got, want = self.train_both(m, rest)
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("batch", [1, 2, BATCH])
+    def test_no_teacher_row_computed_alone(self, batch):
+        # 5 * batch + 1 rows leave each epoch a 1-row minibatch; with the
+        # teacher's features kept, its head product is taken over the row
+        # twice, as the oracle's forward of two copies of a 1-row minibatch
+        got, want = self.train_both(100, 1, forward_no_row_alone, batch)
+        assert got.tobytes() == want.tobytes()
+
     def test_teacher_forwarded_once_per_step(self, monkeypatch):
-        student, features, pos, y, teacher, cfg = self.step_inputs(
-            5, 5 * self.BATCH + 2)
+        # one pass over the merged rows in blocks of two or more, none
+        # while training, on both paths: a teacher of 5 classes keeps its
+        # probabilities, one of 100 its features
         rows = []
-        real = nn.forward
+        real = nn.extract_features
 
         def counting(model, xb):
             rows.append(len(xb))
             return real(model, xb)
 
-        monkeypatch.setattr(nn, "forward", counting)
-        protocol._train(student, features, pos, y, teacher, 5, 5, cfg, 2,
-                        range(cfg.epochs), cfg.epochs)
-        assert sum(rows) == len(pos)
+        monkeypatch.setattr(nn, "extract_features", counting)
+        for m, batch, rest in itertools.product(
+                [5, 100], [1, 2, self.BATCH], [0, 1, 2]):
+            student, features, pos, y, teacher, cfg = self.step_inputs(
+                m, 5 * batch + rest, batch)
+            rows.clear()
+            probs = protocol._teacher_probs(teacher, features, pos, cfg)
+            assert sum(rows) == len(pos) and min(rows) >= 2
+            protocol._train(student, features, pos, y, probs, m, 5, cfg, 2,
+                            range(cfg.epochs), cfg.epochs)
+            assert sum(rows) == len(pos)
+
+    def test_feature_path_holds_no_probability_table(self):
+        # 2,000 rows of a teacher of 200 classes on 64 features: the
+        # (rows x 200) probabilities are 3.2 MB, its features 1.0 MB
+        student, features, pos, y, teacher, cfg = self.step_inputs(200, 2000)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            probs = protocol._teacher_probs(teacher, features, pos, cfg)
+            held = tracemalloc.get_traced_memory()[0] - start
+            protocol._train(student, features, pos, y, probs, 200, 5, cfg, 2,
+                            range(1), 1)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        table = len(pos) * 200 * 8
+        assert held <= len(pos) * 64 * 8 + 4096
+        assert peak < table
 
 
 def csv_rows_oracle(ids, labels, features):

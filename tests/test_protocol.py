@@ -279,6 +279,35 @@ class TestContinualStep:
                 (m + clusterings[-1][rows]).tolist()
             store = grown
 
+    @pytest.mark.parametrize("width", [16, 1], ids=["table", "features"])
+    def test_upl_step_makes_one_teacher_pass(self, dataset, monkeypatch,
+                                             width):
+        # the teacher and the merged rows are fixed for a step, so its
+        # three upl-2 segments (epochs 0-1, 2-3 and 4) share one pass; a
+        # width of 1 keeps the teacher's features, not its probabilities
+        passes, segments = [], []
+        real_probs, real_train = protocol._teacher_probs, protocol._train
+
+        def counting_probs(teacher, features, pos, cfg):
+            passes.append(teacher.out_dim)
+            return real_probs(teacher, features, pos, cfg)
+
+        def counting_train(model, features, pos, y, teacher_probs, m, *rest):
+            segments.append((m, teacher_probs))
+            return real_train(model, features, pos, y, teacher_probs, m,
+                              *rest)
+
+        monkeypatch.setattr(protocol, "_teacher_probs", counting_probs)
+        monkeypatch.setattr(protocol, "_train", counting_train)
+        protocol.run_experiment(fast_cfg(epochs=5, upl_k=2,
+                                         hidden_width=width), dataset)
+        assert passes == [2, 4]  # one a step, with 2 and 4 old classes
+        assert [m for m, _ in segments] == [0, 2, 2, 2, 4, 4, 4]
+        assert segments[0][1] is None
+        for step in (slice(1, 4), slice(4, 7)):
+            fns = {id(fn) for _, fn in segments[step]}
+            assert len(fns) == 1
+
     def test_upl_zero_matches_fixed_labels(self, dataset):
         a = protocol.run_experiment(fast_cfg(upl_k=0), dataset)
         b = protocol.run_experiment(fast_cfg(upl_k=0), dataset)
@@ -560,6 +589,29 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert peak <= p_hat + ints + 4 * block
+
+    def test_wide_head_step_holds_no_probability_table(self):
+        # step 2 of two tasks of 100 classes trains 3,700 merged rows with
+        # a teacher of 100 classes on 8 features: the teacher's (rows x 100)
+        # probabilities would be 2.96 MB, its features are 0.24 MB
+        ds = generate_gaussian_stream(BlobSpec(
+            num_classes=200, dim=8, samples_per_class=40, separation=3.0,
+            std=0.3, seed=5))
+        cfg = fast_cfg(step_size=100, epochs=1, batch_size=64, hidden_width=8,
+                       q=5)
+        tasks = protocol.split_tasks(ds, 100, cfg.arrangement_seed)
+        model, store, _ = protocol.continual_step(
+            None, tasks, 1, ExemplarStore(cfg.q), ds, cfg, None)
+        merged = (len(ds.ids_for_classes(tasks[1], eval_split=False))
+                  + len(store.ids))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            protocol.continual_step(model, tasks, 2, store, ds, cfg, model)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < merged * 100 * 8
 
     @pytest.mark.parametrize("kw", [
         {}, {"variant": "ffe"}, {"variant": "scratch"}, {"upl_k": 1},
