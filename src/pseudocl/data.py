@@ -74,7 +74,7 @@ class Dataset:
             raise FormatError(f"features of shape {features.shape} have no "
                               "column; a dataset needs at least one")
         if len(labels) != len(ids):
-            raise FormatError("label count mismatch")
+            raise FormatError(f"{len(labels)} labels for {len(ids)} samples")
         finite = np.isfinite(features).all(axis=1)
         if not finite.all():
             raise FormatError(

@@ -127,12 +127,16 @@ def _train(model: nn.Model, features: np.ndarray, pos: np.ndarray,
     the step's ``n_epochs`` epochs. Each minibatch gathers its own rows, so
     no copy of the merged set is made, and takes the teacher's
     probabilities of its rows from ``teacher_probs``, the function
-    ``_teacher_probs`` returns. A non-finite loss, or non-finite parameters
-    after the last update, raise ProtocolError.
+    ``_teacher_probs`` returns. A label outside the model's classes raises
+    ValueError before any update, as ``nn.backward`` checks none; a
+    non-finite loss, or non-finite parameters after the last update, raise
+    ProtocolError.
 
     The distillation weight is alpha = m / (m + n): 0 on the supervised
     first task (m == 0, no teacher, ``teacher_probs`` None).
     """
+    if not ((0 <= y) & (y < model.out_dim)).all():
+        raise ValueError("label out of range")
     alpha = m / (m + n)
     base_seed = _seed(cfg.shuffle_seed, "task", step)
     for epoch in epochs:

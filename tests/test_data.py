@@ -142,6 +142,11 @@ class TestDataset:
             data.Dataset(np.array([0, 0, 1]), np.zeros((3, 2)),
                          np.array([0, 0, 1]))
 
+    def test_label_count_mismatch_names_both_counts(self):
+        with pytest.raises(data.FormatError,
+                           match="^3 labels for 4 samples$"):
+            data.Dataset(np.arange(4), np.zeros((4, 2)), np.array([0, 1, 1]))
+
     def test_empty_rejected(self):
         with pytest.raises(data.FormatError):
             data.Dataset(np.array([]), np.zeros((0, 2)), np.array([]))

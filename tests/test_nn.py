@@ -206,10 +206,6 @@ class TestCrossEntropyPseudo:
         assert np.isclose(cross_entropy_pseudo(np.array(logits), 1),
                           expected, atol=1e-14)
 
-    def test_out_of_range_label_rejected(self):
-        with pytest.raises(ValueError):
-            cross_entropy_pseudo(np.zeros(3), 3)
-
 
 class TestCrossDistillation:
     def test_alpha_zero_endpoint_is_pseudo_ce(self):
@@ -303,38 +299,8 @@ class TestBackward:
         _, g2 = nn.backward(model, x2, t2, np.array([3, 3]), 0.5, 2.0, 2)
         assert np.allclose(g1, g2, atol=1e-14)
 
-    def test_empty_batch_rejected(self):
-        model = nn.init_model(4, 5, 1, 4, seed=14)
-        with pytest.raises(ValueError):
-            nn.backward(model, np.empty((0, 4)), None, np.empty(0, dtype=int),
-                        0.5, 2.0, 2)
-
-    def test_label_count_mismatch_rejected(self):
-        model = nn.init_model(4, 5, 1, 4, seed=14)
-        with pytest.raises(ValueError, match="label count"):
-            nn.backward(model, np.ones((2, 4)), None, np.array([0]),
-                        0.0, 2.0, 0)
-
-
-    @pytest.mark.parametrize("teacher, m", [
-        (None, 2), (np.full(2, 0.5), 2), (np.full((2, 2), 0.5), 2),
-        (np.full((1, 3), 1 / 3), 4), (np.full((1, 5), 0.2), 5),
-        (np.zeros((1, 0)), 0), (np.full((1, 3), 1 / 3), 2)],
-        ids=["missing", "1-d", "other-batch", "m-over-teacher", "m-over-head",
-             "m-zero", "wider-than-m"])
-    def test_bad_teacher_rejected(self, teacher, m):
-        model = nn.init_model(4, 5, 1, 4, seed=15)
-        with pytest.raises(ValueError):
-            nn.backward(model, np.ones((1, 4)), teacher, np.array([0]),
-                        0.5, 2.0, m)
-
 
 class TestSgdStep:
-    def test_wrong_gradient_shape_rejected(self):
-        model = small_model(seed=20)
-        with pytest.raises(ValueError, match="gradient shape"):
-            nn.sgd_step(model, np.zeros(model.params.size - 1), 0.1)
-
     def test_zero_lr_is_identity(self):
         model = small_model(seed=20)
         _, grads = nn.backward(model, np.ones((2, 5)), None,
@@ -352,6 +318,30 @@ class TestSgdStep:
         m = head_only(np.array([[2.0]]), np.zeros(1))
         nn.sgd_step(m, np.zeros(2), lr=0.1, weight_decay=0.5)
         assert np.isclose(m.layers[-1][0][0, 0], 1.9)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-5, 10.0])
+    def test_same_bytes_as_update_through_a_temporary(self, weight_decay):
+        # the update before it took grads as scratch: params - lr * (decay
+        # term + grads), the sum in the other order
+        rng = np.random.default_rng(22)
+        model = small_model(seed=22)
+        size = model.params.size
+        model.params *= 10.0 ** rng.integers(-8, 4, size)
+        grads = rng.normal(size=size) * 10.0 ** rng.integers(-12, 3, size)
+        zeros = [0.0, -0.0]
+        # every pairing of signed zero gradients with signed zero and
+        # nonzero parameters
+        model.params[:8] = zeros * 2 + [1.5, -1.5, 1e-300, -1e-300]
+        grads[:8] = zeros + zeros[::-1] + zeros + zeros[::-1]
+        grads[8:16] = zeros * 4
+        for lr in (0.1, 1e-3):
+            params = model.params.copy()
+            step = weight_decay * params
+            step += grads
+            step *= lr
+            params -= step
+            nn.sgd_step(model, grads.copy(), lr, weight_decay)
+            assert model.params.tobytes() == params.tobytes()
 
 
 class TestExpandHead:

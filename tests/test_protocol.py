@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import os
 import re
+import sys
 import tracemalloc
 from dataclasses import astuple, replace
 from unittest import mock
@@ -15,6 +17,9 @@ from pseudocl.config import BlobSpec, RunConfig
 from pseudocl.data import Dataset, generate_gaussian_stream
 from pseudocl.labeling import ExemplarStore
 from pseudocl.metrics import StepReport, step_report
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +319,23 @@ class TestContinualStep:
         assert a.reports == b.reports
 
 
+class TestTrain:
+    def test_out_of_range_label_rejected(self):
+        # the last label is out of range, so a check per minibatch would
+        # have updated the model on the batches before it
+        rng = np.random.default_rng(0)
+        features = rng.normal(size=(40, 4))
+        cfg = fast_cfg(batch_size=8)
+        for bad in (-1, 3):
+            model = nn.init_model(4, 5, 1, 3, seed=0)
+            before = model.params.tobytes()
+            y = np.append(rng.integers(0, 3, 39), bad)
+            with pytest.raises(ValueError, match="^label out of range$"):
+                protocol._train(model, features, np.arange(40), y, None, 0, 3,
+                                cfg, 1, range(cfg.epochs), cfg.epochs)
+            assert model.params.tobytes() == before
+
+
 class TestRunExperiment:
     def test_alpha_is_old_class_share(self, dataset, monkeypatch):
         # step s trains with m = (s - 1) * n old classes of m + n = s * n,
@@ -330,6 +352,48 @@ class TestRunExperiment:
         protocol.run_experiment(fast_cfg(temperature=1.5), dataset)
         assert seen == {1: {(0.0, 1.5, 0)}, 2: {(1 / 2, 1.5, 2)},
                         3: {(2 / 3, 1.5, 4)}}
+
+    def test_traced_run_records_every_benchmark_span(self, dataset, tmp_path,
+                                                     monkeypatch):
+        # the benchmark's tracer finds the spans its standard workload must
+        # record, and counts backward's rows as the rows trained
+        def load(name):
+            spec = importlib.util.spec_from_file_location(
+                name, os.path.join(PERFBENCH, f"{name}.py"))
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+
+        # perfbench is only read: child prepends to sys.path, and no
+        # bytecode is written beside the benchmark's files
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        tracer_mod = load("tracer")
+        monkeypatch.setitem(sys.modules, "tracer", tracer_mod)
+        child = load("child")
+        trained = []
+        real = protocol._train
+
+        def counting(model, features, pos, y, probs, m, n, cfg, step, epochs,
+                     n_epochs):
+            trained.append(len(pos) * len(epochs))
+            return real(model, features, pos, y, probs, m, n, cfg, step,
+                        epochs, n_epochs)
+
+        monkeypatch.setattr(protocol, "_train", counting)
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            protocol.run_experiment(fast_cfg(step_size=3), dataset,
+                                    out_dir=str(tmp_path / "run"))
+        finally:
+            tracer.uninstall()
+        summary = tracer.summary()
+        assert [name for name in child.MUST_RUN["standard"]
+                if name not in summary] == []
+        assert len(trained) == 2
+        rows = tracer_mod.layer_metrics(summary)["nn.backward.rows"]
+        assert rows == sum(trained)
 
     def test_report_sequence(self, dataset):
         result = protocol.run_experiment(fast_cfg(), dataset)
@@ -739,6 +803,7 @@ class TestProtocolFuzz:
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finishes_or_fails_naming_its_step(self, data):
         try:
             spec, cfg, block = self.draw(data)
