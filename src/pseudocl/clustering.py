@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .nn import _row_blocks
+
 
 @dataclass
 class ClusterResult:
@@ -22,11 +24,10 @@ class ClusterResult:
 _BLOCK = 1 << 15
 
 
-def _blocks(n: int, width: int):
-    """Slices of n rows in order, each of at most _BLOCK // width rows and
+def _blocks(n: int, width: int) -> list[slice]:
+    """``_row_blocks`` of n rows, each of at most _BLOCK // width rows and
     at least one."""
-    step = max(1, _BLOCK // max(1, width))
-    return (slice(start, start + step) for start in range(0, n, step))
+    return _row_blocks(n, max(1, _BLOCK // max(1, width)))
 
 
 def _validate_points(points: np.ndarray, k: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .nn import Model
+from .nn import Model, _row_blocks
 
 if TYPE_CHECKING:  # config imports this module
     from .config import BlobSpec
@@ -179,10 +179,8 @@ def save_dataset(dataset: Dataset, path: str) -> None:
     ids, labels = dataset.ids, dataset.sealed._peek()
     # formatted, hashed and written one block of rows at a time, so little
     # is in flight whatever the dataset's size
-    chunks = (_csv_rows(ids[i:i + _CSV_BLOCK_ROWS],
-                        labels[i:i + _CSV_BLOCK_ROWS],
-                        dataset.features[i:i + _CSV_BLOCK_ROWS])
-              for i in range(0, len(dataset), _CSV_BLOCK_ROWS))
+    chunks = (_csv_rows(ids[s], labels[s], dataset.features[s])
+              for s in _row_blocks(len(dataset), _CSV_BLOCK_ROWS))
     digest = hashlib.sha256()
     _write_atomic(path, _hashed(itertools.chain([head.encode()], chunks),
                                 digest), "wb")

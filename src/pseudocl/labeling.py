@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import nn
+
 
 @dataclass
 class ExemplarStore:
@@ -20,9 +22,6 @@ def _store(q: int, rows: np.ndarray, pseudo_labels: np.ndarray,
     when no ids are given."""
     ids = rows if sample_ids is None else np.asarray(sample_ids, dtype=int)[rows]
     return ExemplarStore(q, ids, np.asarray(pseudo_labels, dtype=int)[rows])
-
-
-_KEY_BLOCK = 512  # rows per block of a herding round's key
 
 
 def select_exemplars_herding(features: np.ndarray, assignments: np.ndarray,
@@ -82,12 +81,12 @@ def select_exemplars_herding(features: np.ndarray, assignments: np.ndarray,
     picks = np.zeros((len(clusters), rounds), dtype=int)
     key = np.empty(len(order))
     eps = np.finfo(float).eps
+    # in row blocks, so each round gathers no (n, d) array
+    blocks = nn._row_blocks(len(order), nn._ROW_BLOCK)
     for k in range(1, rounds + 1):
-        # in row blocks, so each round gathers no (n, d) array
-        for lo in range(0, len(order), _KEY_BLOCK):
-            hi = lo + _KEY_BLOCK
-            np.einsum("ij,ij->i", centred[lo:hi],
-                      centred_sum[cluster_of[lo:hi]], out=key[lo:hi])
+        for s in blocks:
+            np.einsum("ij,ij->i", centred[s], centred_sum[cluster_of[s]],
+                      out=key[s])
         key *= 2.0
         key += sq
         key[picked] = np.inf

@@ -9,6 +9,23 @@ from __future__ import annotations
 
 import numpy as np
 
+# rows per block of the passes over rows outside training: feature
+# extraction, evaluation and herding's keys. A constant, since `pseudocl
+# eval` has no run config and must print the run's own report row
+_ROW_BLOCK = 512
+
+
+def _row_blocks(n: int, size: int) -> list[slice]:
+    """Rows 0..n-1 in order, as slices of at most ``size`` rows, at least
+    one each, and none for n = 0. With ``size`` at least 3, a 1-row tail
+    takes a row from the block before it: BLAS computes a single row with
+    its matrix-vector kernel, which can round differently from the same row
+    in a block of two or more."""
+    stops = [*range(size, n, size), n] if n else []
+    if size >= 3 and len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        stops[-2] -= 1
+    return list(map(slice, [0, *stops], stops))
+
 
 def _layer_views(dims: list[int],
                  vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -82,24 +82,28 @@ def _teacher_probs(teacher: nn.Model, features: np.ndarray, pos: np.ndarray,
 
     The pass keeps the narrower of two per-row arrays. For a teacher of m
     classes and m at most its feature width, it keeps the (rows x m)
-    probabilities. Else it keeps the teacher's (rows x width) features, and
-    each minibatch's probabilities take one head product over the
-    minibatch's rows, as a forward of the minibatch would.
+    probabilities, and a minibatch's are a lookup. Else it keeps the
+    teacher's (rows x width) features, and each minibatch's probabilities
+    take one head product over its rows, as a forward of it would. Each
+    path wins where it is taken: the table of a 1,000-class teacher took
+    139.5 MB, and with m = 5-15 and width 64 the product took 15-20 us a
+    minibatch against the lookup's 1.4-2.2 us (one BLAS thread, 2-vCPU
+    Xeon): about 0.2 s over the 11,400 minibatches of perfbench's
+    `standard`.
 
-    The pass takes the rows in blocks of batch_size, so the head's
-    products keep the shape of a training batch: one product over all rows
-    can take another BLAS kernel that rounds differently. No teacher row is
-    computed alone, as BLAS's matrix-vector kernel can round a single row
-    differently from the same row among others: a 1-row tail takes a row
-    from the block before it, blocks hold at least 3 rows, and a 1-row
-    minibatch's head product is taken over the row twice.
+    The pass takes the rows in ``nn._row_blocks`` of batch_size, at least
+    3, so the head's products keep the shape of a training batch: one
+    product over all rows can take another BLAS kernel that rounds
+    differently. A 1-row minibatch's head product is taken over the row
+    twice, as BLAS's matrix-vector kernel can round a single row
+    differently from the same row among others.
     """
     width = teacher.feature_dim
     by_features = teacher.out_dim > width
     table = np.empty((len(pos), width if by_features else teacher.out_dim))
-    for start, stop in _blocks(len(pos), max(cfg.batch_size, 3)):
-        rows = features[pos[start:stop]]
-        table[start:stop] = (
+    for s in nn._row_blocks(len(pos), max(cfg.batch_size, 3)):
+        rows = features[pos[s]]
+        table[s] = (
             nn.extract_features(teacher, rows) if by_features
             else nn.softened_probs(nn.forward(teacher, rows), cfg.temperature))
     if not by_features:
@@ -165,34 +169,14 @@ def _train(model: nn.Model, features: np.ndarray, pos: np.ndarray,
                             "parameters")
 
 
-# rows go through the model this many at a time outside training; a
-# constant, since `pseudocl eval` has no run config and must print the run's
-# own report row. At least 3, so a block that gives a row to a 1-row tail
-# keeps two
-EVAL_BLOCK = 512
-
-
-def _blocks(n: int, size: int) -> list[tuple[int, int]]:
-    """(start, stop) of n rows in order, in blocks of at most ``size``
-    rows, which must be at least 3. A 1-row tail takes a row from the block
-    before it: BLAS computes a single row with its matrix-vector kernel,
-    which can round differently from the same row in a block of two or
-    more."""
-    stops = [*range(size, n, size), n]
-    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
-        stops[-2] -= 1
-    return list(zip([0, *stops[:-1]], stops))
-
-
 @np.errstate(all="ignore")  # k-means and herding refuse overflowed rows
 def _row_features(model: nn.Model, dataset: Dataset,
                   ids: np.ndarray) -> np.ndarray:
     """The model's features of the samples ``ids``, in order, gathered and
     extracted a block of rows at a time into one (len(ids), width) array."""
     feats = np.empty((len(ids), model.feature_dim))
-    for start, stop in _blocks(len(ids), EVAL_BLOCK):
-        feats[start:stop] = nn.extract_features(
-            model, dataset.features_for(ids[start:stop]))
+    for s in nn._row_blocks(len(ids), nn._ROW_BLOCK):
+        feats[s] = nn.extract_features(model, dataset.features_for(ids[s]))
     return feats
 
 
@@ -220,8 +204,8 @@ def _unit_rows(feats: np.ndarray) -> np.ndarray:
     """``feats`` with every row scaled to unit norm, in place, a block of
     rows at a time. The norms are ``np.linalg.norm``'s, by its own formula,
     without its (rows x width) array of squares."""
-    for start, stop in _blocks(len(feats), EVAL_BLOCK):
-        rows = feats[start:stop]
+    for s in nn._row_blocks(len(feats), nn._ROW_BLOCK):
+        rows = feats[s]
         norms = np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
         if not np.isfinite(norms).all():  # it would divide rows to zeros
             raise ValueError("features' squared norms overflow")
@@ -256,21 +240,20 @@ def evaluate(model: nn.Model, dataset: Dataset, classes,
     """Cluster-quality metrics of the model's predictions on the held-out
     samples of ``classes``, the classes seen so far.
 
-    The rows are gathered and forwarded in the blocks of ``_blocks``, so
-    neither they nor the logits are held whole, however many are held out.
+    The rows are gathered and forwarded in ``nn._row_blocks``, so neither
+    they nor the logits are held whole, however many are held out.
     A model with finite parameters can still overflow, as a diverging one
     does; its non-finite logits raise ProtocolError.
     """
     eval_ids = dataset.ids_for_classes(classes, eval_split=True)
     preds = np.empty(len(eval_ids), dtype=int)
-    for start, stop in _blocks(len(eval_ids), EVAL_BLOCK):
+    for s in nn._row_blocks(len(eval_ids), nn._ROW_BLOCK):
         with np.errstate(all="ignore"):
-            logits = nn.forward(model,
-                                dataset.features_for(eval_ids[start:stop]))
+            logits = nn.forward(model, dataset.features_for(eval_ids[s]))
         if not np.isfinite(logits).all():
             raise ProtocolError(f"evaluation failed at step {step}: the "
                                 "model's logits overflow")
-        preds[start:stop] = np.argmax(logits, axis=1)
+        preds[s] = np.argmax(logits, axis=1)
     truth = dataset.sealed.reveal(dataset.positions(eval_ids))
     return step_report(step, model.out_dim, preds, truth)
 

@@ -282,6 +282,25 @@ class TestCsvRoundTrip:
         assert [row.split(b",")[2:] for row in rows] == [
             [b"%.17g" % v for v in f] for f in ds.features.tolist()]
 
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_one_row_past_whole_blocks_gives_template_bytes(self, tmp_path,
+                                                            blocks):
+        # the 1-row tail takes a row from the block before it; the file is
+        # still the %.17g template's, in fixed and in scientific notation
+        n = blocks * data._CSV_BLOCK_ROWS + 1
+        rng = np.random.default_rng(blocks)
+        features = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-8, 18,
+                                                                  (n, 3))
+        ds = data.Dataset(rng.permutation(n) + 3, features,
+                          rng.integers(0, 4, n), seed=blocks)
+        path = tmp_path / "ds.csv"
+        data.save_dataset(ds, str(path))
+        template = b"%d,%d," + b",".join([b"%.17g"] * 3) + b"\n"
+        assert path.read_bytes() == b"# seed=%d\nid,label,f0,f1,f2\n" % (
+            blocks) + b"".join(template % (i, y, *f) for i, y, f in zip(
+                ds.ids.tolist(), ds.sealed._peek().tolist(),
+                features.tolist()))
+
     @settings(max_examples=60, deadline=None)
     @given(ds=csv_datasets())
     def test_csv_written_with_repr_loads_the_same(self, tmp_path_factory,

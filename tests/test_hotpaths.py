@@ -540,8 +540,9 @@ class TestKmeansBlocks:
     """Every k-means pass takes its rows in blocks of at most _BLOCK values.
     With _BLOCK at 120, 6-dimensional rows come 20 to a block, 4 GEMM
     distances 30 to a block and 4 x 6 differences 5 to a block, so 61 and
-    62 rows span at least 3 blocks of each width with a tail of 1 or 2
-    rows; every result keeps the oracle's bits."""
+    62 rows span at least 3 blocks of each width and end in a 2-row tail,
+    which at 61 rows takes a row from the block before it; every result
+    keeps the oracle's bits."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
@@ -562,6 +563,18 @@ class TestKmeansBlocks:
         want = assign_oracle(x, c)
         assert len(np.unique(want)) > 1
         assert np.array_equal(assign(x, c), want)
+
+    @pytest.mark.parametrize("budget", [24, 48])
+    def test_exact_assign_in_blocks_of_one_or_two_rows(self, monkeypatch,
+                                                       budget):
+        # 4 x 6 differences take 1 or 2 rows a block, and duplicated
+        # centroids send every row to the exact form
+        monkeypatch.setattr(clustering, "_BLOCK", budget)
+        rng = np.random.default_rng(budget)
+        x = blobs(rng, 61, 6, 4) + 1e6
+        c = x[rng.choice(61, 2, replace=False)] + rng.normal(size=(2, 6))
+        c = np.vstack([c, c])
+        assert np.array_equal(assign(x, c), assign_oracle(x, c))
 
     @pytest.mark.parametrize("n", [61, 62])
     def test_kmeans_pp_init(self, n):
@@ -856,25 +869,31 @@ class TestTrueSlots:
 
 
 class TestRowBlocks:
-    """The feature passes gather and extract rows in blocks, and their
-    bytes are those of one pass over every row: blocks of two or more rows
-    take the matrix-matrix kernel a whole pass takes, so a 1-row tail takes
-    a row from the block before it."""
+    """Every pass over rows takes them in nn._row_blocks, and the feature
+    passes' bytes are those of one pass over every row: blocks of two or
+    more rows take the matrix-matrix kernel a whole pass takes, so a 1-row
+    tail takes a row from the block before it."""
 
-    @pytest.mark.parametrize("block", [3, 4, 7, 512])
+    # k-means' exact pass in _assign takes blocks of 1 or 2 rows when
+    # k * d > 2^15 / 3, where no block can give a row to the tail
+    @pytest.mark.parametrize("block", [1, 2, 3, 4, 7, 512])
     def test_blocks_cover_rows_with_no_single_row_tail(self, block):
-        for n in [*range(0, 5 * block + 2), 2 * block + 1, 3 * block + 1]:
-            spans = protocol._blocks(n, block)
-            assert [a for span in spans for a in range(*span)] == list(range(n))
-            sizes = [stop - start for start, stop in spans]
-            assert all(size <= block for size in sizes)
-            assert n < 2 or min(sizes) >= 2
+        assert nn._row_blocks(0, block) == []
+        for n in [*range(1, 5 * block + 2), 2 * block + 1, 3 * block + 1]:
+            spans = nn._row_blocks(n, block)
+            assert [i for s in spans for i in range(n)[s]] == list(range(n))
+            sizes = [s.stop - s.start for s in spans]
+            assert all(1 <= size <= block for size in sizes)
+            if block < 3:
+                assert sizes[:-1] == [block] * (len(sizes) - 1)
+            else:
+                assert n < 2 or min(sizes) >= 2
 
     @pytest.mark.parametrize("dims", [(16, 64, 2), (64, 64, 2), (6, 16, 1)],
                              ids=["standard", "wide", "small"])
     @pytest.mark.parametrize("n", [513, 1025])
     def test_tail_features_match_one_shot(self, dims, n):
-        # n = 1 (mod EVAL_BLOCK): 512-row blocks would leave one row
+        # n = 1 (mod _ROW_BLOCK): 512-row blocks would leave one row
         d, width, n_hidden = dims
         rng = np.random.default_rng(n)
         ds = data.Dataset(rng.permutation(2 * n), rng.normal(size=(2 * n, d)),
@@ -917,7 +936,7 @@ class TestUnitRows:
             tracemalloc.stop()
         # a block of squares and a few per-row vectors; np.linalg.norm took
         # 2.5 MB
-        assert peak <= protocol.EVAL_BLOCK * 64 * 8 + 16384
+        assert peak <= nn._ROW_BLOCK * 64 * 8 + 16384
 
 
 class TestLeanBackward:

@@ -181,11 +181,6 @@ class TestDistillationLoss:
             entropy = -np.sum(p * np.log(p))
             assert distillation_loss(s, t, 2.0, 3) >= entropy - 1e-12
 
-    def test_m_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            nn.backward(head_only(np.eye(2), np.zeros(2)), np.zeros((1, 2)),
-                        np.empty((1, 0)), np.array([0]), 1.0, 1.0, 0)
-
 
 class TestCrossEntropyPseudo:
     def test_uniform_logits_give_log_k(self):

@@ -644,7 +644,7 @@ class TestStepMemory:
                   + len(store.ids))
         p_hat = merged * 2 * 8  # two old classes
         ints = 8 * merged * 8
-        block = protocol.EVAL_BLOCK * max(big.dim, cfg.hidden_width) * 8
+        block = nn._ROW_BLOCK * max(big.dim, cfg.hidden_width) * 8
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -684,14 +684,14 @@ class TestStepMemory:
         ids=["ours", "ffe", "scratch", "upl-1", "normalized", "oracle",
              "online-random"])
     def test_rows_are_gathered_in_blocks(self, dataset, monkeypatch, kw):
-        # every reader but pca's gathers at most EVAL_BLOCK rows at a time
+        # every reader but pca's gathers at most _ROW_BLOCK rows at a time
         sizes = self.gathered(dataset, monkeypatch, fast_cfg(**kw))
-        assert sizes and max(sizes) <= protocol.EVAL_BLOCK
+        assert sizes and max(sizes) <= nn._ROW_BLOCK
 
     def test_pca_gathers_the_task_whole(self, dataset, monkeypatch):
         sizes = self.gathered(dataset, monkeypatch,
                               fast_cfg(variant="pca", pca_dim=4))
-        assert max(sizes) > protocol.EVAL_BLOCK
+        assert max(sizes) > nn._ROW_BLOCK
 
     @staticmethod
     def gathered(dataset, monkeypatch, cfg):
@@ -704,7 +704,7 @@ class TestStepMemory:
             sizes.append(len(ids))
             return real(self, ids)
 
-        monkeypatch.setattr(protocol, "EVAL_BLOCK", 7)
+        monkeypatch.setattr(nn, "_ROW_BLOCK", 7)
         monkeypatch.setattr(Dataset, "features_for", features_for)
         protocol.run_experiment(cfg, dataset)
         return sizes
@@ -716,7 +716,7 @@ class TestStepMemory:
             std=0.3, seed=5))
         classes = big.classes()
         eval_ids = big.ids_for_classes(classes, eval_split=True)
-        assert protocol.EVAL_BLOCK < len(eval_ids) < 2 * protocol.EVAL_BLOCK
+        assert nn._ROW_BLOCK < len(eval_ids) < 2 * nn._ROW_BLOCK
         model = nn.init_model(4, 16, 1, 3, seed=0)
         preds = np.argmax(nn.forward(model, big.features_for(eval_ids)),
                           axis=1)
@@ -732,7 +732,7 @@ class TestStepMemory:
 
         monkeypatch.setattr(nn, "forward", forward)
         assert protocol.evaluate(model, big, classes, 1) == one_shot
-        assert max(rows) == protocol.EVAL_BLOCK
+        assert max(rows) == nn._ROW_BLOCK
         assert sum(rows) == len(eval_ids)
 
 
@@ -740,7 +740,8 @@ class TestProtocolFuzz:
     """Every tiny stream and config ends in one of three ways: the run
     finishes and a rerun gives the same bytes, it raises a ProtocolError
     naming its step, or the spec or config is rejected when it is built.
-    Blocks of 3 to 6 rows give the row passes tails of every length."""
+    Blocks of 3 to 6 rows give the feature, evaluation and herding-key
+    passes tails of every length."""
 
     @staticmethod
     def draw(data):
@@ -809,7 +810,7 @@ class TestProtocolFuzz:
             spec, cfg, block = self.draw(data)
         except ValueError:
             return  # rejected when built
-        with mock.patch.object(protocol, "EVAL_BLOCK", block):
+        with mock.patch.object(nn, "_ROW_BLOCK", block):
             first = self.outcome(spec, cfg)
             if isinstance(first, str):
                 # a split too small names task 1; any other failure, the
