@@ -7,8 +7,6 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from .config import RunConfig, load_config, load_spec, parse_setting
 from .data import (_read_table, generate_gaussian_stream, load_dataset,
                    read_checkpoint, save_dataset, write_report)
@@ -141,7 +139,7 @@ def cmd_eval(args):
     if dataset.dim != model.in_dim:
         raise ValueError(f"{args.data}: dataset dim {dataset.dim} != model "
                          f"input {model.in_dim}")
-    missing = np.setdiff1d(classes, dataset.classes()).tolist()
+    missing = sorted(set(classes) - set(dataset.classes().tolist()))
     if missing:
         raise ValueError(f"{args.data}: dataset lacks classes_seen {missing}")
 

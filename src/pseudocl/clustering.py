@@ -100,17 +100,15 @@ def _kmeans_pp_init(x: np.ndarray, xx: np.ndarray, k: int,
     """
     n, d = x.shape
     centroids = np.empty((k, d))
-    idx = int(rng.integers(n))
-    centroids[0] = x[idx]
-    d2 = np.empty(n)
-    for s in _blocks(n, d):
-        d2[s] = _sum_sq(x[s] - centroids[0])
+    # before the first seed every row is infinitely far, so that seed's
+    # screen passes every row to the exact form
+    d2 = np.full(n, np.inf)
     slack = 3 * _rounding(d)
     slack_x = slack * xx
     g = np.empty(n)
-    for j in range(1, k):
+    for j in range(k):
         total = d2.sum()
-        if total == 0.0:
+        if j == 0 or total == 0.0:
             idx = int(rng.integers(n))
         else:
             idx = int(rng.choice(n, p=d2 / total))

@@ -96,7 +96,8 @@ class Dataset:
                               f"not {seed!r}") from None
         self._order = order
         self._sorted_ids = sorted_ids
-        self.is_eval = _stratified_eval_mask(labels, EVAL_FRACTION, SPLIT_SEED)
+        self.is_eval, self._classes = _stratified_eval_mask(
+            labels, EVAL_FRACTION, SPLIT_SEED)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -106,7 +107,8 @@ class Dataset:
         return self.features.shape[1]
 
     def classes(self) -> np.ndarray:
-        return np.unique(self.sealed._peek())
+        """The sorted distinct labels, read-only."""
+        return self._classes
 
     def positions(self, ids) -> np.ndarray:
         """Row index of each sample id; KeyError names the first unknown id."""
@@ -127,11 +129,11 @@ class Dataset:
 
 
 def _stratified_eval_mask(labels: np.ndarray, fraction: float,
-                          seed: int) -> np.ndarray:
+                          seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Mark round(fraction * size), at least one, of each class's rows as
-    held out, class by class in label order. Every class keeps an eval
-    sample; FormatError names the first class that keeps no training
-    sample."""
+    held out, class by class in label order; return the mask and the
+    sorted classes, read-only. Every class keeps an eval sample;
+    FormatError names the first class that keeps no training sample."""
     rng = np.random.default_rng(seed)
     mask = np.zeros(len(labels), dtype=bool)
     # one stable argsort groups the rows: each class's block lists its rows
@@ -146,7 +148,8 @@ def _stratified_eval_mask(labels: np.ndarray, fraction: float,
         chosen = rng.choice(order[start:start + size], size=n_eval,
                             replace=False)
         mask[chosen] = True
-    return mask
+    classes.flags.writeable = False
+    return mask, classes
 
 
 def generate_gaussian_stream(spec: BlobSpec) -> Dataset:
@@ -312,6 +315,12 @@ def _digit_groups() -> np.ndarray:
 # that no numpy ufunc runs at import
 _POWERS_OF_10 = np.array([float(10 ** j) for j in range(21)])
 
+# the float nearest 10**j for j = -4..17: 10**j itself from j = 0 on, and
+# just above it below 1, so |v| >= _DECADES[j + 4] exactly when
+# |v| >= 10**j. No float lies within half a unit of the 17th digit below a
+# power of ten, so a significand never rounds up into the next decade
+_DECADES = np.array([float(f"1e{j}") for j in range(-4, 18)])
+
 
 # the longest fixed-notation text of a float64 is 23 bytes,
 # "-0.00012345678901234567", then the comma or newline after it
@@ -378,42 +387,31 @@ def _fixed_digits(values: np.ndarray):
     (-4 <= k <= 16) and significand its 17 significant digits, the integer
     round-half-even(|v| * 10**(16 - k)) in [10**16, 10**17); ±0 has key 4
     and significand 0. Any other value has key 21."""
-    key = np.full(len(values), 21, np.uint8)
-    key[values == 0] = 4
-    significands = np.zeros(len(values), np.int64)
     magnitude = np.abs(values)
-    near = np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e17))
-    a = magnitude[near]
-    k = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.int64)
-    q, rounded = _scaled(a, k)
-    # log10 may be one off next to a power of ten: q then falls outside
-    # [10**16, 10**17), and k moves by one
-    off = (q >= 10 ** 17).astype(np.int64) - (q < 10 ** 16)
-    redo = np.flatnonzero(off)
-    k[redo] = np.clip(k[redo] + off[redo], -4, 16)
-    q[redo], rounded[redo] = _scaled(a[redo], k[redo])
-    # a significand rounded up to 10**17 would move k; no float64 does
-    fixed = (q >= 10 ** 16) & (rounded < 10 ** 17)
-    key[near[fixed]] = k[fixed] + 4
-    significands[near[fixed]] = rounded[fixed]
+    # k = i - 5 for the i thresholds at or below |v|, when 1 <= i <= 21
+    i = np.searchsorted(_DECADES, magnitude, side="right")
+    i[values == 0] = 5  # ±0: key 4, and _scaled gives it significand 0
+    fixed = np.flatnonzero((i >= 1) & (i <= 21))
+    k = i[fixed] - 5
+    key = np.full(len(values), 21, np.uint8)
+    key[fixed] = k + 4
+    significands = np.zeros(len(values), np.int64)
+    significands[fixed] = _scaled(magnitude[fixed], k)
     return key, significands
 
 
-def _scaled(a: np.ndarray, k: np.ndarray):
-    """(floor(x), round-half-even(x)) as int64 for x = a * 10**(16 - k),
-    a >= 1e-5 and -4 <= k <= 16: both exact when 10**16 <= x < 10**18, and
-    both below 10**16 when x is. Dekker's two-product gives x = p + e
-    exactly, p = fl(x). From 10**16 > 2**53 on, p is an even integer and
-    |e| <= ulp(p) / 2, so adding e's floor, or e rounded half to even, to p
-    is exact. Below 10**16, p <= 10**16 and no x is within 1/2 of 10**16."""
+def _scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """round-half-even(x) as int64 for x = a * 10**(16 - k), exact when
+    10**16 <= x < 10**17, and 0 for a = 0. Dekker's two-product gives
+    x = p + e exactly, p = fl(x). From 10**16 > 2**53 on, p is an even
+    integer and |e| <= ulp(p) / 2, so adding e rounded half to even to p
+    is exact."""
     b = _POWERS_OF_10[16 - k]
     p = a * b
     a_hi, a_lo = _split(a)
     b_hi, b_lo = _split(b)
     e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    whole = p.astype(np.int64)
-    return (whole + np.floor(e).astype(np.int64),
-            whole + np.rint(e).astype(np.int64))
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
 
 
 def _split(v: np.ndarray):

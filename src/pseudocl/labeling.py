@@ -121,11 +121,16 @@ def select_exemplars_random(assignments: np.ndarray, pseudo_labels: np.ndarray,
         raise ValueError("q must be >= 1")
     assignments = np.asarray(assignments, dtype=int)
     rng = np.random.default_rng(seed)
+    # one stable argsort groups the rows: each cluster's block lists its
+    # rows in index order, as np.flatnonzero(assignments == j) does
+    order = np.argsort(assignments, kind="stable")
+    _, starts, sizes = np.unique(assignments[order], return_index=True,
+                                 return_counts=True)
     # the leading empty part keeps the rows int-typed for an empty input
     rows = np.concatenate([np.empty(0, dtype=int)] + [
-        rng.choice(members, size=min(q, members.size), replace=False)
-        for members in (np.flatnonzero(assignments == j)
-                        for j in np.unique(assignments))])
+        rng.choice(order[start:start + size], size=min(q, size),
+                   replace=False)
+        for start, size in zip(starts.tolist(), sizes.tolist())])
     return _store(q, rows, pseudo_labels, sample_ids)
 
 

@@ -4,6 +4,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -946,3 +948,48 @@ class TestReport:
         out, err = capsys.readouterr()
         assert err == f"error: {tmp_path / name}:{message}\n"
         assert out == ""
+
+
+# Run in a fresh interpreter: numpy loads numpy.ma lazily, on the first
+# call that needs it, so its absence shows only where nothing else ran
+NO_MASKED_ARRAYS = """\
+import json, os, sys
+import numpy
+if "numpy.ma" in sys.modules:
+    print("preloaded")
+    sys.exit()
+from pseudocl import cli
+from pseudocl.config import BlobSpec, RunConfig
+from pseudocl.data import generate_gaussian_stream, save_dataset
+from pseudocl.protocol import run_experiment
+root = sys.argv[1]
+dataset = generate_gaussian_stream(BlobSpec(
+    num_classes=4, dim=4, samples_per_class=25, separation=3.0, std=0.3,
+    seed=5))
+save_dataset(dataset, os.path.join(root, "data.csv"))
+base = dict(step_size=2, q=3, epochs=2, batch_size=16, hidden_width=8,
+            n_hidden=1)
+loaded = {}
+run_experiment(RunConfig(**base), dataset, os.path.join(root, "herding"))
+loaded["herding"] = "numpy.ma" in sys.modules
+run_experiment(RunConfig(**base, mode="online", exemplar_policy="random"),
+               dataset)
+loaded["random"] = "numpy.ma" in sys.modules
+assert cli.main(["eval", os.path.join(root, "herding", "step_2.ckpt"),
+                 os.path.join(root, "data.csv")]) == 0
+loaded["eval"] = "numpy.ma" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_no_run_loads_numpy_ma(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS,
+                          str(tmp_path)], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()[-1]
+    if out == "preloaded":
+        pytest.skip("import numpy loads numpy.ma here")
+    assert json.loads(out) == {"herding": False, "random": False,
+                               "eval": False}
