@@ -258,12 +258,9 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, tol: float = 1e-6,
         # seeding's distance total stays below 4 n max |x|^2
         if not np.isfinite(4.0 * len(x) * xx.max()):
             raise ValueError("points' squared norms overflow")
-    best: ClusterResult | None = None
-    for r in range(n_restarts):
-        res = _kmeans_single(x, xx, k, seed + r, tol)
-        if best is None or res.objective < best.objective:
-            best = res
-    return best  # type: ignore[return-value]
+    # min keeps the first of equal objectives
+    return min((_kmeans_single(x, xx, k, seed + r, tol)
+                for r in range(n_restarts)), key=lambda res: res.objective)
 
 
 def pca_coordinates(points: np.ndarray, d_out: int) -> np.ndarray:

@@ -119,13 +119,11 @@ class Dataset:
             raise KeyError(int(ids[unknown][0]))
         return self._order[slot]
 
-    def features_for(self, ids) -> np.ndarray:
-        return self.features[self.positions(ids)]
-
-    def ids_for_classes(self, classes, eval_split: bool) -> np.ndarray:
+    def rows_for_classes(self, classes, eval_split: bool) -> np.ndarray:
+        """The ascending rows of ``classes``' held-out or training samples."""
         labels = self.sealed._peek()
         mask = np.isin(labels, classes) & (self.is_eval == eval_split)
-        return self.ids[mask]
+        return np.flatnonzero(mask)
 
 
 def _stratified_eval_mask(labels: np.ndarray, fraction: float,

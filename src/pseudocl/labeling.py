@@ -16,18 +16,10 @@ class ExemplarStore:
     labels: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
 
-def _store(q: int, rows: np.ndarray, pseudo_labels: np.ndarray,
-           sample_ids: np.ndarray | None) -> ExemplarStore:
-    """The exemplars at row indices ``rows``; a row is its own sample id
-    when no ids are given."""
-    ids = rows if sample_ids is None else np.asarray(sample_ids, dtype=int)[rows]
-    return ExemplarStore(q, ids, np.asarray(pseudo_labels, dtype=int)[rows])
-
-
 def select_exemplars_herding(features: np.ndarray, assignments: np.ndarray,
-                             pseudo_labels: np.ndarray, q: int,
-                             sample_ids: np.ndarray | None = None) -> ExemplarStore:
-    """Per-cluster greedy herding toward the cluster mean, q picks each.
+                             q: int) -> np.ndarray:
+    """Per-cluster greedy herding toward the cluster mean, q picks each;
+    the picked rows, by cluster in ascending id, each in pick order.
 
     Pick k of a cluster with mean mu and running sum r of its k - 1 picks
     is the available row f minimising |mu - (r + f) / k|, computed row by
@@ -110,13 +102,13 @@ def select_exemplars_herding(features: np.ndarray, assignments: np.ndarray,
         running[j] = running[j] + features[order[best]]
         centred_sum[j] = centred_sum[j] + centred[best]
     taken = np.arange(rounds) < sizes[:, None]
-    return _store(q, order[picks[taken]], pseudo_labels, sample_ids)
+    return order[picks[taken]]
 
 
-def select_exemplars_random(assignments: np.ndarray, pseudo_labels: np.ndarray,
-                            q: int, seed: int,
-                            sample_ids: np.ndarray | None = None) -> ExemplarStore:
-    """Uniform without-replacement pick of min(q, cluster size) per cluster."""
+def select_exemplars_random(assignments: np.ndarray, q: int,
+                            seed: int) -> np.ndarray:
+    """Uniform without-replacement pick of min(q, cluster size) rows per
+    cluster; the picked rows, by cluster in ascending id."""
     if q < 1:
         raise ValueError("q must be >= 1")
     assignments = np.asarray(assignments, dtype=int)
@@ -127,11 +119,10 @@ def select_exemplars_random(assignments: np.ndarray, pseudo_labels: np.ndarray,
     _, starts, sizes = np.unique(assignments[order], return_index=True,
                                  return_counts=True)
     # the leading empty part keeps the rows int-typed for an empty input
-    rows = np.concatenate([np.empty(0, dtype=int)] + [
+    return np.concatenate([np.empty(0, dtype=int)] + [
         rng.choice(order[start:start + size], size=min(q, size),
                    replace=False)
         for start, size in zip(starts.tolist(), sizes.tolist())])
-    return _store(q, rows, pseudo_labels, sample_ids)
 
 
 def merge_replay(x_new: np.ndarray, y_new: np.ndarray, x_old: np.ndarray,
@@ -139,8 +130,8 @@ def merge_replay(x_new: np.ndarray, y_new: np.ndarray, x_old: np.ndarray,
                  seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Concatenate new rows with replayed exemplars and shuffle (seeded).
 
-    The rows may be feature rows or sample ids. The third return value maps
-    each output row to its index in x_new, or -1 for replayed exemplar rows.
+    The third return value maps each output row to its index in x_new, or
+    -1 for replayed exemplar rows.
     """
     x = np.concatenate([x_new, x_old])
     y = np.concatenate([y_new, y_old]).astype(int, copy=False)

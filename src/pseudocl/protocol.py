@@ -54,7 +54,7 @@ def split_tasks(dataset: Dataset, step_size: int,
                             f"dataset's {len(classes)} classes")
     perm = np.random.default_rng(arrangement_seed).permutation(classes)
     tasks = perm.reshape(-1, step_size)
-    if len(dataset.ids_for_classes(tasks[0], eval_split=True)) < 2:
+    if len(dataset.rows_for_classes(tasks[0], eval_split=True)) < 2:
         raise ProtocolError(f"step_size {step_size} leaves task 1, class "
                             f"{tasks[0].tolist()}, fewer than the two "
                             "held-out samples ARI needs")
@@ -62,10 +62,10 @@ def split_tasks(dataset: Dataset, step_size: int,
 
 
 def _true_slots(dataset: Dataset, classes: np.ndarray,
-                ids: np.ndarray) -> np.ndarray:
-    """Reveal the true labels of samples ``ids`` as slots
+                rows: np.ndarray) -> np.ndarray:
+    """Reveal the true labels of the samples at ``rows`` as slots
     0..len(classes)-1, in the order of ``classes``."""
-    true = dataset.sealed.reveal(dataset.positions(ids))
+    true = dataset.sealed.reveal(rows)
     order = np.argsort(classes)
     return order[np.searchsorted(classes, true, sorter=order)]
 
@@ -171,31 +171,31 @@ def _train(model: nn.Model, features: np.ndarray, pos: np.ndarray,
 
 @np.errstate(all="ignore")  # k-means and herding refuse overflowed rows
 def _row_features(model: nn.Model, dataset: Dataset,
-                  ids: np.ndarray) -> np.ndarray:
-    """The model's features of the samples ``ids``, in order, gathered and
-    extracted a block of rows at a time into one (len(ids), width) array."""
-    feats = np.empty((len(ids), model.feature_dim))
-    for s in nn._row_blocks(len(ids), nn._ROW_BLOCK):
-        feats[s] = nn.extract_features(model, dataset.features_for(ids[s]))
+                  rows: np.ndarray) -> np.ndarray:
+    """The model's features of ``rows``, in order, gathered and extracted
+    a block of rows at a time into one (len(rows), width) array."""
+    feats = np.empty((len(rows), model.feature_dim))
+    for s in nn._row_blocks(len(rows), nn._ROW_BLOCK):
+        feats[s] = nn.extract_features(model, dataset.features[rows[s]])
     return feats
 
 
 @np.errstate(all="ignore")  # overflowed rows are refused
 def _variant_features(model: nn.Model, h1: nn.Model, dataset: Dataset,
-                      ids: np.ndarray, cfg: RunConfig,
+                      rows: np.ndarray, cfg: RunConfig,
                       step: int) -> np.ndarray:
-    """The features the variant clusters the samples ``ids`` by."""
+    """The features the variant clusters the samples at ``rows`` by."""
     if cfg.variant == "ours":
-        return _row_features(model, dataset, ids)
+        return _row_features(model, dataset, rows)
     if cfg.variant == "ffe":
-        return _row_features(h1, dataset, ids)
+        return _row_features(h1, dataset, rows)
     if cfg.variant == "scratch":
         fresh = nn.init_model(dataset.dim, cfg.hidden_width, cfg.n_hidden,
                               cfg.step_size,
                               _seed(cfg.model_seed, "scratch", step))
-        return _row_features(fresh, dataset, ids)
+        return _row_features(fresh, dataset, rows)
     # "pca", which needs every row at once; RunConfig rejects others
-    return pca_coordinates(dataset.features_for(ids),
+    return pca_coordinates(dataset.features[rows],
                            min(cfg.pca_dim, dataset.dim))
 
 
@@ -215,24 +215,27 @@ def _unit_rows(feats: np.ndarray) -> np.ndarray:
 
 def _update_store(store: ExemplarStore, model: nn.Model, dataset: Dataset,
                   assignments: np.ndarray, labels: np.ndarray,
-                  sample_ids: np.ndarray, cfg: RunConfig,
+                  rows: np.ndarray, cfg: RunConfig,
                   step: int) -> ExemplarStore:
+    """``store`` and the exemplars picked from ``rows``: the one place a
+    run names samples by id."""
     if cfg.exemplar_policy == "none":
         return store
     if cfg.exemplar_policy == "herding":
         try:
+            # q by keyword: perfbench's tracer reads it by name or as the
+            # 4th positional argument
             picked = select_exemplars_herding(
-                _row_features(model, dataset, sample_ids), assignments,
-                labels, cfg.q, sample_ids)
+                _row_features(model, dataset, rows), assignments, q=cfg.q)
         except ValueError as exc:
             raise ProtocolError(f"exemplar selection failed at step {step}: "
                                 f"{exc}") from exc
     else:
-        picked = select_exemplars_random(assignments, labels, cfg.q,
-                                         _seed(cfg.shuffle_seed, "random-ex",
-                                               step), sample_ids)
-    return ExemplarStore(store.q, np.concatenate([store.ids, picked.ids]),
-                         np.concatenate([store.labels, picked.labels]))
+        picked = select_exemplars_random(
+            assignments, cfg.q, _seed(cfg.shuffle_seed, "random-ex", step))
+    return ExemplarStore(
+        store.q, np.concatenate([store.ids, dataset.ids[rows[picked]]]),
+        np.concatenate([store.labels, labels[picked]]))
 
 
 def evaluate(model: nn.Model, dataset: Dataset, classes,
@@ -245,16 +248,16 @@ def evaluate(model: nn.Model, dataset: Dataset, classes,
     A model with finite parameters can still overflow, as a diverging one
     does; its non-finite logits raise ProtocolError.
     """
-    eval_ids = dataset.ids_for_classes(classes, eval_split=True)
-    preds = np.empty(len(eval_ids), dtype=int)
-    for s in nn._row_blocks(len(eval_ids), nn._ROW_BLOCK):
+    rows = dataset.rows_for_classes(classes, eval_split=True)
+    preds = np.empty(len(rows), dtype=int)
+    for s in nn._row_blocks(len(rows), nn._ROW_BLOCK):
         with np.errstate(all="ignore"):
-            logits = nn.forward(model, dataset.features_for(eval_ids[s]))
+            logits = nn.forward(model, dataset.features[rows[s]])
         if not np.isfinite(logits).all():
             raise ProtocolError(f"evaluation failed at step {step}: the "
                                 "model's logits overflow")
         preds[s] = np.argmax(logits, axis=1)
-    truth = dataset.sealed.reveal(dataset.positions(eval_ids))
+    truth = dataset.sealed.reveal(rows)
     return step_report(step, model.out_dim, preds, truth)
 
 
@@ -273,7 +276,7 @@ def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
     classes = tasks[step - 1]
     n = len(classes)
     m = (step - 1) * n
-    train_ids = dataset.ids_for_classes(classes, eval_split=False)
+    train_rows = dataset.rows_for_classes(classes, eval_split=False)
     supervised = model is None or cfg.oracle_labels
 
     def cluster(features, *tag) -> np.ndarray:
@@ -292,26 +295,26 @@ def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
                                 f"{exc}") from exc
 
     # the step copies no rows whole: training indexes the dataset's rows by
-    # position, and every other reader gathers its rows by id in blocks
+    # position, and every other reader gathers its rows in blocks
     reads_before = dataset.sealed.access_count
     if supervised:
-        assignments = _true_slots(dataset, classes, train_ids)
+        assignments = _true_slots(dataset, classes, train_rows)
     else:
         assignments = cluster(lambda: _variant_features(
-            model, h1, dataset, train_ids, cfg, step))
+            model, h1, dataset, train_rows, cfg, step))
     labels = assignments + m  # slots m..m+n-1 follow the m learned classes
 
     teacher = model
     if model is None:
         model = nn.init_model(dataset.dim, cfg.hidden_width, cfg.n_hidden, n,
                               cfg.model_seed)
-        ids, y = train_ids, labels
+        pos, y = train_rows, labels
     else:
         model = nn.expand_head(model, n, _seed(cfg.model_seed, "expand", step))
-        ids, y, origin = merge_replay(train_ids, labels, store.ids,
+        pos, y, origin = merge_replay(train_rows, labels,
+                                      dataset.positions(store.ids),
                                       store.labels,
                                       _seed(cfg.shuffle_seed, "merge", step))
-    pos = dataset.positions(ids)
 
     # UPL trains in segments of upl_k epochs and re-clusters the task with
     # the model in training before each but the first; replayed labels stay
@@ -325,7 +328,7 @@ def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
     for start in range(0, n_epochs, seg):
         if start:
             assignments = cluster(
-                lambda: _row_features(model, dataset, train_ids), start)
+                lambda: _row_features(model, dataset, train_rows), start)
             labels = assignments + m
             y[origin >= 0] = labels[origin[origin >= 0]]
         _train(model, dataset.features, pos, y, teacher_probs, m, n, cfg,
@@ -340,7 +343,7 @@ def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
                                 f"{exc}") from exc
 
     store = _update_store(store, model, dataset, assignments, labels,
-                          train_ids, cfg, step)
+                          train_rows, cfg, step)
     if not supervised:
         training_reads = dataset.sealed.access_count - reads_before
         if training_reads != 0:

@@ -168,14 +168,14 @@ def test_criterion_05_herding_oracle():
         size = int(rng.integers(2, 9))
         q = int(rng.integers(1, 4))
         feats = rng.standard_normal((size, 3))
-        store = labeling.select_exemplars_herding(
-            feats, np.zeros(size, dtype=int), np.zeros(size, dtype=int), q)
-        if store.ids.tolist() != _herd_brute(feats, q):
+        rows = labeling.select_exemplars_herding(
+            feats, np.zeros(size, dtype=int), q)
+        if rows.tolist() != _herd_brute(feats, q):
             mismatches += 1
         first = labeling.select_exemplars_herding(
-            feats, np.zeros(size, dtype=int), np.zeros(size, dtype=int), 1)
+            feats, np.zeros(size, dtype=int), 1)
         mu = feats.mean(axis=0)
-        if first.ids[0] != int(np.argmin(np.linalg.norm(feats - mu, axis=1))):
+        if first[0] != int(np.argmin(np.linalg.norm(feats - mu, axis=1))):
             nearest_fail += 1
     ok = mismatches == 0 and nearest_fail == 0
     _verdict(5, "herding oracle", ok,

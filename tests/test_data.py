@@ -125,17 +125,16 @@ class TestDataset:
         reloaded = data.load_dataset(path)
         assert np.array_equal(ds.is_eval, reloaded.is_eval)
 
-    def test_ids_for_classes_partitions_train_eval(self):
+    def test_rows_for_classes_partitions_train_eval(self):
         ds = data.generate_gaussian_stream(tiny_spec())
-        train = ds.ids_for_classes([0, 1], eval_split=False)
-        evl = ds.ids_for_classes([0, 1], eval_split=True)
+        train = ds.rows_for_classes([0, 1], eval_split=False)
+        evl = ds.rows_for_classes([0, 1], eval_split=True)
         assert len(set(train) & set(evl)) == 0
         assert len(train) + len(evl) == 50
-
-    def test_features_for_matches_positions(self):
-        ds = data.generate_gaussian_stream(tiny_spec())
-        some = ds.ids[[3, 17, 42]]
-        assert np.array_equal(ds.features_for(some), ds.features[[3, 17, 42]])
+        # ascending rows of those classes, whatever the samples' ids
+        rows = np.sort(np.concatenate([train, evl]))
+        assert np.array_equal(rows, np.flatnonzero(ds.sealed._peek() < 2))
+        assert not ds.is_eval[train].any() and ds.is_eval[evl].all()
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(data.FormatError):

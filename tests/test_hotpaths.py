@@ -662,12 +662,10 @@ class TestOnePassHerding:
     @staticmethod
     def check(feats, assignments, q):
         n = len(assignments)
-        store = labeling.select_exemplars_herding(feats, assignments,
-                                                  assignments + 1000, q,
-                                                  np.arange(n) * 3 + 5)
-        want = herding_append_oracle(feats, assignments, assignments + 1000,
-                                     q, np.arange(n) * 3 + 5)
-        assert (store.ids.tolist(), store.labels.tolist()) == want
+        ids, labels = np.arange(n) * 3 + 5, assignments + 1000
+        rows = labeling.select_exemplars_herding(feats, assignments, q)
+        want = herding_append_oracle(feats, assignments, labels, q, ids)
+        assert (ids[rows].tolist(), labels[rows].tolist()) == want
 
     @staticmethod
     def assignments(rng, n, q):
@@ -724,38 +722,30 @@ class TestSelectExemplars:
                    int(rng.integers(1, 12)), sample_ids)
 
     @staticmethod
-    def check(store, want, q):
-        assert store.q == q
-        assert store.ids.dtype == store.labels.dtype == np.dtype(int)
-        assert (store.ids.tolist(), store.labels.tolist()) == want
+    def check(rows, ids, labels, want):
+        """The picked rows are int rows whose ids and labels, in order, are
+        the oracle's store."""
+        assert rows.dtype == np.dtype(int)
+        assert (ids[rows].tolist(), labels[rows].tolist()) == want
 
     def test_herding_matches_append_loop(self):
         for feats, a, labels, q, sample_ids in self.cases():
-            self.check(labeling.select_exemplars_herding(feats, a, labels, q,
-                                                         sample_ids),
-                       herding_append_oracle(feats, a, labels, q, sample_ids),
-                       q)
+            self.check(labeling.select_exemplars_herding(feats, a, q),
+                       sample_ids, labels,
+                       herding_append_oracle(feats, a, labels, q, sample_ids))
 
     def test_random_matches_append_loop(self):
         for seed, (_, a, labels, q, sample_ids) in enumerate(self.cases()):
-            self.check(labeling.select_exemplars_random(a, labels, q, seed,
-                                                        sample_ids),
-                       random_append_oracle(a, labels, q, seed, sample_ids), q)
-
-    def test_default_sample_ids_are_row_numbers(self):
-        a = np.array([4, 9, 4, 9, 4])
-        feats = np.arange(5.0)[:, None]
-        self.check(labeling.select_exemplars_herding(feats, a, a, 2),
-                   herding_append_oracle(feats, a, a, 2, np.arange(5)), 2)
-        self.check(labeling.select_exemplars_random(a, a, 2, 0),
-                   random_append_oracle(a, a, 2, 0, np.arange(5)), 2)
+            self.check(labeling.select_exemplars_random(a, q, seed),
+                       sample_ids, labels,
+                       random_append_oracle(a, labels, q, seed, sample_ids))
 
     def test_empty_input_gives_empty_store(self):
         none = np.empty(0, dtype=int)
         self.check(labeling.select_exemplars_herding(np.empty((0, 3)), none,
-                                                     none, 4), ([], []), 4)
-        self.check(labeling.select_exemplars_random(none, none, 4, 0),
-                   ([], []), 4)
+                                                     4), none, none, ([], []))
+        self.check(labeling.select_exemplars_random(none, 4, 0), none, none,
+                   ([], []))
 
 
 class TestHungarian:
@@ -858,12 +848,12 @@ class TestTrueSlots:
         ds = data.Dataset(rng.permutation(240), rng.normal(size=(240, 2)),
                           labels)
         for classes in protocol.split_tasks(ds, 4, arrangement_seed=5):
-            ids = ds.ids_for_classes(classes, eval_split=False)
-            true = ds.sealed._peek()[ds.positions(ids)]
+            rows = ds.rows_for_classes(classes, eval_split=False)
+            true = ds.sealed._peek()[rows]
             slot_of = {int(c): i for i, c in enumerate(classes)}
             want = np.array([slot_of[int(y)] for y in true])
             before = ds.sealed.access_count
-            got = protocol._true_slots(ds, classes, ids)
+            got = protocol._true_slots(ds, classes, rows)
             assert ds.sealed.access_count == before + 1
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -898,10 +888,10 @@ class TestRowBlocks:
         rng = np.random.default_rng(n)
         ds = data.Dataset(rng.permutation(2 * n), rng.normal(size=(2 * n, d)),
                           np.zeros(2 * n, dtype=int))
-        ids = rng.permutation(ds.ids)[:n]
+        rows = rng.permutation(2 * n)[:n]
         model = nn.init_model(d, width, n_hidden, 5, seed=n)
-        want = nn.extract_features(model, ds.features_for(ids))
-        got = protocol._row_features(model, ds, ids)
+        want = nn.extract_features(model, ds.features[rows])
+        got = protocol._row_features(model, ds, rows)
         assert got.tobytes() == want.tobytes()
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pseudocl import labeling, protocol
+from pseudocl import labeling, nn, protocol
 from pseudocl.config import BlobSpec, RunConfig
-from pseudocl.data import generate_gaussian_stream
+from pseudocl.data import Dataset, generate_gaussian_stream
 
 
 def step_labels(monkeypatch, last_step):
@@ -72,42 +72,39 @@ def herd_oracle(feats, q):
 class TestHerding:
     def test_three_point_line_q1(self):
         feats = np.array([[0.0], [2.0], [3.0]])
-        store = labeling.select_exemplars_herding(
-            feats, np.zeros(3, dtype=int), np.full(3, 7), q=1)
-        assert store.ids.tolist() == [1]
-        assert store.labels.tolist() == [7]
+        rows = labeling.select_exemplars_herding(
+            feats, np.zeros(3, dtype=int), q=1)
+        assert rows.tolist() == [1]
 
     def test_three_point_line_q2(self):
         feats = np.array([[0.0], [2.0], [3.0]])
-        store = labeling.select_exemplars_herding(
-            feats, np.zeros(3, dtype=int), np.full(3, 7), q=2)
-        assert store.ids.tolist() == [1, 0]
+        rows = labeling.select_exemplars_herding(
+            feats, np.zeros(3, dtype=int), q=2)
+        assert rows.tolist() == [1, 0]
 
     def test_matches_stepwise_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             feats = rng.standard_normal((12, 3))
-            store = labeling.select_exemplars_herding(
-                feats, np.zeros(12, dtype=int), np.zeros(12, dtype=int), q=6)
-            assert store.ids.tolist() == herd_oracle(feats, 6)
+            rows = labeling.select_exemplars_herding(
+                feats, np.zeros(12, dtype=int), q=6)
+            assert rows.tolist() == herd_oracle(feats, 6)
 
     def test_no_repeats_and_q_cap(self):
         rng = np.random.default_rng(2)
         feats = rng.standard_normal((30, 4))
         assignments = np.repeat([0, 1, 2], 10)
-        store = labeling.select_exemplars_herding(
-            feats, assignments, assignments + 5, q=4)
-        assert len(store.ids) == 12
-        assert len(set(store.ids)) == 12
-        labels, counts = np.unique(store.labels, return_counts=True)
+        rows = labeling.select_exemplars_herding(feats, assignments, q=4)
+        assert len(rows) == 12
+        assert len(set(rows)) == 12
+        labels, counts = np.unique((assignments + 5)[rows], return_counts=True)
         assert labels.tolist() == [5, 6, 7] and counts.tolist() == [4, 4, 4]
 
     def test_small_cluster_takes_all_members(self):
         feats = np.array([[0.0], [1.0], [10.0]])
         assignments = np.array([0, 0, 1])
-        store = labeling.select_exemplars_herding(
-            feats, assignments, assignments, q=5)
-        labels, counts = np.unique(store.labels, return_counts=True)
+        rows = labeling.select_exemplars_herding(feats, assignments, q=5)
+        labels, counts = np.unique(assignments[rows], return_counts=True)
         assert labels.tolist() == [0, 1] and counts.tolist() == [2, 1]
 
     def test_huge_q_sizes_work_by_largest_cluster(self):
@@ -117,41 +114,50 @@ class TestHerding:
         feats = rng.standard_normal((15, 3))
         assignments = np.repeat([0, 1, 2], [9, 2, 4])
         at_largest = labeling.select_exemplars_herding(
-            feats, assignments, assignments, q=9)
-        huge = labeling.select_exemplars_herding(
-            feats, assignments, assignments, q=10**12)
-        assert huge.ids.tolist() == at_largest.ids.tolist()
-        assert huge.labels.tolist() == at_largest.labels.tolist()
-        assert len(huge.ids) == 15 and huge.q == 10**12
+            feats, assignments, q=9)
+        huge = labeling.select_exemplars_herding(feats, assignments, q=10**12)
+        assert huge.tolist() == at_largest.tolist()
+        assert len(huge) == 15
 
     def test_tie_break_lowest_index(self):
         # symmetric pair: both points equally far from the mean
         feats = np.array([[1.0], [-1.0]])
-        store = labeling.select_exemplars_herding(
-            feats, np.zeros(2, dtype=int), np.zeros(2, dtype=int), q=1)
-        assert store.ids.tolist() == [0]
+        rows = labeling.select_exemplars_herding(
+            feats, np.zeros(2, dtype=int), q=1)
+        assert rows.tolist() == [0]
 
     def test_custom_sample_ids_propagated(self):
-        feats = np.array([[0.0], [2.0], [3.0]])
-        store = labeling.select_exemplars_herding(
-            feats, np.zeros(3, dtype=int), np.full(3, 1), q=1,
-            sample_ids=np.array([100, 200, 300]))
-        assert store.ids.tolist() == [200]
+        # the store keeps the sample ids of the picked rows of the task's
+        # rows, with their labels
+        feats = np.array([[0.0], [9.0], [2.0], [9.0], [3.0]])
+        dataset = Dataset(np.array([500, 100, 200, 400, 300]), feats,
+                          np.zeros(5, dtype=int))
+        cfg = RunConfig(q=1, hidden_width=1, n_hidden=1)
+        model = nn.init_model(1, 1, 1, 1, 0)
+        model.layers[0][0][:] = 1.0  # ReLU(x): features are the rows
+        model.layers[0][1][:] = 0.0
+        task_rows = np.array([0, 2, 4])
+        store = protocol._update_store(
+            labeling.ExemplarStore(1, np.array([7]), np.array([0])), model,
+            dataset, np.zeros(3, dtype=int), np.array([1, 1, 1]), task_rows,
+            cfg, step=2)
+        assert store.q == 1
+        assert store.ids.tolist() == [7, 200]
+        assert store.labels.tolist() == [0, 1]
 
     def test_first_pick_closest_to_mean(self):
         rng = np.random.default_rng(3)
         feats = rng.standard_normal((20, 5))
-        store = labeling.select_exemplars_herding(
-            feats, np.zeros(20, dtype=int), np.zeros(20, dtype=int), q=1)
+        rows = labeling.select_exemplars_herding(
+            feats, np.zeros(20, dtype=int), q=1)
         mu = feats.mean(axis=0)
         dists = np.linalg.norm(feats - mu, axis=1)
-        assert store.ids.tolist() == [int(np.argmin(dists))]
+        assert rows.tolist() == [int(np.argmin(dists))]
 
     def test_bad_q_rejected(self):
         with pytest.raises(ValueError):
             labeling.select_exemplars_herding(
-                np.zeros((3, 2)), np.zeros(3, dtype=int),
-                np.zeros(3, dtype=int), q=0)
+                np.zeros((3, 2)), np.zeros(3, dtype=int), q=0)
 
     @pytest.mark.parametrize("value", [1e160, np.inf],
                              ids=["norms-overflow", "non-finite"])
@@ -162,29 +168,26 @@ class TestHerding:
         feats[2, 1] = value
         with pytest.raises(ValueError, match="squared norms overflow"):
             labeling.select_exemplars_herding(
-                feats, np.array([0, 0, 1, 1]), np.zeros(4, dtype=int), q=1)
+                feats, np.array([0, 0, 1, 1]), q=1)
 
 
 class TestRandomSelection:
     def test_counts_and_uniqueness(self):
         assignments = np.repeat([0, 1], 20)
-        store = labeling.select_exemplars_random(
-            assignments, assignments, q=6, seed=0)
-        assert len(store.ids) == 12
-        assert len(set(store.ids)) == 12
+        rows = labeling.select_exemplars_random(assignments, q=6, seed=0)
+        assert len(rows) == 12
+        assert len(set(rows)) == 12
 
     def test_members_come_from_own_cluster(self):
         assignments = np.repeat([0, 1, 2], 10)
-        store = labeling.select_exemplars_random(
-            assignments, assignments + 3, q=4, seed=1)
-        for sid, label in zip(store.ids, store.labels):
-            assert assignments[sid] == label - 3
+        rows = labeling.select_exemplars_random(assignments, q=4, seed=1)
+        assert np.array_equal(assignments[rows], np.repeat([0, 1, 2], 4))
 
     def test_deterministic_given_seed(self):
         a = np.zeros(20, dtype=int)
-        s1 = labeling.select_exemplars_random(a, a, q=5, seed=42)
-        s2 = labeling.select_exemplars_random(a, a, q=5, seed=42)
-        assert s1.ids.tolist() == s2.ids.tolist()
+        s1 = labeling.select_exemplars_random(a, q=5, seed=42)
+        s2 = labeling.select_exemplars_random(a, q=5, seed=42)
+        assert s1.tolist() == s2.tolist()
 
     def test_approximately_uniform_over_many_seeds(self):
         # Monte Carlo: each of 10 members should be picked ~ q/10 of the time
@@ -192,15 +195,13 @@ class TestRandomSelection:
         counts = np.zeros(10)
         trials = 2000
         for seed in range(trials):
-            s = labeling.select_exemplars_random(a, a, q=3, seed=seed)
-            counts[s.ids] += 1
+            counts[labeling.select_exemplars_random(a, q=3, seed=seed)] += 1
         freq = counts / trials
         assert np.all(np.abs(freq - 0.3) < 0.04)
 
     def test_bad_q_rejected(self):
         with pytest.raises(ValueError):
-            labeling.select_exemplars_random(np.zeros(3, dtype=int),
-                                             np.zeros(3, dtype=int), q=0,
+            labeling.select_exemplars_random(np.zeros(3, dtype=int), q=0,
                                              seed=0)
 
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import os
 import re
@@ -110,7 +111,7 @@ class TestFirstTask:
 
         monkeypatch.setattr(nn, "sgd_step", counting_step)
         first_task(dataset, tasks, cfg)
-        n_train = len(dataset.ids_for_classes(tasks[0], eval_split=False))
+        n_train = len(dataset.rows_for_classes(tasks[0], eval_split=False))
         assert len(calls) == cfg.epochs * math.ceil(n_train / cfg.batch_size)
 
 
@@ -207,7 +208,7 @@ class TestContinualStep:
         monkeypatch.setattr(nn, "sgd_step", counting_step)
         protocol.continual_step(model, tasks, 2, ExemplarStore(cfg.q),
                                 dataset, cfg, h1)
-        n_train = len(dataset.ids_for_classes(tasks[1], eval_split=False))
+        n_train = len(dataset.rows_for_classes(tasks[1], eval_split=False))
         assert len(calls) == math.ceil(n_train / cfg.batch_size)
 
     def test_offline_mode_epoch_passes(self, dataset, monkeypatch):
@@ -225,7 +226,7 @@ class TestContinualStep:
         monkeypatch.setattr(nn, "sgd_step", counting_step)
         protocol.continual_step(model, tasks, 2, ExemplarStore(cfg.q),
                                 dataset, cfg, h1)
-        n_train = len(dataset.ids_for_classes(tasks[1], eval_split=False))
+        n_train = len(dataset.rows_for_classes(tasks[1], eval_split=False))
         assert len(calls) == cfg.epochs * math.ceil(n_train / cfg.batch_size)
 
     def test_ours_and_ffe_identical_at_step_two(self, dataset):
@@ -276,9 +277,10 @@ class TestContinualStep:
             model, grown, _ = protocol.continual_step(model, tasks, step,
                                                       store, dataset, cfg, h1)
             assert len(clusterings) == 3  # the first and two refreshes
-            train_ids = dataset.ids_for_classes(tasks[step - 1],
-                                                eval_split=False).tolist()
-            rows = [train_ids.index(i) for i in grown.ids[len(store.ids):]]
+            train_rows = dataset.rows_for_classes(tasks[step - 1],
+                                                  eval_split=False).tolist()
+            rows = [train_rows.index(r)
+                    for r in dataset.positions(grown.ids[len(store.ids):])]
             m = (step - 1) * 2
             assert grown.labels[len(store.ids):].tolist() == \
                 (m + clusterings[-1][rows]).tolist()
@@ -394,6 +396,34 @@ class TestRunExperiment:
         assert len(trained) == 2
         rows = tracer_mod.layer_metrics(summary)["nn.backward.rows"]
         assert rows == sum(trained)
+
+    @pytest.mark.parametrize("kw", [
+        {}, {"mode": "online", "exemplar_policy": "random"}, {"upl_k": 2}],
+        ids=["herding", "online-random", "upl-2"])
+    def test_run_does_not_depend_on_sample_ids(self, dataset, tmp_path, kw):
+        # a run addresses its samples by row: the same rows under ids that
+        # are not row numbers give the same files, and exemplars whose ids
+        # map row for row
+        n = len(dataset)
+        assert np.array_equal(dataset.ids, np.arange(n))
+        ids = 10_000 - 3 * np.random.default_rng(0).permutation(n)
+        renamed = Dataset(ids, dataset.features, dataset.sealed._peek(),
+                          seed=dataset.seed)
+        by_row, by_id = tmp_path / "row", tmp_path / "id"
+        protocol.run_experiment(fast_cfg(**kw), dataset, out_dir=str(by_row))
+        protocol.run_experiment(fast_cfg(**kw), renamed, out_dir=str(by_id))
+        names = sorted(os.listdir(by_row))
+        assert names == sorted(os.listdir(by_id))
+        for name in names:
+            if not name.startswith("exemplars_"):
+                assert (by_row / name).read_bytes() == \
+                    (by_id / name).read_bytes(), name
+                continue
+            want = json.loads((by_row / name).read_text())
+            got = json.loads((by_id / name).read_text())
+            assert want["ids"] and got["labels"] == want["labels"]
+            assert got["ids"] == ids[want["ids"]].tolist()
+            assert got["q"] == want["q"]
 
     def test_report_sequence(self, dataset):
         result = protocol.run_experiment(fast_cfg(), dataset)
@@ -640,7 +670,7 @@ class TestStepMemory:
         tasks = protocol.split_tasks(big, 2, cfg.arrangement_seed)
         model, store, _ = protocol.continual_step(
             None, tasks, 1, ExemplarStore(cfg.q), big, cfg, None)
-        merged = (len(big.ids_for_classes(tasks[1], eval_split=False))
+        merged = (len(big.rows_for_classes(tasks[1], eval_split=False))
                   + len(store.ids))
         p_hat = merged * 2 * 8  # two old classes
         ints = 8 * merged * 8
@@ -666,7 +696,7 @@ class TestStepMemory:
         tasks = protocol.split_tasks(ds, 100, cfg.arrangement_seed)
         model, store, _ = protocol.continual_step(
             None, tasks, 1, ExemplarStore(cfg.q), ds, cfg, None)
-        merged = (len(ds.ids_for_classes(tasks[1], eval_split=False))
+        merged = (len(ds.rows_for_classes(tasks[1], eval_split=False))
                   + len(store.ids))
         tracemalloc.start()
         try:
@@ -695,17 +725,34 @@ class TestStepMemory:
 
     @staticmethod
     def gathered(dataset, monkeypatch, cfg):
-        """The id counts a run asks Dataset.features_for for, with blocks
-        of 7 rows so the 6-class stream spans several."""
-        sizes = []
-        real = Dataset.features_for
+        """The row counts of a run's calls of nn.extract_features,
+        nn.forward and pca_coordinates, with blocks of 7 rows so the
+        6-class stream spans several. The teacher pass, whose blocks take
+        a minibatch's shape, is not counted."""
+        sizes, teacher = [], []
 
-        def features_for(self, ids):
-            sizes.append(len(ids))
-            return real(self, ids)
+        def recording(real, rows_at):
+            def call(*args):
+                if not teacher:
+                    sizes.append(len(args[rows_at]))
+                return real(*args)
+            return call
 
+        def teacher_probs(*args):
+            teacher.append(True)
+            try:
+                return real_probs(*args)
+            finally:
+                teacher.pop()
+
+        real_probs = protocol._teacher_probs
         monkeypatch.setattr(nn, "_ROW_BLOCK", 7)
-        monkeypatch.setattr(Dataset, "features_for", features_for)
+        monkeypatch.setattr(nn, "extract_features",
+                            recording(nn.extract_features, 1))
+        monkeypatch.setattr(nn, "forward", recording(nn.forward, 1))
+        monkeypatch.setattr(protocol, "pca_coordinates",
+                            recording(protocol.pca_coordinates, 0))
+        monkeypatch.setattr(protocol, "_teacher_probs", teacher_probs)
         protocol.run_experiment(cfg, dataset)
         return sizes
 
@@ -715,14 +762,12 @@ class TestStepMemory:
             num_classes=3, dim=4, samples_per_class=1000, separation=3.0,
             std=0.3, seed=5))
         classes = big.classes()
-        eval_ids = big.ids_for_classes(classes, eval_split=True)
-        assert nn._ROW_BLOCK < len(eval_ids) < 2 * nn._ROW_BLOCK
+        eval_rows = big.rows_for_classes(classes, eval_split=True)
+        assert nn._ROW_BLOCK < len(eval_rows) < 2 * nn._ROW_BLOCK
         model = nn.init_model(4, 16, 1, 3, seed=0)
-        preds = np.argmax(nn.forward(model, big.features_for(eval_ids)),
-                          axis=1)
+        preds = np.argmax(nn.forward(model, big.features[eval_rows]), axis=1)
         assert len(set(preds.tolist())) == 3
-        one_shot = step_report(1, 3, preds,
-                               big.sealed.reveal(big.positions(eval_ids)))
+        one_shot = step_report(1, 3, preds, big.sealed.reveal(eval_rows))
         rows = []
         real = nn.forward
 
@@ -733,7 +778,7 @@ class TestStepMemory:
         monkeypatch.setattr(nn, "forward", forward)
         assert protocol.evaluate(model, big, classes, 1) == one_shot
         assert max(rows) == nn._ROW_BLOCK
-        assert sum(rows) == len(eval_ids)
+        assert sum(rows) == len(eval_rows)
 
 
 class TestProtocolFuzz:
