@@ -151,25 +151,24 @@ def _stratified_eval_mask(labels: np.ndarray, fraction: float,
 
 
 def generate_gaussian_stream(spec: BlobSpec) -> Dataset:
-    """Seeded Gaussian blobs: one isotropic cluster per class."""
+    """Seeded Gaussian blobs, one cluster per class. A centre is random in
+    its first ``signal_dims`` coordinates (all if unset) and 0 after; noise
+    has std ``std`` there and ``noise_std`` (default ``std``) after. One
+    draw holds every class's noise, in the order of one draw per class."""
     rng = np.random.default_rng(spec.seed)
     sdims = spec.signal_dims if spec.signal_dims is not None else spec.dim
     nstd = spec.noise_std if spec.noise_std is not None else spec.std
     centers = np.zeros((spec.num_classes, spec.dim))
     centers[:, :sdims] = spec.separation * rng.standard_normal(
         (spec.num_classes, sdims))
-    n = spec.num_classes * spec.samples_per_class
-    features = np.empty((n, spec.dim))
-    labels = np.empty(n, dtype=int)
-    row = 0
-    for c in range(spec.num_classes):
-        noise = rng.standard_normal((spec.samples_per_class, spec.dim))
-        noise[:, :sdims] *= spec.std
-        noise[:, sdims:] *= nstd
-        features[row:row + spec.samples_per_class] = centers[c] + noise
-        labels[row:row + spec.samples_per_class] = c
-        row += spec.samples_per_class
-    return Dataset(np.arange(n), features, labels, seed=spec.seed)
+    features = rng.standard_normal(
+        (spec.num_classes, spec.samples_per_class, spec.dim))
+    features[..., :sdims] *= spec.std
+    features[..., sdims:] *= nstd
+    features += centers[:, None]  # centers[labels] is one more (n, d) array
+    labels = np.repeat(np.arange(spec.num_classes), spec.samples_per_class)
+    return Dataset(np.arange(labels.size), features.reshape(labels.size, -1),
+                   labels, seed=spec.seed)
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:

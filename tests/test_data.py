@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pseudocl import config, data, metrics, nn
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def tiny_spec(**kw):
@@ -108,6 +111,43 @@ class TestGenerateStream:
         ds = data.generate_gaussian_stream(spec)
         stds = ds.features.std(axis=0)
         assert np.all(stds[2:] > 2.0)
+
+    def test_one_draw_equals_per_class_draws(self):
+        def per_class(spec):
+            # the generator as a loop that draws one class's noise at a time
+            rng = np.random.default_rng(spec.seed)
+            sdims = spec.signal_dims or spec.dim
+            nstd = spec.std if spec.noise_std is None else spec.noise_std
+            centers = np.zeros((spec.num_classes, spec.dim))
+            centers[:, :sdims] = spec.separation * rng.standard_normal(
+                (spec.num_classes, sdims))
+            features, labels = [], []
+            for c in range(spec.num_classes):
+                noise = rng.standard_normal((spec.samples_per_class, spec.dim))
+                noise[:, :sdims] *= spec.std
+                noise[:, sdims:] *= nstd
+                features.append(centers[c] + noise)
+                labels += [c] * spec.samples_per_class
+            return np.concatenate(features), np.array(labels)
+
+        specs = [
+            config.load_spec(str(CONFIGS / "blobs.cfg")),
+            # the cli workload of perfbench at seed 7
+            config.BlobSpec(num_classes=20, dim=64, samples_per_class=1000,
+                            separation=1.0, std=0.15, seed=7,
+                            signal_dims=32, noise_std=2.0),
+            tiny_spec(),
+            tiny_spec(dim=6, signal_dims=2),
+            tiny_spec(num_classes=1),
+            tiny_spec(dim=1),
+        ]
+        for spec in specs:
+            ds = data.generate_gaussian_stream(spec)
+            features, labels = per_class(spec)
+            assert ds.features.tobytes() == features.tobytes(), spec
+            assert np.array_equal(ds.sealed._peek(), labels)
+            assert np.array_equal(ds.ids, np.arange(len(labels)))
+            assert ds.seed == spec.seed
 
 
 class TestDataset:
