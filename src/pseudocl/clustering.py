@@ -141,14 +141,14 @@ def _assign(x: np.ndarray, xx: np.ndarray,
     more than four times that bound (with the largest |c|^2) therefore has
     the same argmin under both forms; the remaining rows, and rows whose
     GEMM distances overflowed to NaN, are decided by the exact form. Both
-    go a block of rows at a time: (rows, k) GEMM distances, then
-    (rows, k, d) differences.
+    go a block of rows at a time: (rows, k) GEMM distances of (rows, d)
+    inputs, each within _BLOCK, then (rows, k, d) differences.
     """
     k, d = centroids.shape
     best = np.empty(x.shape[0], dtype=np.intp)
     with np.errstate(over="ignore"):
         cc = _sq_norms(centroids)
-    for s in _blocks(x.shape[0], k):
+    for s in _blocks(x.shape[0], max(k, d)):
         with np.errstate(over="ignore", invalid="ignore"):
             d2 = x[s] @ centroids.T
             d2 *= -2.0

@@ -9,10 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-# rows per block of the passes over rows outside training: feature
-# extraction, evaluation and herding's keys. A constant, since `pseudocl
-# eval` has no run config and must print the run's own report row
+# the most rows per block of the passes over rows outside training: the
+# model's feature and evaluation passes (see _model_blocks), herding's keys
+# and _unit_rows. A constant, since `pseudocl eval` has no run config and
+# must print the run's own report row
 _ROW_BLOCK = 512
+
+# OpenBLAS splits a matrix product across threads only above 4 x 65,536
+# multiply-adds; at or below it the product runs on the calling thread
+_BLAS_SPLIT = 1 << 18
 
 
 def _row_blocks(n: int, size: int) -> list[slice]:
@@ -25,6 +30,15 @@ def _row_blocks(n: int, size: int) -> list[slice]:
     if size >= 3 and len(stops) > 1 and stops[-1] - stops[-2] == 1:
         stops[-2] -= 1
     return list(map(slice, [0, *stops], stops))
+
+
+def _model_blocks(model: Model, n: int) -> list[slice]:
+    """``_row_blocks`` of n rows for a pass through ``model``: at most
+    _ROW_BLOCK rows, at least 3, and few enough that no hidden layer's
+    product exceeds _BLAS_SPLIT multiply-adds (64 rows at width 64). The
+    head is not counted: feature passes never reach it."""
+    widest = max((w.size for w, _ in model.layers[:-1]), default=1)
+    return _row_blocks(n, max(3, min(_ROW_BLOCK, _BLAS_SPLIT // widest)))
 
 
 def _layer_views(dims: list[int],

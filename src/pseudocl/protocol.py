@@ -173,9 +173,10 @@ def _train(model: nn.Model, features: np.ndarray, pos: np.ndarray,
 def _row_features(model: nn.Model, dataset: Dataset,
                   rows: np.ndarray) -> np.ndarray:
     """The model's features of ``rows``, in order, gathered and extracted
-    a block of rows at a time into one (len(rows), width) array."""
+    a block of rows at a time (``nn._model_blocks``) into one
+    (len(rows), width) array."""
     feats = np.empty((len(rows), model.feature_dim))
-    for s in nn._row_blocks(len(rows), nn._ROW_BLOCK):
+    for s in nn._model_blocks(model, len(rows)):
         feats[s] = nn.extract_features(model, dataset.features[rows[s]])
     return feats
 
@@ -243,14 +244,14 @@ def evaluate(model: nn.Model, dataset: Dataset, classes,
     """Cluster-quality metrics of the model's predictions on the held-out
     samples of ``classes``, the classes seen so far.
 
-    The rows are gathered and forwarded in ``nn._row_blocks``, so neither
-    they nor the logits are held whole, however many are held out.
+    The rows are gathered and forwarded in ``nn._model_blocks``, so
+    neither they nor the logits are held whole, however many are held out.
     A model with finite parameters can still overflow, as a diverging one
     does; its non-finite logits raise ProtocolError.
     """
     rows = dataset.rows_for_classes(classes, eval_split=True)
     preds = np.empty(len(rows), dtype=int)
-    for s in nn._row_blocks(len(rows), nn._ROW_BLOCK):
+    for s in nn._model_blocks(model, len(rows)):
         with np.errstate(all="ignore"):
             logits = nn.forward(model, dataset.features[rows[s]])
         if not np.isfinite(logits).all():

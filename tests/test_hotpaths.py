@@ -538,8 +538,8 @@ class TestKmeansUpdate:
 
 class TestKmeansBlocks:
     """Every k-means pass takes its rows in blocks of at most _BLOCK values.
-    With _BLOCK at 120, 6-dimensional rows come 20 to a block, 4 GEMM
-    distances 30 to a block and 4 x 6 differences 5 to a block, so 61 and
+    With _BLOCK at 120, 6-dimensional rows come 20 to a block, and so do
+    their 4 GEMM distances; 4 x 6 differences come 5 to a block, so 61 and
     62 rows span at least 3 blocks of each width and end in a 2-row tail,
     which at 61 rows takes a row from the block before it; every result
     keeps the oracle's bits."""
@@ -625,6 +625,28 @@ class TestKmeansBlocks:
         assert got.centroids.tobytes() == want_c.tobytes()
         assert np.array_equal(got.assignments, want_a)
         assert repr(got.objective) == repr(want_trace[-1])
+
+
+def test_assign_screen_fits_its_inputs_in_a_block(monkeypatch):
+    # cli's screen: 4,000 rows of 64 against 5 centroids. 512-row blocks
+    # keep the (rows x 64) inputs within _BLOCK, and each product at 164K
+    # multiply-adds, under OpenBLAS's threading cutoff of 2^18; blocks sized
+    # by k alone took all 4,000 rows at once
+    calls = []
+    real = clustering._blocks
+
+    def blocks(n, width):
+        spans = real(n, width)
+        calls.append((n, [s.stop - s.start for s in spans]))
+        return spans
+
+    monkeypatch.setattr(clustering, "_blocks", blocks)
+    rng = np.random.default_rng(5)
+    x = blobs(rng, 4000, 64, 5)
+    c = x[rng.choice(4000, 5, replace=False)]
+    want = assign_oracle(x, c)
+    assert np.array_equal(assign(x, c), want)
+    assert calls[0] == (4000, [512] * 7 + [416])
 
 
 @pytest.mark.parametrize("n, k", [(6000, 50), (20000, 5), (3200, 100)])
@@ -883,7 +905,8 @@ class TestRowBlocks:
                              ids=["standard", "wide", "small"])
     @pytest.mark.parametrize("n", [513, 1025])
     def test_tail_features_match_one_shot(self, dims, n):
-        # n = 1 (mod _ROW_BLOCK): 512-row blocks would leave one row
+        # n = 1 (mod 64 and mod 512): 64-row blocks at width 64, and
+        # 512-row blocks at width 16, would leave one row
         d, width, n_hidden = dims
         rng = np.random.default_rng(n)
         ds = data.Dataset(rng.permutation(2 * n), rng.normal(size=(2 * n, d)),

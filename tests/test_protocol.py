@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import astuple, replace
@@ -779,6 +780,157 @@ class TestStepMemory:
         assert protocol.evaluate(model, big, classes, 1) == one_shot
         assert max(rows) == nn._ROW_BLOCK
         assert sum(rows) == len(eval_rows)
+
+
+class TestPassBlocks:
+    """The model's feature and evaluation passes take blocks in which no
+    hidden layer's product takes more than nn._BLAS_SPLIT multiply-adds,
+    the most OpenBLAS computes on the calling thread alone, and at most
+    nn._ROW_BLOCK rows. Blocks of two or more rows keep the bytes of one
+    pass over every row."""
+
+    @staticmethod
+    def pass_sizes(monkeypatch):
+        """The row counts of the nn.extract_features and nn.forward calls
+        made inside protocol._row_features and protocol.evaluate, as they
+        are made."""
+        sizes, inside = [], []
+
+        def recording(real):
+            def call(model, x):
+                if inside:
+                    sizes.append(len(x))
+                return real(model, x)
+            return call
+
+        def within(real):
+            def call(*args):
+                inside.append(True)
+                try:
+                    return real(*args)
+                finally:
+                    inside.pop()
+            return call
+
+        monkeypatch.setattr(nn, "extract_features",
+                            recording(nn.extract_features))
+        monkeypatch.setattr(nn, "forward", recording(nn.forward))
+        monkeypatch.setattr(protocol, "_row_features",
+                            within(protocol._row_features))
+        monkeypatch.setattr(protocol, "evaluate", within(protocol.evaluate))
+        return sizes
+
+    def test_standard_step_passes_take_64_rows(self, monkeypatch):
+        # standard's shapes, 16 -> 64 -> 64, and 600 training rows a task:
+        # 512-row blocks would put 512 x 64 x 64 multiply-adds in one
+        # product, twice the threading cutoff
+        ds = generate_gaussian_stream(BlobSpec(
+            num_classes=10, dim=16, samples_per_class=150, separation=1.0,
+            std=0.15, seed=7))
+        cfg = fast_cfg(step_size=5, epochs=1, batch_size=32,
+                       hidden_width=64, n_hidden=2, q=5)
+        tasks = protocol.split_tasks(ds, cfg.step_size, cfg.arrangement_seed)
+        assert len(ds.rows_for_classes(tasks[0], eval_split=False)) > 512
+        sizes = self.pass_sizes(monkeypatch)
+        protocol.run_experiment(cfg, ds)
+        assert max(sizes) == 64
+
+    @pytest.mark.parametrize("dims, block", [
+        ((16, 64, 2), 64), ((16, 128, 2), 16), ((256, 32, 1), 32),
+        ((16, 64, 0), 512)], ids=["standard", "128-wide", "wide-input",
+                                  "head-only"])
+    @pytest.mark.parametrize("cap", [None, 7])
+    def test_blocks_follow_the_widest_hidden_layer(self, monkeypatch, dims,
+                                                   block, cap):
+        # the head does not count; a patched _ROW_BLOCK caps every block
+        d, width, n_hidden = dims
+        if cap:
+            monkeypatch.setattr(nn, "_ROW_BLOCK", cap)
+            block = cap
+        rng = np.random.default_rng(d + width)
+        n = 3000  # 600 held out
+        ds = Dataset(np.arange(n), rng.normal(size=(n, d)),
+                     np.repeat(np.arange(5), n // 5))
+        model = nn.init_model(d, width, n_hidden, 5, seed=1)
+        rows = rng.permutation(n)[:1025]
+        want = nn.extract_features(model, ds.features[rows])
+        sizes = self.pass_sizes(monkeypatch)
+        got = protocol._row_features(model, ds, rows)
+        assert got.tobytes() == want.tobytes()
+        assert max(sizes) == block and min(sizes) >= 2
+        sizes.clear()
+        protocol.evaluate(model, ds, ds.classes(), 1)
+        assert max(sizes) == block and min(sizes) >= 2
+
+
+# Run in a fresh interpreter, so that its threads' CPU times count these
+# runs alone: the stream of the benchmark's standard runs, at 5 epochs
+BLAS_WORKER_CPU = """\
+import json, os
+from pseudocl.config import BlobSpec, RunConfig
+from pseudocl.data import generate_gaussian_stream
+from pseudocl.protocol import run_experiment
+
+
+def cpu_ticks():
+    # (main thread, other threads) CPU ticks of this process
+    main = other = 0
+    for task in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{task}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        ticks = int(fields[11]) + int(fields[12])  # utime, stime
+        if int(task) == os.getpid():
+            main += ticks
+        else:
+            other += ticks
+    return main, other
+
+
+dataset = generate_gaussian_stream(BlobSpec(
+    num_classes=20, dim=16, samples_per_class=150, separation=1.0, std=0.15,
+    seed=7, signal_dims=10, noise_std=2.0))
+before = cpu_ticks()
+for seed in range(3):
+    run_experiment(RunConfig(epochs=5, model_seed=seed), dataset)
+after = cpu_ticks()
+print(json.dumps({"main": after[0] - before[0],
+                  "other": after[1] - before[1]}))
+"""
+
+
+def _blas_is_openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy reports no build as a dict
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+def _usable_cpus():
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc/self/task")
+@pytest.mark.skipif(not _blas_is_openblas(), reason="numpy's BLAS is not "
+                    "OpenBLAS")
+@pytest.mark.skipif(_usable_cpus() < 2, reason="fewer than 2 usable CPUs")
+@pytest.mark.skipif(any(os.environ.get(v) == "1" for v in (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")), reason="one BLAS thread")
+def test_run_leaves_blas_worker_idle():
+    # OpenBLAS's worker thread computes only products above its threading
+    # cutoff, and spins for a while after each; a run whose passes stay
+    # under it spends next to no CPU time off its main thread
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", BLAS_WORKER_CPU], env=env,
+                         capture_output=True, text=True, check=True)
+    ticks = json.loads(out.stdout.splitlines()[-1])
+    assert ticks["main"] > 0
+    assert ticks["other"] < 0.25 * ticks["main"], ticks
 
 
 class TestProtocolFuzz:
