@@ -11,7 +11,7 @@ from .config import RunConfig, load_config, load_spec, parse_setting
 from .data import (_read_table, generate_gaussian_stream, load_dataset,
                    read_checkpoint, save_dataset, write_report)
 from .protocol import (evaluate, run_experiment, run_sweep, split_tasks,
-                       sweep_runs, variant_name)
+                       summarize, sweep_runs, variant_name)
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -76,12 +76,12 @@ def cmd_run(args):
     out_dir = args.out or _default_out(cfg, "run")
 
     def work():
-        result = run_experiment(cfg, dataset, out_dir=out_dir)
+        state = run_experiment(cfg, dataset, out_dir=out_dir)
         print(f"{'step':>4} {'classes':>8} {'acc':>8} {'nmi':>8} {'ari':>8}")
-        for r in result.reports:
+        for r in state.reports:
             print(f"{r.step:>4} {r.classes_seen:>8} {r.acc:>8.4f} "
                   f"{r.nmi:>8.4f} {r.ari:>8.4f}")
-        summary = result.summary
+        summary = summarize(state.reports, cfg)
         print(f"Avg ACC {summary['avg_acc']:.4f}  "
               f"Last ACC {summary['last_acc']:.4f}  "
               f"Avg NMI {summary['avg_nmi']:.4f}  "

@@ -125,16 +125,15 @@ def select_exemplars_random(assignments: np.ndarray, q: int,
         for start, size in zip(starts.tolist(), sizes.tolist())])
 
 
-def merge_replay(x_new: np.ndarray, y_new: np.ndarray, x_old: np.ndarray,
-                 y_old: np.ndarray,
+def merge_replay(rows_new: np.ndarray, y_new: np.ndarray,
+                 rows_old: np.ndarray, y_old: np.ndarray,
                  seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate new rows with replayed exemplars and shuffle (seeded).
-
-    The third return value maps each output row to its index in x_new, or
-    -1 for replayed exemplar rows.
-    """
-    x = np.concatenate([x_new, x_old])
+    """The task's row positions and the replayed exemplars', shuffled
+    (seeded), with their labels and each position's index in rows_new, -1
+    for an exemplar's."""
+    rows = np.concatenate([rows_new, rows_old])
     y = np.concatenate([y_new, y_old]).astype(int, copy=False)
-    origin = np.concatenate([np.arange(len(x_new)), np.full(len(x_old), -1)])
-    perm = np.random.default_rng(seed).permutation(len(x))
-    return x[perm], y[perm], origin[perm]
+    origin = np.concatenate([np.arange(len(rows_new)),
+                             np.full(len(rows_old), -1)])
+    perm = np.random.default_rng(seed).permutation(len(rows))
+    return rows[perm], y[perm], origin[perm]

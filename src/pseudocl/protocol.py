@@ -7,7 +7,7 @@ import json
 import math
 import os
 import zlib
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,12 +31,16 @@ class ProtocolError(ValueError):
 TeacherProbs = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass
-class ExperimentResult:
-    reports: list[StepReport]
-    summary: dict
-    model: nn.Model
+@dataclass(frozen=True)
+class RunState:
+    """A run after ``step`` steps: the last step's model (the next step's
+    teacher), step 1's model h1 (ffe's extractor), the exemplar store and
+    the steps' reports. Step 0 has no model."""
+    step: int
+    model: nn.Model | None
+    h1: nn.Model | None
     store: ExemplarStore
+    reports: tuple[StepReport, ...]
 
 
 def _seed(*parts) -> int:
@@ -262,38 +266,39 @@ def evaluate(model: nn.Model, dataset: Dataset, classes,
     return step_report(step, model.out_dim, preds, truth)
 
 
-def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
-                   store: ExemplarStore, dataset: Dataset, cfg: RunConfig,
-                   h1: nn.Model | None
-                   ) -> tuple[nn.Model, ExemplarStore, StepReport]:
-    """One step of the protocol: label the task, train, pick exemplars and
-    evaluate. Step 1 (model None) builds the model and, like every step of
+def _cluster(features: Callable[[], np.ndarray], n: int, cfg: RunConfig,
+             step: int, *tag) -> np.ndarray:
+    """k-means slots 0..n-1 of the task's rows by the array ``features()``
+    returns, its rows scaled to unit norm if the config asks; a ValueError
+    of any of them names the step."""
+    seed = _seed(cfg.shuffle_seed, "cluster", step, *tag)
+    try:
+        feats = features()
+        if cfg.normalize_features:
+            feats = _unit_rows(feats)
+        return kmeans(feats, n, seed=seed,
+                      n_restarts=cfg.n_restarts).assignments
+    except ValueError as exc:
+        raise ProtocolError(f"clustering failed at step {step}: "
+                            f"{exc}") from exc
+
+
+def continual_step(state: RunState, tasks: np.ndarray, dataset: Dataset,
+                   cfg: RunConfig) -> RunState:
+    """The step after ``state``: label the task, train, pick exemplars and
+    evaluate. Step 1 (no model yet) builds the model and, like every step of
     an oracle run, trains on the true labels; any other step clusters the
     task with a feature extractor and must read no label until evaluation.
 
-    The passed model is left as it is, to serve as the teacher (and h1):
+    The passed state is left as it is: its model serves as the teacher, and
     training and weight_align update the new model that expand_head builds.
     """
+    step, teacher, store = state.step + 1, state.model, state.store
     classes = tasks[step - 1]
     n = len(classes)
     m = (step - 1) * n
     train_rows = dataset.rows_for_classes(classes, eval_split=False)
-    supervised = model is None or cfg.oracle_labels
-
-    def cluster(features, *tag) -> np.ndarray:
-        """k-means slots of the task's rows by the array ``features()``
-        returns, its rows scaled to unit norm if the config asks; a
-        ValueError of any of them names the step."""
-        seed = _seed(cfg.shuffle_seed, "cluster", step, *tag)
-        try:
-            feats = features()
-            if cfg.normalize_features:
-                feats = _unit_rows(feats)
-            return kmeans(feats, n, seed=seed,
-                          n_restarts=cfg.n_restarts).assignments
-        except ValueError as exc:
-            raise ProtocolError(f"clustering failed at step {step}: "
-                                f"{exc}") from exc
+    supervised = teacher is None or cfg.oracle_labels
 
     # the step copies no rows whole: training indexes the dataset's rows by
     # position, and every other reader gathers its rows in blocks
@@ -301,17 +306,17 @@ def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
     if supervised:
         assignments = _true_slots(dataset, classes, train_rows)
     else:
-        assignments = cluster(lambda: _variant_features(
-            model, h1, dataset, train_rows, cfg, step))
+        assignments = _cluster(lambda: _variant_features(
+            teacher, state.h1, dataset, train_rows, cfg, step), n, cfg, step)
     labels = assignments + m  # slots m..m+n-1 follow the m learned classes
 
-    teacher = model
-    if model is None:
+    if teacher is None:
         model = nn.init_model(dataset.dim, cfg.hidden_width, cfg.n_hidden, n,
                               cfg.model_seed)
         pos, y = train_rows, labels
     else:
-        model = nn.expand_head(model, n, _seed(cfg.model_seed, "expand", step))
+        model = nn.expand_head(teacher, n,
+                               _seed(cfg.model_seed, "expand", step))
         pos, y, origin = merge_replay(train_rows, labels,
                                       dataset.positions(store.ids),
                                       store.labels,
@@ -328,8 +333,8 @@ def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
                      _teacher_probs(teacher, dataset.features, pos, cfg))
     for start in range(0, n_epochs, seg):
         if start:
-            assignments = cluster(
-                lambda: _row_features(model, dataset, train_rows), start)
+            assignments = _cluster(lambda: _row_features(
+                model, dataset, train_rows), n, cfg, step, start)
             labels = assignments + m
             y[origin >= 0] = labels[origin[origin >= 0]]
         _train(model, dataset.features, pos, y, teacher_probs, m, n, cfg,
@@ -351,37 +356,31 @@ def continual_step(model: nn.Model | None, tasks: np.ndarray, step: int,
             raise ProtocolError(
                 "ground-truth labels were read on the unsupervised path")
     report = evaluate(model, dataset, tasks[:step], step)
-    return model, store, report
+    return RunState(step, model, state.h1 or model, store,
+                    (*state.reports, report))
 
 
 def run_experiment(cfg: RunConfig, dataset: Dataset,
-                   out_dir: str | None = None) -> ExperimentResult:
+                   out_dir: str | None = None) -> RunState:
     """Full protocol: split, then one continual_step per task."""
     cfg.validate()
     tasks = split_tasks(dataset, cfg.step_size, cfg.arrangement_seed)
-    reports: list[StepReport] = []
+    state = RunState(0, None, None, ExemplarStore(cfg.q), ())
     if out_dir:
         # report.csv holds the finished steps' rows, whatever ends the run
         os.makedirs(out_dir, exist_ok=True)
         dump_config(cfg, os.path.join(out_dir, "config.txt"))
-        write_report(reports, os.path.join(out_dir, "report.csv"))
-
-    model = h1 = None
-    store = ExemplarStore(cfg.q)
-    for step in range(1, len(tasks) + 1):
-        model, store, rep = continual_step(model, tasks, step, store,
-                                           dataset, cfg, h1)
-        if step == 1:
-            h1 = model  # the first-task extractor, which ffe keeps
-        reports.append(rep)
-        _persist_step(out_dir, model, store, tasks, reports)
-    summary = summarize(reports, cfg)
+        write_report(state.reports, os.path.join(out_dir, "report.csv"))
+    for _ in tasks:
+        state = continual_step(state, tasks, dataset, cfg)
+        _persist_step(out_dir, state, tasks)
     if out_dir:
-        write_summary(summary, os.path.join(out_dir, "summary.csv"))
-    return ExperimentResult(reports, summary, model, store)
+        write_summary(summarize(state.reports, cfg),
+                      os.path.join(out_dir, "summary.csv"))
+    return state
 
 
-def summarize(reports: list[StepReport], cfg: RunConfig) -> dict:
+def summarize(reports: Sequence[StepReport], cfg: RunConfig) -> dict:
     """Avg over incremental steps (all steps when only task 1 exists)."""
     scored = [r for r in reports if r.step >= 2] or reports
     return {
@@ -402,17 +401,17 @@ def variant_name(cfg: RunConfig) -> str:
     return cfg.variant
 
 
-def _persist_step(out_dir, model, store, tasks, reports) -> None:
+def _persist_step(out_dir, state: RunState, tasks) -> None:
     if not out_dir:
         return
-    step = len(reports)
-    write_checkpoint(model, os.path.join(out_dir, f"step_{step}.ckpt"),
+    step, store = state.step, state.store
+    write_checkpoint(state.model, os.path.join(out_dir, f"step_{step}.ckpt"),
                      meta={"step": step,
                            "classes_seen": tasks[:step].ravel().tolist()})
     _write_atomic(os.path.join(out_dir, f"exemplars_step_{step}.json"),
                   [json.dumps({"q": store.q, "ids": store.ids.tolist(),
                                "labels": store.labels.tolist()})])
-    write_report(reports, os.path.join(out_dir, "report.csv"))
+    write_report(state.reports, os.path.join(out_dir, "report.csv"))
 
 
 def sweep_runs(base_cfg: RunConfig, axis: str, values: list, out_dir: str,
@@ -460,7 +459,8 @@ def run_sweep(base_cfg: RunConfig, dataset: Dataset, axis: str, values: list,
     rows = []
     for cfg, value, run_dir in runs:
         try:
-            summary = run_experiment(cfg, dataset, out_dir=run_dir).summary
+            summary = summarize(
+                run_experiment(cfg, dataset, out_dir=run_dir).reports, cfg)
             error = None
         except Exception as exc:  # noqa: BLE001 - the other runs' rows must survive
             summary = {"seed": cfg.model_seed, "variant": variant_name(cfg),

@@ -45,7 +45,7 @@ def mean_avg_acc(stream):
                 cfg = RunConfig(step_size=5, epochs=30, model_seed=s,
                                 shuffle_seed=s, **overrides)
                 result = protocol.run_experiment(cfg, stream)
-                accs.append(result.summary["avg_acc"])
+                accs.append(protocol.summarize(result.reports, cfg)["avg_acc"])
             cache[key] = float(np.mean(accs))
         return cache[key]
 

@@ -22,13 +22,8 @@ def step_labels(monkeypatch, last_step):
         return real(store, model, x, assignments, labels, *rest)
 
     monkeypatch.setattr(protocol, "_update_store", recording)
-    tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-    model, h1, store = None, None, labeling.ExemplarStore(cfg.q)
-    for step in range(1, last_step + 1):
-        model, store, _ = protocol.continual_step(model, tasks, step, store,
-                                                  dataset, cfg, h1)
-        h1 = h1 or model
-    return seen
+    protocol.run_experiment(cfg, dataset)
+    return seen[:last_step]
 
 
 class TestAssignPseudoLabels:

@@ -38,11 +38,22 @@ def fast_cfg(**kw):
     return RunConfig(**base)
 
 
+def initial(cfg):
+    """The state a run starts from."""
+    return protocol.RunState(0, None, None, ExemplarStore(cfg.q), ())
+
+
 def first_task(dataset, tasks, cfg):
-    """The model after step 1, the supervised first task."""
-    model, _, _ = protocol.continual_step(None, tasks, 1, ExemplarStore(cfg.q),
-                                          dataset, cfg, None)
-    return model
+    """The state after step 1, the supervised first task."""
+    return protocol.continual_step(initial(cfg), tasks, dataset, cfg)
+
+
+def state_bytes(state):
+    """Everything a state carries, as bytes."""
+    return (state.step, repr([astuple(r) for r in state.reports]),
+            state.model.params.tobytes(), state.h1.params.tobytes(),
+            state.store.q, state.store.ids.tobytes(),
+            state.store.labels.tobytes())
 
 
 class TestSplitTasks:
@@ -88,7 +99,7 @@ class TestFirstTask:
     def test_supervised_first_task_learns(self, dataset):
         cfg = fast_cfg(epochs=10)
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = first_task(dataset, tasks, cfg)
+        model = first_task(dataset, tasks, cfg).model
         rep = protocol.evaluate(model, dataset, tasks[:1], 1)
         assert model.out_dim == 2
         assert rep.acc > 0.9
@@ -98,7 +109,7 @@ class TestFirstTask:
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
         a = first_task(dataset, tasks, cfg)
         b = first_task(dataset, tasks, cfg)
-        assert np.array_equal(a.params, b.params)
+        assert np.array_equal(a.model.params, b.model.params)
 
     def test_online_mode_still_trains_every_epoch(self, dataset, monkeypatch):
         cfg = fast_cfg(mode="online", exemplar_policy="none")
@@ -120,26 +131,37 @@ class TestContinualStep:
     def test_head_growth_and_report(self, dataset):
         cfg = fast_cfg()
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = first_task(dataset, tasks, cfg)
-        h1 = model
-        store = ExemplarStore(cfg.q)
-        model, store, rep = protocol.continual_step(
-            model, tasks, 2, store, dataset, cfg, h1)
-        assert model.out_dim == 4
+        state = protocol.continual_step(first_task(dataset, tasks, cfg),
+                                        tasks, dataset, cfg)
+        rep = state.reports[-1]
+        assert state.step == 2 and state.model.out_dim == 4
         assert rep.step == 2 and rep.classes_seen == 4
         assert 0.0 <= rep.acc <= 1.0
 
     @pytest.mark.parametrize("oracle", [False, True])
     def test_step_leaves_passed_model_unchanged(self, dataset, oracle):
         # no step copies the model it is given: expand_head builds the
-        # step's new model, and training and weight_align update that one
+        # step's new model, and training and weight_align update that one;
+        # the step's reports are a new tuple
         cfg = fast_cfg(oracle_labels=oracle)
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = first_task(dataset, tasks, cfg)
-        before = model.params.tobytes()
-        protocol.continual_step(model, tasks, 2, ExemplarStore(cfg.q),
-                                dataset, cfg, model)
-        assert model.params.tobytes() == before
+        state = first_task(dataset, tasks, cfg)
+        before = state.model.params.tobytes()
+        reports = state.reports
+        protocol.continual_step(state, tasks, dataset, cfg)
+        assert state.model.params.tobytes() == before
+        assert state.reports == reports and len(state.reports) == 1
+
+    def test_step_leaves_passed_store_unchanged(self, dataset):
+        cfg = fast_cfg()
+        tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        state = replace(first_task(dataset, tasks, cfg), store=ExemplarStore(
+            cfg.q, np.array([3, 1]), np.array([0, 1])))
+        grown = protocol.continual_step(state, tasks, dataset, cfg).store
+        assert state.store.ids.tolist() == [3, 1]
+        assert state.store.labels.tolist() == [0, 1]
+        assert grown.ids[:2].tolist() == [3, 1]
+        assert len(grown.ids) == 2 + 2 * cfg.q
 
     def test_exemplar_store_grows_per_step(self, dataset):
         cfg = fast_cfg()
@@ -150,33 +172,48 @@ class TestContinualStep:
         assert labels.tolist() == list(range(6))
         assert counts.tolist() == [cfg.q] * 6
 
-    def test_step_leaves_passed_store_unchanged(self, dataset):
-        cfg = fast_cfg()
-        tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = first_task(dataset, tasks, cfg)
-        store = ExemplarStore(cfg.q, np.array([3, 1]), np.array([0, 1]))
-        _, grown, _ = protocol.continual_step(model, tasks, 2, store,
-                                              dataset, cfg, model)
-        assert store.ids.tolist() == [3, 1] and store.labels.tolist() == [0, 1]
-        assert grown.ids[:2].tolist() == [3, 1]
-        assert len(grown.ids) == 2 + 2 * cfg.q
-
     def test_unsupervised_path_never_reads_labels(self, dataset):
         cfg = fast_cfg()
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = first_task(dataset, tasks, cfg)
-        h1 = model
+        state = first_task(dataset, tasks, cfg)
         before = dataset.sealed.access_count
-        model, _, _ = protocol.continual_step(
-            model, tasks, 2, ExemplarStore(cfg.q), dataset, cfg, h1)
+        protocol.continual_step(state, tasks, dataset, cfg)
         # exactly one read: the evaluator's
         assert dataset.sealed.access_count == before + 1
+
+    @pytest.mark.parametrize("kw, reads", [
+        ({}, [2, 1, 1, 1]), ({"variant": "ffe"}, [2, 1, 1, 1]),
+        ({"variant": "pca"}, [2, 1, 1, 1]),
+        ({"variant": "scratch"}, [2, 1, 1, 1]),
+        ({"upl_k": 2}, [2, 1, 1, 1]),
+        ({"mode": "online", "exemplar_policy": "random"}, [2, 1, 1, 1]),
+        ({"oracle_labels": True}, [2, 2, 2, 2])],
+        ids=["ours", "ffe", "pca", "scratch", "upl-2", "online-random",
+             "oracle"])
+    def test_label_reads_per_step(self, monkeypatch, kw, reads):
+        # the label audit's gate: step 1 reads the true labels to train and
+        # to evaluate, an unsupervised step reads them once, to evaluate,
+        # and an oracle step reads them twice
+        ds = generate_gaussian_stream(BlobSpec(
+            num_classes=8, dim=6, samples_per_class=30, separation=3.0,
+            std=0.3, seed=5))
+        counts = []
+        real = protocol.continual_step
+
+        def counting(*args, **kwargs):
+            before = ds.sealed.access_count
+            out = real(*args, **kwargs)
+            counts.append(ds.sealed.access_count - before)
+            return out
+
+        monkeypatch.setattr(protocol, "continual_step", counting)
+        protocol.run_experiment(fast_cfg(epochs=5, **kw), ds)
+        assert counts == reads
 
     def test_label_read_during_training_raises(self, dataset, monkeypatch):
         cfg = fast_cfg()
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = first_task(dataset, tasks, cfg)
-        h1 = model
+        state = first_task(dataset, tasks, cfg)
         real_kmeans = protocol.kmeans
 
         def leaky_kmeans(*args, **kwargs):
@@ -185,20 +222,19 @@ class TestContinualStep:
 
         monkeypatch.setattr(protocol, "kmeans", leaky_kmeans)
         with pytest.raises(protocol.ProtocolError, match="unsupervised"):
-            protocol.continual_step(model, tasks, 2, ExemplarStore(cfg.q),
-                                    dataset, cfg, h1)
+            protocol.continual_step(state, tasks, dataset, cfg)
 
     def test_oracle_path_may_read_labels(self, dataset):
         cfg = fast_cfg(oracle_labels=True)
-        result = protocol.run_experiment(cfg, dataset)
-        assert result.summary["variant"] == "oracle"
-        assert result.summary["avg_acc"] > 0.5
+        summary = protocol.summarize(
+            protocol.run_experiment(cfg, dataset).reports, cfg)
+        assert summary["variant"] == "oracle"
+        assert summary["avg_acc"] > 0.5
 
     def test_online_mode_single_pass_update_count(self, dataset, monkeypatch):
         cfg = fast_cfg(mode="online", exemplar_policy="none")
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = first_task(dataset, tasks, cfg)
-        h1 = model
+        state = first_task(dataset, tasks, cfg)
         calls = []
         real_step = nn.sgd_step
 
@@ -207,16 +243,14 @@ class TestContinualStep:
             return real_step(*args, **kwargs)
 
         monkeypatch.setattr(nn, "sgd_step", counting_step)
-        protocol.continual_step(model, tasks, 2, ExemplarStore(cfg.q),
-                                dataset, cfg, h1)
+        protocol.continual_step(state, tasks, dataset, cfg)
         n_train = len(dataset.rows_for_classes(tasks[1], eval_split=False))
         assert len(calls) == math.ceil(n_train / cfg.batch_size)
 
     def test_offline_mode_epoch_passes(self, dataset, monkeypatch):
         cfg = fast_cfg(exemplar_policy="none")
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = first_task(dataset, tasks, cfg)
-        h1 = model
+        state = first_task(dataset, tasks, cfg)
         calls = []
         real_step = nn.sgd_step
 
@@ -225,8 +259,7 @@ class TestContinualStep:
             return real_step(*args, **kwargs)
 
         monkeypatch.setattr(nn, "sgd_step", counting_step)
-        protocol.continual_step(model, tasks, 2, ExemplarStore(cfg.q),
-                                dataset, cfg, h1)
+        protocol.continual_step(state, tasks, dataset, cfg)
         n_train = len(dataset.rows_for_classes(tasks[1], eval_split=False))
         assert len(calls) == cfg.epochs * math.ceil(n_train / cfg.batch_size)
 
@@ -270,22 +303,19 @@ class TestContinualStep:
         monkeypatch.setattr(protocol, "kmeans", renumbering_kmeans)
         cfg = fast_cfg(epochs=5, upl_k=2)
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = first_task(dataset, tasks, cfg)
-        h1 = model
-        store = ExemplarStore(cfg.q)
+        state = first_task(dataset, tasks, cfg)
         for step in (2, 3):
             clusterings.clear()
-            model, grown, _ = protocol.continual_step(model, tasks, step,
-                                                      store, dataset, cfg, h1)
+            old = len(state.store.ids)
+            state = protocol.continual_step(state, tasks, dataset, cfg)
             assert len(clusterings) == 3  # the first and two refreshes
             train_rows = dataset.rows_for_classes(tasks[step - 1],
                                                   eval_split=False).tolist()
             rows = [train_rows.index(r)
-                    for r in dataset.positions(grown.ids[len(store.ids):])]
+                    for r in dataset.positions(state.store.ids[old:])]
             m = (step - 1) * 2
-            assert grown.labels[len(store.ids):].tolist() == \
+            assert state.store.labels[old:].tolist() == \
                 (m + clusterings[-1][rows]).tolist()
-            store = grown
 
     @pytest.mark.parametrize("width", [16, 1], ids=["table", "features"])
     def test_upl_step_makes_one_teacher_pass(self, dataset, monkeypatch,
@@ -448,17 +478,18 @@ class TestRunExperiment:
     def test_single_task_stream(self, dataset):
         cfg = fast_cfg(step_size=6, epochs=6)
         result = protocol.run_experiment(cfg, dataset)
+        summary = protocol.summarize(result.reports, cfg)
         assert len(result.reports) == 1
-        assert result.summary["avg_acc"] == result.reports[0].acc
-        assert result.summary["last_acc"] == result.reports[0].acc
+        assert summary["avg_acc"] == result.reports[0].acc
+        assert summary["last_acc"] == result.reports[0].acc
 
     def test_summary_averages_incremental_steps_only(self, dataset):
         result = protocol.run_experiment(fast_cfg(), dataset)
+        summary = protocol.summarize(result.reports, fast_cfg())
         inc = result.reports[1:]
-        assert np.isclose(result.summary["avg_acc"],
-                          np.mean([r.acc for r in inc]))
-        assert result.summary["last_acc"] == result.reports[-1].acc
-        assert result.summary["variant"] == "ours"
+        assert np.isclose(summary["avg_acc"], np.mean([r.acc for r in inc]))
+        assert summary["last_acc"] == result.reports[-1].acc
+        assert summary["variant"] == "ours"
 
     def test_artifacts_written(self, dataset, tmp_path):
         out = str(tmp_path / "run")
@@ -494,10 +525,10 @@ class TestRunExperiment:
         out = str(tmp_path / "run")
         real = protocol.continual_step
 
-        def failing(model, tasks, step, *args, **kwargs):
-            if step == 3:
+        def failing(state, *args, **kwargs):
+            if state.step + 1 == 3:
                 raise RuntimeError("boom")
-            return real(model, tasks, step, *args, **kwargs)
+            return real(state, *args, **kwargs)
 
         monkeypatch.setattr(protocol, "continual_step", failing)
         with pytest.raises(RuntimeError):
@@ -517,10 +548,10 @@ class TestRunExperiment:
         out = str(tmp_path / "run")
         real = protocol.continual_step
 
-        def interrupted(model, tasks, step, *args, **kwargs):
-            if step == stop:
+        def interrupted(state, *args, **kwargs):
+            if state.step + 1 == stop:
                 raise KeyboardInterrupt
-            return real(model, tasks, step, *args, **kwargs)
+            return real(state, *args, **kwargs)
 
         monkeypatch.setattr(protocol, "continual_step", interrupted)
         with pytest.raises(KeyboardInterrupt):
@@ -614,14 +645,13 @@ class TestRunExperiment:
         # them, and which normalizing would divide to zeros
         cfg = fast_cfg(**kw)
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = first_task(dataset, tasks, cfg)
-        model.params *= 1e200
-        assert np.isfinite(model.params).all()
+        state = first_task(dataset, tasks, cfg)
+        state.model.params *= 1e200
+        assert np.isfinite(state.model.params).all()
         with pytest.raises(protocol.ProtocolError, match=(
                 r"^clustering failed at step 2: \w+' squared norms "
                 r"overflow$")):
-            protocol.continual_step(model, tasks, 2, ExemplarStore(cfg.q),
-                                    dataset, cfg, model)
+            protocol.continual_step(state, tasks, dataset, cfg)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("step, kw, message", [
@@ -638,7 +668,7 @@ class TestRunExperiment:
         # checks, but the features and logits of such a model overflow
         cfg = fast_cfg(**kw)
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        model = None if step == 1 else first_task(dataset, tasks, cfg)
+        state = initial(cfg) if step == 1 else first_task(dataset, tasks, cfg)
         real = protocol._train
 
         def scaled(model, *args):
@@ -647,8 +677,48 @@ class TestRunExperiment:
 
         monkeypatch.setattr(protocol, "_train", scaled)
         with pytest.raises(protocol.ProtocolError, match=f"^{message}$"):
-            protocol.continual_step(model, tasks, step, ExemplarStore(cfg.q),
-                                    dataset, cfg, model)
+            protocol.continual_step(state, tasks, dataset, cfg)
+
+
+class TestRunState:
+    @pytest.mark.parametrize("kw", [{}, {"variant": "ffe"},
+                                    {"oracle_labels": True}],
+                             ids=["ours", "ffe", "oracle"])
+    def test_run_is_its_steps_folded(self, dataset, kw):
+        # run_experiment is continual_step folded over the tasks from the
+        # initial state; h1 is the first step's model
+        cfg = fast_cfg(**kw)
+        tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        states = [initial(cfg)]
+        for _ in tasks:
+            states.append(protocol.continual_step(states[-1], tasks, dataset,
+                                                  cfg))
+        run = protocol.run_experiment(cfg, dataset)
+        assert state_bytes(states[-1]) == state_bytes(run)
+        assert [s.step for s in states] == [0, 1, 2, 3]
+        assert states[-1].h1 is states[1].model
+        assert [len(s.store.ids) for s in states] == [0, 6, 12, 18]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_continuing_a_kept_state_gives_the_same_bytes(self, dataset, k):
+        # a state kept after step k and continued after the run went past it
+        # ends where the uninterrupted run ended: no step changes the state
+        # it is given, and ffe's steps read h1 from it
+        cfg = fast_cfg(variant="ffe")
+        tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
+        states = [initial(cfg)]
+        for _ in tasks:
+            states.append(protocol.continual_step(states[-1], tasks, dataset,
+                                                  cfg))
+        state = states[k]
+        while state.step < len(tasks):
+            state = protocol.continual_step(state, tasks, dataset, cfg)
+        assert state_bytes(state) == state_bytes(states[-1])
+
+    def test_state_is_frozen(self):
+        state = initial(fast_cfg())
+        with pytest.raises(AttributeError):
+            state.step = 1
 
 
 class TestStepMemory:
@@ -669,17 +739,16 @@ class TestStepMemory:
         # of the task's 2,080 rows of 64 features alone is over four blocks
         cfg = fast_cfg(epochs=2, batch_size=64, q=5, upl_k=upl_k)
         tasks = protocol.split_tasks(big, 2, cfg.arrangement_seed)
-        model, store, _ = protocol.continual_step(
-            None, tasks, 1, ExemplarStore(cfg.q), big, cfg, None)
+        state = first_task(big, tasks, cfg)
         merged = (len(big.rows_for_classes(tasks[1], eval_split=False))
-                  + len(store.ids))
+                  + len(state.store.ids))
         p_hat = merged * 2 * 8  # two old classes
         ints = 8 * merged * 8
         block = nn._ROW_BLOCK * max(big.dim, cfg.hidden_width) * 8
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            protocol.continual_step(model, tasks, 2, store, big, cfg, model)
+            protocol.continual_step(state, tasks, big, cfg)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -695,14 +764,13 @@ class TestStepMemory:
         cfg = fast_cfg(step_size=100, epochs=1, batch_size=64, hidden_width=8,
                        q=5)
         tasks = protocol.split_tasks(ds, 100, cfg.arrangement_seed)
-        model, store, _ = protocol.continual_step(
-            None, tasks, 1, ExemplarStore(cfg.q), ds, cfg, None)
+        state = first_task(ds, tasks, cfg)
         merged = (len(ds.rows_for_classes(tasks[1], eval_split=False))
-                  + len(store.ids))
+                  + len(state.store.ids))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            protocol.continual_step(model, tasks, 2, store, ds, cfg, model)
+            protocol.continual_step(state, tasks, ds, cfg)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -996,7 +1064,8 @@ class TestProtocolFuzz:
             return str(exc)
         return result.reports, (
             repr([astuple(r) for r in result.reports]),
-            repr(result.summary), result.model.params.tobytes(),
+            repr(protocol.summarize(result.reports, cfg)),
+            result.model.params.tobytes(),
             result.store.ids.tobytes(), result.store.labels.tobytes())
 
     @settings(max_examples=120, deadline=None)
@@ -1058,9 +1127,10 @@ class TestVariants:
     def test_each_variant_runs(self, dataset):
         for variant in ("ours", "ffe", "scratch", "pca"):
             cfg = fast_cfg(variant=variant, pca_dim=4)
-            result = protocol.run_experiment(cfg, dataset)
-            assert result.summary["variant"] == variant
-            assert 0.0 <= result.summary["avg_acc"] <= 1.0
+            summary = protocol.summarize(
+                protocol.run_experiment(cfg, dataset).reports, cfg)
+            assert summary["variant"] == variant
+            assert 0.0 <= summary["avg_acc"] <= 1.0
 
     def test_variant_name(self):
         assert protocol.variant_name(fast_cfg()) == "ours"
