@@ -60,37 +60,33 @@ def _default_out(cfg: RunConfig, tag: str) -> str:
     return os.path.join(root, f"{tag}_{variant_name(cfg)}_seed{cfg.model_seed}")
 
 
-def cmd_gen_data(args):
+def cmd_gen_data(args, checked):
     spec = load_spec(args.specfile)
-
-    def work():
-        save_dataset(generate_gaussian_stream(spec), args.out)
-        print(f"wrote {args.out}")
-    return work
+    checked()
+    save_dataset(generate_gaussian_stream(spec), args.out)
+    print(f"wrote {args.out}")
 
 
-def cmd_run(args):
+def cmd_run(args, checked):
     cfg = load_config(args.config, overrides=_config_overrides(args))
     dataset = load_dataset(args.data)
     split_tasks(dataset, cfg.step_size, cfg.arrangement_seed)
     out_dir = args.out or _default_out(cfg, "run")
-
-    def work():
-        state = run_experiment(cfg, dataset, out_dir=out_dir)
-        print(f"{'step':>4} {'classes':>8} {'acc':>8} {'nmi':>8} {'ari':>8}")
-        for r in state.reports:
-            print(f"{r.step:>4} {r.classes_seen:>8} {r.acc:>8.4f} "
-                  f"{r.nmi:>8.4f} {r.ari:>8.4f}")
-        summary = summarize(state.reports, cfg)
-        print(f"Avg ACC {summary['avg_acc']:.4f}  "
-              f"Last ACC {summary['last_acc']:.4f}  "
-              f"Avg NMI {summary['avg_nmi']:.4f}  "
-              f"Avg ARI {summary['avg_ari']:.4f}")
-        print(f"run directory: {out_dir}")
-    return work
+    checked()
+    state = run_experiment(cfg, dataset, out_dir=out_dir)
+    print(f"{'step':>4} {'classes':>8} {'acc':>8} {'nmi':>8} {'ari':>8}")
+    for r in state.reports:
+        print(f"{r.step:>4} {r.classes_seen:>8} {r.acc:>8.4f} "
+              f"{r.nmi:>8.4f} {r.ari:>8.4f}")
+    summary = summarize(state.reports, cfg)
+    print(f"Avg ACC {summary['avg_acc']:.4f}  "
+          f"Last ACC {summary['last_acc']:.4f}  "
+          f"Avg NMI {summary['avg_nmi']:.4f}  "
+          f"Avg ARI {summary['avg_ari']:.4f}")
+    print(f"run directory: {out_dir}")
 
 
-def cmd_sweep(args):
+def cmd_sweep(args, checked):
     repeats = int(args.repeats) if args.repeats.isdecimal() else 0
     if repeats < 1:
         raise ValueError(f"--repeats: want an integer >= 1, got "
@@ -104,23 +100,21 @@ def cmd_sweep(args):
     out_dir = args.out or _default_out(cfg, f"sweep_{axis}")
     for run_cfg, _, _ in sweep_runs(cfg, axis, values, out_dir, repeats):
         split_tasks(dataset, run_cfg.step_size, run_cfg.arrangement_seed)
-
-    def work():
-        rows = run_sweep(cfg, dataset, axis, values, out_dir, repeats)
-        print(f"{axis:>12} {'seed':>6} {'avg_acc':>8} {'last_acc':>9}")
-        for row in rows:
-            if row["error"] is None:
-                print(f"{str(row['value']):>12} {row['seed']:>6} "
-                      f"{row['avg_acc']:>8.4f} {row['last_acc']:>9.4f}")
-            else:
-                print(f"error: {axis}={row['value']} seed {row['seed']}: "
-                      f"{row['error']}", file=sys.stderr)
-        print(f"sweep directory: {out_dir}")
-        return any(row["error"] is not None for row in rows)
-    return work
+    checked()
+    rows = run_sweep(cfg, dataset, axis, values, out_dir, repeats)
+    print(f"{axis:>12} {'seed':>6} {'avg_acc':>8} {'last_acc':>9}")
+    for row in rows:
+        if row["error"] is None:
+            print(f"{str(row['value']):>12} {row['seed']:>6} "
+                  f"{row['avg_acc']:>8.4f} {row['last_acc']:>9.4f}")
+        else:
+            print(f"error: {axis}={row['value']} seed {row['seed']}: "
+                  f"{row['error']}", file=sys.stderr)
+    print(f"sweep directory: {out_dir}")
+    return any(row["error"] is not None for row in rows)
 
 
-def cmd_eval(args):
+def cmd_eval(args, checked):
     model, meta = read_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
     classes, step = meta.get("classes_seen"), meta.get("step", 0)
@@ -142,17 +136,18 @@ def cmd_eval(args):
     missing = sorted(set(classes) - set(dataset.classes().tolist()))
     if missing:
         raise ValueError(f"{args.data}: dataset lacks classes_seen {missing}")
+    if len(dataset.rows_for_classes(classes, eval_split=True)) < 2:
+        raise ValueError(f"{args.data}: classes_seen have fewer than the two "
+                         "held-out samples ARI needs")
+    checked()
+    rep = evaluate(model, dataset, classes, step)
+    print(f"step={rep.step} classes={rep.classes_seen} acc={rep.acc!r} "
+          f"nmi={rep.nmi!r} ari={rep.ari!r}")
+    if args.out:
+        write_report([rep], args.out)
 
-    def work():
-        rep = evaluate(model, dataset, classes, step)
-        print(f"step={rep.step} classes={rep.classes_seen} acc={rep.acc!r} "
-              f"nmi={rep.nmi!r} ari={rep.ari!r}")
-        if args.out:
-            write_report([rep], args.out)
-    return work
 
-
-def cmd_report(args):
+def cmd_report(args, checked):
     path = os.path.join(args.run_dir, "report.csv")
     header, rows = _read_table(path)
     counts = [key in ("step", "classes_seen") for key in header]
@@ -169,7 +164,8 @@ def cmd_report(args):
             raise ValueError(f"{path}: no data row" if not rows
                              else f"{path}: {len(rows)} data rows, expected 1")
         lines.append("; ".join(f"{k}={v}" for k, v in zip(keys, rows[0])))
-    return lambda: print(*lines, sep="\n")
+    checked()
+    print(*lines, sep="\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,22 +206,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command. A command reads and checks all of its inputs,
-    writing nothing, and returns its work: a callable that returns whether
-    some of it failed, having printed why. One of INPUT_ERRORS from the
-    check exits 2, any other failure exits 1, and an OSError reads
-    '<file>: <reason>'."""
+    writing nothing, then calls ``checked()`` and does its work, returning
+    true if some of that work failed, having printed why. One of
+    INPUT_ERRORS raised before ``checked()`` exits 2, any other failure
+    exits 1, and an OSError reads '<file>: <reason>'."""
     args = build_parser().parse_args(argv)
-    work = None
+    passed = []
     try:
-        work = args.func(args)
-        return RUNTIME_ERROR if work() else 0
+        failed = args.func(args, lambda: passed.append(True))
+        return RUNTIME_ERROR if failed else 0
     except Exception as exc:  # noqa: BLE001 - every failure gets one line
         reason = exc
         if isinstance(exc, OSError) and exc.filename is not None:
             # os.replace names its target second
             reason = f"{exc.filename2 or exc.filename}: {exc.strerror}"
         print(f"error: {reason}", file=sys.stderr)
-        bad_input = work is None and isinstance(exc, INPUT_ERRORS)
+        bad_input = not passed and isinstance(exc, INPUT_ERRORS)
         return USAGE_ERROR if bad_input else RUNTIME_ERROR
 
 

@@ -599,6 +599,24 @@ class TestEval:
             f"error: {ckpt}: checkpoint's classes_seen must be 4 distinct "
             f"classes, one per head output, {shown}\n")
 
+    def test_too_few_held_out_samples_is_usage_error(self, tmp_path, capsys):
+        # a class of two samples holds one out, and ARI needs two: eval
+        # refuses a checkpoint of that class alone, as run refuses the task
+        spec = tmp_path / "tiny.cfg"
+        spec.write_text("num_classes = 2\ndim = 2\nsamples_per_class = 2\n"
+                        "separation = 1.0\nstd = 0.1\nseed = 1\n")
+        csv, ckpt = tmp_path / "tiny.csv", tmp_path / "m.ckpt"
+        assert cli.main(["gen-data", str(spec), str(csv)]) == 0
+        write_checkpoint(init_model(2, 3, 1, 1, seed=0), str(ckpt),
+                         meta={"step": 1, "classes_seen": [0]})
+        capsys.readouterr()
+        out = tmp_path / "eval.csv"
+        assert cli.main(["eval", str(ckpt), str(csv), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {csv}: classes_seen have fewer than the two held-out "
+            "samples ARI needs\n"))
+        assert not out.exists()
+
 
 # name -> (argv, stderr): a bad input to each writing command. {tmp} is
 # the test's own directory, which starts with bad.cfg (an unknown key) and
@@ -665,6 +683,21 @@ def test_check_failure_exits_2_and_writes_nothing(workdir, run_dir, tmp_path,
     assert err == f"error: {message.format(**paths)}\n"
     assert out == ""
     assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("after_check, code", [(False, 2), (True, 1)],
+                         ids=["before-checked", "after-checked"])
+def test_input_error_exits_2_only_before_checked(monkeypatch, capsys,
+                                                 after_check, code):
+    # a command's checks end where it calls checked(); a ValueError from
+    # its work is a failed run, not a bad input
+    def command(args, checked):
+        if after_check:
+            checked()
+        raise ValueError("bad value")
+    monkeypatch.setattr(cli, "cmd_report", command)
+    assert cli.main(["report", "run-dir"]) == code
+    assert capsys.readouterr().err == "error: bad value\n"
 
 
 # field, bad text, the reason each place gives for it

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudocl import nn, protocol
-from pseudocl.config import BlobSpec, RunConfig
-from pseudocl.data import Dataset, generate_gaussian_stream
+from pseudocl import cli, nn, protocol
+from pseudocl.config import BlobSpec, RunConfig, dump_config
+from pseudocl.data import Dataset, generate_gaussian_stream, save_dataset
 from pseudocl.labeling import ExemplarStore
 from pseudocl.metrics import StepReport, step_report
 
@@ -29,6 +29,18 @@ def dataset():
     spec = BlobSpec(num_classes=6, dim=6, samples_per_class=30,
                     separation=3.0, std=0.3, seed=5)
     return generate_gaussian_stream(spec)
+
+
+def load_perfbench(name, monkeypatch):
+    """Import perfbench/<name>.py. perfbench is only read: child prepends to
+    sys.path, and no bytecode is written beside the benchmark's files."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def fast_cfg(**kw):
@@ -390,20 +402,9 @@ class TestRunExperiment:
                                                      monkeypatch):
         # the benchmark's tracer finds the spans its standard workload must
         # record, and counts backward's rows as the rows trained
-        def load(name):
-            spec = importlib.util.spec_from_file_location(
-                name, os.path.join(PERFBENCH, f"{name}.py"))
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-
-        # perfbench is only read: child prepends to sys.path, and no
-        # bytecode is written beside the benchmark's files
-        monkeypatch.setattr(sys, "path", list(sys.path))
-        monkeypatch.setattr(sys, "dont_write_bytecode", True)
-        tracer_mod = load("tracer")
+        tracer_mod = load_perfbench("tracer", monkeypatch)
         monkeypatch.setitem(sys.modules, "tracer", tracer_mod)
-        child = load("child")
+        child = load_perfbench("child", monkeypatch)
         trained = []
         real = protocol._train
 
@@ -427,6 +428,26 @@ class TestRunExperiment:
         assert len(trained) == 2
         rows = tracer_mod.layer_metrics(summary)["nn.backward.rows"]
         assert rows == sum(trained)
+
+    def test_traced_cli_run_records_the_run_in_its_command(
+            self, dataset, tmp_path, monkeypatch):
+        # `pseudocl run` runs its experiment inside its own traced span
+        tracer_mod = load_perfbench("tracer", monkeypatch)
+        csv, cfg = str(tmp_path / "data.csv"), str(tmp_path / "run.cfg")
+        save_dataset(dataset, csv)
+        dump_config(fast_cfg(step_size=3, epochs=1), cfg)
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            code = cli.main(["run", cfg, "--data", csv,
+                             "--out", str(tmp_path / "run")])
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        names = [span[0] for span in tracer.spans]
+        (parent,) = [parent for name, _, _, parent, _ in tracer.spans
+                     if name == "protocol.run_experiment"]
+        assert names[parent] == "cli.cmd_run"
 
     @pytest.mark.parametrize("kw", [
         {}, {"mode": "online", "exemplar_policy": "random"}, {"upl_k": 2}],
