@@ -9,7 +9,7 @@ import numpy as np
 from .nn import _row_blocks
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterResult:
     centroids: np.ndarray          # (k, d)
     assignments: np.ndarray        # (n,) int

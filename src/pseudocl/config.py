@@ -23,7 +23,7 @@ def setting(default=dataclasses.MISSING, *, key: str | None = None,
         key=key, lowest=lowest, positive=positive, choices=choices))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     mode: str = setting("offline", key="run.mode", choices=MODES)
     variant: str = setting("ours", key="run.variant", choices=VARIANTS)
@@ -54,9 +54,6 @@ class RunConfig:
     shuffle_seed: int = setting(0, key="seeds.shuffle")
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         _check_bounds(RunConfig, vars(self))
         if self.upl_k > 0 and self.variant != "ours":
             raise ValueError(f"upl_k needs variant 'ours', not {self.variant!r}")
@@ -69,7 +66,7 @@ class RunConfig:
                              f"{self.mode!r} and epochs {self.epochs}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlobSpec:
     num_classes: int = setting(lowest=1)
     dim: int = setting(lowest=1)

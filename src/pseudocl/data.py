@@ -33,7 +33,7 @@ SUMMARY_COLUMNS = ["avg_acc", "last_acc", "avg_nmi", "avg_ari", "seed", "variant
 _CKPT_MAGIC = b"PCLCKPT1"
 # The dataset sidecar holds one parse's result, so bump its version when the
 # CSV's parse rules or the sidecar's header change; older ones go unused.
-_DSET_MAGIC = b"PCLDSET2"
+_DSET_MAGIC = b"PCLDSET3"
 
 # The dataset CSV is formatted this many rows at a time (see _csv_rows).
 # Larger blocks format a little faster, but at 128 or 256 rows of 64
@@ -441,9 +441,10 @@ def _parse_csv(fh, path: str):
     seed = None
     line, lineno = fh.readline(), 1
     while line.startswith("#"):
-        if "seed=" in line:
+        text = line[1:].lstrip(" \t")
+        if text.startswith("seed="):
             try:
-                seed = int(line.split("seed=")[1])
+                seed = int(text[len("seed="):])
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: bad seed comment "
                                   f"{line.rstrip()!r}") from None

@@ -2,18 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import nn
-
-
-@dataclass
-class ExemplarStore:
-    q: int
-    ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    labels: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
 
 def select_exemplars_herding(features: np.ndarray, assignments: np.ndarray,

@@ -17,7 +17,7 @@ from .clustering import kmeans, pca_coordinates
 from .config import RunConfig, dump_config, parse_setting
 from .data import (Dataset, _write_atomic, _write_table, write_checkpoint,
                    write_report, write_summary)
-from .labeling import (ExemplarStore, merge_replay, select_exemplars_herding,
+from .labeling import (merge_replay, select_exemplars_herding,
                        select_exemplars_random)
 from .metrics import StepReport, step_report
 
@@ -34,12 +34,14 @@ TeacherProbs = Callable[[np.ndarray], np.ndarray]
 @dataclass(frozen=True)
 class RunState:
     """A run after ``step`` steps: the last step's model (the next step's
-    teacher), step 1's model h1 (ffe's extractor), the exemplar store and
-    the steps' reports. Step 0 has no model."""
+    teacher), step 1's model h1 (ffe's extractor), the sample ids of the
+    exemplars kept so far with their labels, and the steps' reports. Step
+    0 has no model and no exemplars."""
     step: int
     model: nn.Model | None
     h1: nn.Model | None
-    store: ExemplarStore
+    exemplar_ids: np.ndarray
+    exemplar_labels: np.ndarray
     reports: tuple[StepReport, ...]
 
 
@@ -218,14 +220,14 @@ def _unit_rows(feats: np.ndarray) -> np.ndarray:
     return feats
 
 
-def _update_store(store: ExemplarStore, model: nn.Model, dataset: Dataset,
+def _update_store(state: RunState, model: nn.Model, dataset: Dataset,
                   assignments: np.ndarray, labels: np.ndarray,
                   rows: np.ndarray, cfg: RunConfig,
-                  step: int) -> ExemplarStore:
-    """``store`` and the exemplars picked from ``rows``: the one place a
-    run names samples by id."""
+                  step: int) -> tuple[np.ndarray, np.ndarray]:
+    """The exemplar ids and labels of ``state`` followed by those picked
+    from ``rows``: the one place a run names samples by id."""
     if cfg.exemplar_policy == "none":
-        return store
+        return state.exemplar_ids, state.exemplar_labels
     if cfg.exemplar_policy == "herding":
         try:
             # q by keyword: perfbench's tracer reads it by name or as the
@@ -238,9 +240,8 @@ def _update_store(store: ExemplarStore, model: nn.Model, dataset: Dataset,
     else:
         picked = select_exemplars_random(
             assignments, cfg.q, _seed(cfg.shuffle_seed, "random-ex", step))
-    return ExemplarStore(
-        store.q, np.concatenate([store.ids, dataset.ids[rows[picked]]]),
-        np.concatenate([store.labels, labels[picked]]))
+    return (np.concatenate([state.exemplar_ids, dataset.ids[rows[picked]]]),
+            np.concatenate([state.exemplar_labels, labels[picked]]))
 
 
 def evaluate(model: nn.Model, dataset: Dataset, classes,
@@ -293,7 +294,7 @@ def continual_step(state: RunState, tasks: np.ndarray, dataset: Dataset,
     The passed state is left as it is: its model serves as the teacher, and
     training and weight_align update the new model that expand_head builds.
     """
-    step, teacher, store = state.step + 1, state.model, state.store
+    step, teacher = state.step + 1, state.model
     classes = tasks[step - 1]
     n = len(classes)
     m = (step - 1) * n
@@ -318,8 +319,8 @@ def continual_step(state: RunState, tasks: np.ndarray, dataset: Dataset,
         model = nn.expand_head(teacher, n,
                                _seed(cfg.model_seed, "expand", step))
         pos, y, origin = merge_replay(train_rows, labels,
-                                      dataset.positions(store.ids),
-                                      store.labels,
+                                      dataset.positions(state.exemplar_ids),
+                                      state.exemplar_labels,
                                       _seed(cfg.shuffle_seed, "merge", step))
 
     # UPL trains in segments of upl_k epochs and re-clusters the task with
@@ -348,24 +349,24 @@ def continual_step(state: RunState, tasks: np.ndarray, dataset: Dataset,
             raise ProtocolError(f"weight alignment failed at step {step}: "
                                 f"{exc}") from exc
 
-    store = _update_store(store, model, dataset, assignments, labels,
-                          train_rows, cfg, step)
+    ids, exemplar_labels = _update_store(state, model, dataset, assignments,
+                                         labels, train_rows, cfg, step)
     if not supervised:
         training_reads = dataset.sealed.access_count - reads_before
         if training_reads != 0:
             raise ProtocolError(
                 "ground-truth labels were read on the unsupervised path")
     report = evaluate(model, dataset, tasks[:step], step)
-    return RunState(step, model, state.h1 or model, store,
+    return RunState(step, model, state.h1 or model, ids, exemplar_labels,
                     (*state.reports, report))
 
 
 def run_experiment(cfg: RunConfig, dataset: Dataset,
                    out_dir: str | None = None) -> RunState:
     """Full protocol: split, then one continual_step per task."""
-    cfg.validate()
     tasks = split_tasks(dataset, cfg.step_size, cfg.arrangement_seed)
-    state = RunState(0, None, None, ExemplarStore(cfg.q), ())
+    none = np.empty(0, dtype=int)
+    state = RunState(0, None, None, none, none, ())
     if out_dir:
         # report.csv holds the finished steps' rows, whatever ends the run
         os.makedirs(out_dir, exist_ok=True)
@@ -373,7 +374,7 @@ def run_experiment(cfg: RunConfig, dataset: Dataset,
         write_report(state.reports, os.path.join(out_dir, "report.csv"))
     for _ in tasks:
         state = continual_step(state, tasks, dataset, cfg)
-        _persist_step(out_dir, state, tasks)
+        _persist_step(out_dir, state, tasks, cfg.q)
     if out_dir:
         write_summary(summarize(state.reports, cfg),
                       os.path.join(out_dir, "summary.csv"))
@@ -401,16 +402,16 @@ def variant_name(cfg: RunConfig) -> str:
     return cfg.variant
 
 
-def _persist_step(out_dir, state: RunState, tasks) -> None:
+def _persist_step(out_dir, state: RunState, tasks, q: int) -> None:
     if not out_dir:
         return
-    step, store = state.step, state.store
+    step = state.step
     write_checkpoint(state.model, os.path.join(out_dir, f"step_{step}.ckpt"),
                      meta={"step": step,
                            "classes_seen": tasks[:step].ravel().tolist()})
     _write_atomic(os.path.join(out_dir, f"exemplars_step_{step}.json"),
-                  [json.dumps({"q": store.q, "ids": store.ids.tolist(),
-                               "labels": store.labels.tolist()})])
+                  [json.dumps({"q": q, "ids": state.exemplar_ids.tolist(),
+                               "labels": state.exemplar_labels.tolist()})])
     write_report(state.reports, os.path.join(out_dir, "report.csv"))
 
 

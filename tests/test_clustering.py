@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -32,6 +33,13 @@ class TestKmeans:
         assert got == [0.5, 10.5]
         assert np.isclose(res.objective, 0.25, atol=1e-12)
         assert res.converged
+
+    def test_result_is_frozen(self):
+        res = clustering.kmeans(np.array([[0.0], [1.0], [10.0]]), 2, seed=0)
+        assignments = res.assignments
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.assignments = np.zeros(3, dtype=int)
+        assert res.assignments is assignments
 
     def test_matches_exhaustive_partition_search(self):
         rng = np.random.default_rng(11)

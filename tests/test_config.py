@@ -88,6 +88,19 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             config.RunConfig(**{field: float(value)})
 
+    @pytest.mark.parametrize("build, field, value", [
+        (config.RunConfig, "variant", "bogus"),
+        (lambda: config.BlobSpec(num_classes=2, dim=2, samples_per_class=2,
+                                 separation=1.0, std=0.1, seed=0),
+         "dim", 0)], ids=["RunConfig", "BlobSpec"])
+    def test_built_settings_cannot_change(self, build, field, value):
+        # settings are checked once, when built, so none may change after
+        built = build()
+        before = getattr(built, field)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, field, value)
+        assert getattr(built, field) == before
+
 
 class TestParseVariant:
     def test_plain_variants(self):

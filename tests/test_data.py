@@ -406,6 +406,19 @@ class TestCsvRoundTrip:
         with pytest.raises(data.FormatError, match=r"bad\.csv:2: .*seed=abc"):
             data.load_dataset(str(path))
 
+    @pytest.mark.parametrize("comment, seed", [
+        ("# seed=7", 7), ("#seed=7", 7), ("# \t seed=7", 7),
+        ("# generated with seed=7 by a script", None), ("# reseed=5", None),
+    ], ids=["spaced", "bare", "blanks", "inside-text", "inside-word"])
+    def test_only_a_comment_starting_seed_sets_the_seed(self, tmp_path,
+                                                         comment, seed):
+        # only a comment whose text starts with 'seed=' is the seed;
+        # every other comment is ignored
+        path = tmp_path / "ds.csv"
+        path.write_text(f"# made here\n{comment}\nid,label,f0\n0,0,1.0\n"
+                        "1,0,2.0\n")
+        assert data.load_dataset(str(path)).seed == seed
+
     @pytest.mark.parametrize("rows, message", [
         ("0,0,1.0\n1,0,nan\n2,1,1.0\n", "sample 1 has a non-finite feature"),
         ("0,0,1.0\n0,1,2.0\n", "duplicate sample ids"),
@@ -533,7 +546,7 @@ class TestSidecar:
                            + ds.sealed._peek().astype("<i8").tobytes()
                            + ds.features.astype("<f8").tobytes())
         # the checkpoint's framing, byte for byte
-        assert blob == _seal(header, payload, magic=b"PCLDSET2")
+        assert blob == _seal(header, payload, magic=b"PCLDSET3")
 
     def test_load_writes_the_sidecar_save_writes(self, saved):
         written = _sidecar(saved).read_bytes()
@@ -590,12 +603,14 @@ class TestSidecar:
         lambda b: _reheader(b, seed="13"),
         lambda b: _nested_header(b[:8]),
         _v1_layout,
+        # the version before the seed comment rule, whose seed may differ
+        lambda b: b"PCLDSET2" + b[8:],
     ], ids=["cut-1", "cut-head", "cut-digest", "empty", "extra-byte",
             "magic", "digest", "digest-resealed", "flip-payload",
             "flip-trailer", "flip-length", "n-resealed", "n-huge-resealed",
             "n-type-resealed", "same-size-resealed", "d-resealed",
             "no-seed-resealed", "seed-type-resealed", "nested-resealed",
-            "v1-layout"])
+            "v1-layout", "v2-magic"])
     def test_damaged_sidecar_ignored(self, saved, damage):
         parsed = self.parsed(saved)
         good = _sidecar(saved).read_bytes()

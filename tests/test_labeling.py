@@ -17,9 +17,9 @@ def step_labels(monkeypatch, last_step):
     seen = []
     real = protocol._update_store
 
-    def recording(store, model, x, assignments, labels, *rest):
+    def recording(state, model, x, assignments, labels, *rest):
         seen.append((np.array(assignments), np.array(labels)))
-        return real(store, model, x, assignments, labels, *rest)
+        return real(state, model, x, assignments, labels, *rest)
 
     monkeypatch.setattr(protocol, "_update_store", recording)
     protocol.run_experiment(cfg, dataset)
@@ -122,8 +122,8 @@ class TestHerding:
         assert rows.tolist() == [0]
 
     def test_custom_sample_ids_propagated(self):
-        # the store keeps the sample ids of the picked rows of the task's
-        # rows, with their labels
+        # the state's exemplars grow by the sample ids of the picked rows of
+        # the task's rows, with their labels
         feats = np.array([[0.0], [9.0], [2.0], [9.0], [3.0]])
         dataset = Dataset(np.array([500, 100, 200, 400, 300]), feats,
                           np.zeros(5, dtype=int))
@@ -132,13 +132,13 @@ class TestHerding:
         model.layers[0][0][:] = 1.0  # ReLU(x): features are the rows
         model.layers[0][1][:] = 0.0
         task_rows = np.array([0, 2, 4])
-        store = protocol._update_store(
-            labeling.ExemplarStore(1, np.array([7]), np.array([0])), model,
-            dataset, np.zeros(3, dtype=int), np.array([1, 1, 1]), task_rows,
-            cfg, step=2)
-        assert store.q == 1
-        assert store.ids.tolist() == [7, 200]
-        assert store.labels.tolist() == [0, 1]
+        state = protocol.RunState(1, model, model, np.array([7]),
+                                  np.array([0]), ())
+        ids, labels = protocol._update_store(
+            state, model, dataset, np.zeros(3, dtype=int),
+            np.array([1, 1, 1]), task_rows, cfg, step=2)
+        assert ids.tolist() == [7, 200]
+        assert labels.tolist() == [0, 1]
 
     def test_first_pick_closest_to_mean(self):
         rng = np.random.default_rng(3)
@@ -254,26 +254,19 @@ class TestMergeReplay:
     @pytest.mark.parametrize("old_ids", [[7, 1, 3], []])
     def test_ids_merge_as_their_rows_do(self, old_ids):
         # merged sample ids keep the order and origin map of a merge of
-        # their feature rows at the same seed, with or without a store, so
+        # their feature rows at the same seed, with or without exemplars, so
         # gathering the merged ids gives the merged rows
         features = np.random.default_rng(4).standard_normal((9, 3))
         new_ids = np.array([6, 2, 8, 0, 5])
-        store = labeling.ExemplarStore(
-            3, np.array(old_ids, dtype=int), np.full(len(old_ids), 4))
+        old_ids = np.array(old_ids, dtype=int)
+        old_y = np.full(len(old_ids), 4)
         y_new = np.array([0, 1, 1, 0, 1])
         x, y, origin = labeling.merge_replay(
-            features[new_ids], y_new, features[store.ids], store.labels,
-            seed=11)
+            features[new_ids], y_new, features[old_ids], old_y, seed=11)
         ids, id_y, id_origin = labeling.merge_replay(
-            new_ids, y_new, store.ids, store.labels, seed=11)
+            new_ids, y_new, old_ids, old_y, seed=11)
         assert ids.dtype == id_y.dtype == np.dtype(int)
         assert np.array_equal(features[ids], x)
         assert np.array_equal(id_y, y)
         assert np.array_equal(id_origin, origin)
 
-
-class TestExemplarStore:
-    def test_starts_empty_with_int_arrays(self):
-        store = labeling.ExemplarStore(5)
-        assert len(store.ids) == 0
-        assert store.ids.dtype == store.labels.dtype == np.dtype(int)

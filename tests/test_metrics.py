@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -278,6 +279,12 @@ class TestReports:
         assert rep.step == 3 and rep.classes_seen == 15
         assert rep.acc == 0.5 and rep.nmi == 0.0
         assert np.isclose(rep.ari, -0.5, atol=1e-12)
+
+    def test_step_report_is_frozen(self):
+        rep = metrics.step_report(1, 2, [0, 1], [0, 1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.acc = 0.0
+        assert rep.acc == 1.0
 
 
 @st.composite

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from pseudocl import cli, nn, protocol
 from pseudocl.config import BlobSpec, RunConfig, dump_config
 from pseudocl.data import Dataset, generate_gaussian_stream, save_dataset
-from pseudocl.labeling import ExemplarStore
 from pseudocl.metrics import StepReport, step_report
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
@@ -50,22 +49,22 @@ def fast_cfg(**kw):
     return RunConfig(**base)
 
 
-def initial(cfg):
+def initial():
     """The state a run starts from."""
-    return protocol.RunState(0, None, None, ExemplarStore(cfg.q), ())
+    none = np.empty(0, dtype=int)
+    return protocol.RunState(0, None, None, none, none, ())
 
 
 def first_task(dataset, tasks, cfg):
     """The state after step 1, the supervised first task."""
-    return protocol.continual_step(initial(cfg), tasks, dataset, cfg)
+    return protocol.continual_step(initial(), tasks, dataset, cfg)
 
 
 def state_bytes(state):
     """Everything a state carries, as bytes."""
     return (state.step, repr([astuple(r) for r in state.reports]),
             state.model.params.tobytes(), state.h1.params.tobytes(),
-            state.store.q, state.store.ids.tobytes(),
-            state.store.labels.tobytes())
+            state.exemplar_ids.tobytes(), state.exemplar_labels.tobytes())
 
 
 class TestSplitTasks:
@@ -167,20 +166,22 @@ class TestContinualStep:
     def test_step_leaves_passed_store_unchanged(self, dataset):
         cfg = fast_cfg()
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        state = replace(first_task(dataset, tasks, cfg), store=ExemplarStore(
-            cfg.q, np.array([3, 1]), np.array([0, 1])))
-        grown = protocol.continual_step(state, tasks, dataset, cfg).store
-        assert state.store.ids.tolist() == [3, 1]
-        assert state.store.labels.tolist() == [0, 1]
-        assert grown.ids[:2].tolist() == [3, 1]
-        assert len(grown.ids) == 2 + 2 * cfg.q
+        state = replace(first_task(dataset, tasks, cfg),
+                        exemplar_ids=np.array([3, 1]),
+                        exemplar_labels=np.array([0, 1]))
+        grown = protocol.continual_step(state, tasks, dataset, cfg)
+        assert state.exemplar_ids.tolist() == [3, 1]
+        assert state.exemplar_labels.tolist() == [0, 1]
+        assert grown.exemplar_ids[:2].tolist() == [3, 1]
+        assert len(grown.exemplar_ids) == 2 + 2 * cfg.q
 
     def test_exemplar_store_grows_per_step(self, dataset):
         cfg = fast_cfg()
         result = protocol.run_experiment(cfg, dataset)
         # 3 tasks x 2 classes x q exemplars
-        assert len(result.store.ids) == 6 * cfg.q
-        labels, counts = np.unique(result.store.labels, return_counts=True)
+        assert len(result.exemplar_ids) == 6 * cfg.q
+        labels, counts = np.unique(result.exemplar_labels,
+                                   return_counts=True)
         assert labels.tolist() == list(range(6))
         assert counts.tolist() == [cfg.q] * 6
 
@@ -318,15 +319,15 @@ class TestContinualStep:
         state = first_task(dataset, tasks, cfg)
         for step in (2, 3):
             clusterings.clear()
-            old = len(state.store.ids)
+            old = len(state.exemplar_ids)
             state = protocol.continual_step(state, tasks, dataset, cfg)
             assert len(clusterings) == 3  # the first and two refreshes
             train_rows = dataset.rows_for_classes(tasks[step - 1],
                                                   eval_split=False).tolist()
             rows = [train_rows.index(r)
-                    for r in dataset.positions(state.store.ids[old:])]
+                    for r in dataset.positions(state.exemplar_ids[old:])]
             m = (step - 1) * 2
-            assert state.store.labels[old:].tolist() == \
+            assert state.exemplar_labels[old:].tolist() == \
                 (m + clusterings[-1][rows]).tolist()
 
     @pytest.mark.parametrize("width", [16, 1], ids=["table", "features"])
@@ -689,7 +690,7 @@ class TestRunExperiment:
         # checks, but the features and logits of such a model overflow
         cfg = fast_cfg(**kw)
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        state = initial(cfg) if step == 1 else first_task(dataset, tasks, cfg)
+        state = initial() if step == 1 else first_task(dataset, tasks, cfg)
         real = protocol._train
 
         def scaled(model, *args):
@@ -705,20 +706,29 @@ class TestRunState:
     @pytest.mark.parametrize("kw", [{}, {"variant": "ffe"},
                                     {"oracle_labels": True}],
                              ids=["ours", "ffe", "oracle"])
-    def test_run_is_its_steps_folded(self, dataset, kw):
+    def test_run_is_its_steps_folded(self, dataset, kw, tmp_path):
         # run_experiment is continual_step folded over the tasks from the
-        # initial state; h1 is the first step's model
+        # initial state; h1 is the first step's model, and every state's
+        # exemplars are int arrays, step 0's empty
         cfg = fast_cfg(**kw)
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        states = [initial(cfg)]
+        states = [initial()]
         for _ in tasks:
             states.append(protocol.continual_step(states[-1], tasks, dataset,
                                                   cfg))
-        run = protocol.run_experiment(cfg, dataset)
+        run = protocol.run_experiment(cfg, dataset, out_dir=str(tmp_path))
         assert state_bytes(states[-1]) == state_bytes(run)
         assert [s.step for s in states] == [0, 1, 2, 3]
         assert states[-1].h1 is states[1].model
-        assert [len(s.store.ids) for s in states] == [0, 6, 12, 18]
+        assert [len(s.exemplar_ids) for s in states] == [0, 6, 12, 18]
+        assert all(s.exemplar_ids.dtype == s.exemplar_labels.dtype
+                   == np.dtype(int) for s in states)
+        # a float array would write the ids as 1.0
+        with open(tmp_path / "exemplars_step_1.json") as fh:
+            written = json.load(fh)
+        assert written["q"] == cfg.q
+        assert written["ids"] == states[1].exemplar_ids.tolist()
+        assert all(type(i) is int for i in written["ids"] + written["labels"])
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_continuing_a_kept_state_gives_the_same_bytes(self, dataset, k):
@@ -727,7 +737,7 @@ class TestRunState:
         # it is given, and ffe's steps read h1 from it
         cfg = fast_cfg(variant="ffe")
         tasks = protocol.split_tasks(dataset, 2, cfg.arrangement_seed)
-        states = [initial(cfg)]
+        states = [initial()]
         for _ in tasks:
             states.append(protocol.continual_step(states[-1], tasks, dataset,
                                                   cfg))
@@ -737,7 +747,7 @@ class TestRunState:
         assert state_bytes(state) == state_bytes(states[-1])
 
     def test_state_is_frozen(self):
-        state = initial(fast_cfg())
+        state = initial()
         with pytest.raises(AttributeError):
             state.step = 1
 
@@ -762,7 +772,7 @@ class TestStepMemory:
         tasks = protocol.split_tasks(big, 2, cfg.arrangement_seed)
         state = first_task(big, tasks, cfg)
         merged = (len(big.rows_for_classes(tasks[1], eval_split=False))
-                  + len(state.store.ids))
+                  + len(state.exemplar_ids))
         p_hat = merged * 2 * 8  # two old classes
         ints = 8 * merged * 8
         block = nn._ROW_BLOCK * max(big.dim, cfg.hidden_width) * 8
@@ -787,7 +797,7 @@ class TestStepMemory:
         tasks = protocol.split_tasks(ds, 100, cfg.arrangement_seed)
         state = first_task(ds, tasks, cfg)
         merged = (len(ds.rows_for_classes(tasks[1], eval_split=False))
-                  + len(state.store.ids))
+                  + len(state.exemplar_ids))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -1087,7 +1097,8 @@ class TestProtocolFuzz:
             repr([astuple(r) for r in result.reports]),
             repr(protocol.summarize(result.reports, cfg)),
             result.model.params.tobytes(),
-            result.store.ids.tobytes(), result.store.labels.tobytes())
+            result.exemplar_ids.tobytes(),
+            result.exemplar_labels.tobytes())
 
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
