@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 from .data import _write_atomic
@@ -101,14 +102,31 @@ def _keys(cls) -> dict[str, str]:
 CONFIG_KEYS = _keys(RunConfig)
 
 
+# the values each field kind takes; a bool is an int, but only a bool field
+# takes one
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
+          "str": str}
+
+
+def _kinds(cls) -> dict[str, str]:
+    """Each field of dataclass ``cls`` -> its kind; ``int | None`` is int."""
+    return {f.name: f.type.split(" |")[0] for f in dataclasses.fields(cls)}
+
+
 def _check_bounds(cls, values: dict) -> None:
-    """Reject a non-finite float, out-of-bounds number or unknown choice
-    among ``values`` (field -> value) of settings class ``cls``; None
-    (unset) passes. Every number is checked before any choice."""
+    """Reject a value of the wrong kind, non-finite float, out-of-bounds
+    number or unknown choice among ``values`` (field -> value) of settings
+    class ``cls``; None (unset) passes. Every kind and number is checked
+    before any choice."""
     rules = {f.name: f.metadata for f in dataclasses.fields(cls)}
+    kinds = _kinds(cls)
     for name, value in values.items():
         if value is None:
             continue
+        kind = kinds[name]
+        if isinstance(value, bool) != (kind == "bool") \
+                or not isinstance(value, _KINDS[kind]):
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
         lowest = rules[name]["lowest"]
@@ -125,7 +143,7 @@ def _check_bounds(cls, values: dict) -> None:
 def _coerce(cls, field: str, raw: str):
     """Convert a raw string to the type of field ``field`` of dataclass
     ``cls``; an optional ``int | None`` field reads as ``int``."""
-    kinds = {f.name: f.type.split(" |")[0] for f in dataclasses.fields(cls)}
+    kinds = _kinds(cls)
     if field not in kinds:
         raise ValueError(f"unknown config field {field!r}")
     kind = kinds[field]

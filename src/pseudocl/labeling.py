@@ -33,13 +33,9 @@ def select_exemplars_herding(features: np.ndarray, assignments: np.ndarray,
     if q < 1:
         raise ValueError("q must be >= 1")
     features = np.asarray(features, dtype=float)
-    clusters, cluster_of, sizes = np.unique(
-        np.asarray(assignments, dtype=int), return_inverse=True,
-        return_counts=True)
-    order = np.argsort(cluster_of, kind="stable")
-    cluster_of = cluster_of[order]
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
+    _, order, starts, sizes = nn._groups(np.asarray(assignments, dtype=int))
+    cluster_of = np.repeat(np.arange(len(sizes)), sizes)
+    ends = starts + sizes
     # each cluster's rows in index order, as one contiguous block, so the
     # block mean sums in the same order as features[assignments == j].mean(0);
     # each block then becomes its rows minus their mean, in place
@@ -52,7 +48,7 @@ def select_exemplars_herding(features: np.ndarray, assignments: np.ndarray,
         # 8 q R^2 with q <= n, so a finite 8 n R^2 keeps them all finite
         if not np.isfinite(8.0 * len(order) * norm2.max(initial=0.0)):
             raise ValueError("features' squared norms overflow")
-    mu = np.empty((len(clusters), d))
+    mu = np.empty((len(sizes), d))
     for j, (lo, hi) in enumerate(zip(starts, ends)):
         mu[j] = centred[lo:hi].mean(axis=0)
         centred[lo:hi] -= mu[j]
@@ -61,7 +57,7 @@ def select_exemplars_herding(features: np.ndarray, assignments: np.ndarray,
     centred_sum = np.zeros_like(mu)
     picked = np.zeros(len(order), dtype=bool)
     rounds = min(q, sizes.max(initial=0))
-    picks = np.zeros((len(clusters), rounds), dtype=int)
+    picks = np.zeros((len(sizes), rounds), dtype=int)
     key = np.empty(len(order))
     eps = np.finfo(float).eps
     # in row blocks, so each round gathers no (n, d) array
@@ -102,13 +98,8 @@ def select_exemplars_random(assignments: np.ndarray, q: int,
     cluster; the picked rows, by cluster in ascending id."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    assignments = np.asarray(assignments, dtype=int)
     rng = np.random.default_rng(seed)
-    # one stable argsort groups the rows: each cluster's block lists its
-    # rows in index order, as np.flatnonzero(assignments == j) does
-    order = np.argsort(assignments, kind="stable")
-    _, starts, sizes = np.unique(assignments[order], return_index=True,
-                                 return_counts=True)
+    _, order, starts, sizes = nn._groups(np.asarray(assignments, dtype=int))
     # the leading empty part keeps the rows int-typed for an empty input
     return np.concatenate([np.empty(0, dtype=int)] + [
         rng.choice(order[start:start + size], size=min(q, size),

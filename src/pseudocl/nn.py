@@ -32,6 +32,17 @@ def _row_blocks(n: int, size: int) -> list[slice]:
     return list(map(slice, [0, *stops], stops))
 
 
+def _groups(keys: np.ndarray):
+    """Rows grouped by key: (values, order, starts, sizes), with values the
+    distinct keys ascending and values[j]'s rows, in index order, at
+    order[starts[j]:starts[j] + sizes[j]]. np.unique loads numpy.ma unless
+    asked for an index, inverse or counts, as here."""
+    order = np.argsort(keys, kind="stable")
+    values, starts, sizes = np.unique(keys[order], return_index=True,
+                                      return_counts=True)
+    return values, order, starts, sizes
+
+
 def _model_blocks(model: Model, n: int) -> list[slice]:
     """``_row_blocks`` of n rows for a pass through ``model``: at most
     _ROW_BLOCK rows, at least 3, and few enough that no hidden layer's

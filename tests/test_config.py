@@ -2,6 +2,7 @@ import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +49,20 @@ class TestRunConfig:
     def test_out_of_range_field_named(self, field, value):
         with pytest.raises(ValueError, match=field):
             config.RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5), ("q", 2.0), ("batch_size", True), ("lr", True),
+        ("bias_correction", 1), ("mode", 3), ("shuffle_seed", "0")])
+    def test_value_of_wrong_kind_rejected_naming_field(self, field, value):
+        # a float count failed later, inside range(), and batch_size True
+        # ran batches of 1
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            config.RunConfig(**{field: value})
+
+    def test_int_for_float_and_numpy_numbers_accepted(self):
+        cfg = config.RunConfig(lr=1, weight_decay=0, q=np.int64(3),
+                               temperature=np.float64(2.5))
+        assert (cfg.lr, cfg.q, cfg.temperature) == (1, 3, 2.5)
 
     def test_range_edges_accepted(self):
         cfg = config.RunConfig(n_hidden=0, model_seed=0, arrangement_seed=0,

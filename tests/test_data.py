@@ -49,6 +49,14 @@ class TestBlobSpec:
         with pytest.raises(ValueError, match=f"^{field} must be >= "):
             tiny_spec(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_classes", 4.0), ("seed", True), ("std", "0.2"),
+        ("signal_dims", 2.0)])
+    def test_value_of_wrong_kind_rejected_naming_field(self, field, value):
+        # a float count would fail later, inside range()
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            tiny_spec(**{field: value})
+
     def test_noise_std_needs_signal_dims(self):
         with pytest.raises(ValueError, match="^noise_std must come with "
                                              "signal_dims"):
@@ -185,6 +193,28 @@ class TestDataset:
         with pytest.raises(data.FormatError,
                            match="^3 labels for 4 samples$"):
             data.Dataset(np.arange(4), np.zeros((4, 2)), np.array([0, 1, 1]))
+
+    @pytest.mark.parametrize("ids, labels, name", [
+        (np.arange(6), np.array([[0], [0], [0], [1], [1], [1]]), "labels"),
+        (np.arange(6)[:, None], np.arange(6) % 2, "ids"),
+        (np.arange(6), np.arange(6) % 2 + 0.5, "labels"),
+        (np.arange(6.0), np.arange(6) % 2, "ids")],
+        ids=["label-column", "id-column", "fractional-labels", "float-ids"])
+    def test_ids_and_labels_must_be_integer_vectors(self, ids, labels, name):
+        # a label column read as one class, an id column failed to index,
+        # and fractional labels were cut to integers
+        with pytest.raises(data.FormatError,
+                           match=f"^{name} must be a 1-D integer array"):
+            data.Dataset(ids, np.zeros((6, 2)), labels)
+
+    def test_integer_ids_and_labels_kept_as_int64(self):
+        ids, labels = np.arange(6), np.arange(6) % 2
+        ds = data.Dataset(ids, np.zeros((6, 2)), labels)
+        assert ds.ids is ids and ds.sealed._peek() is labels  # no copy
+        ds = data.Dataset(ids.astype(np.int32), np.zeros((6, 2)),
+                          labels.astype(np.uint8))
+        assert ds.ids.dtype == ds.sealed._peek().dtype == np.int64
+        assert np.array_equal(ds.ids, ids)
 
     def test_empty_rejected(self):
         with pytest.raises(data.FormatError):
@@ -398,6 +428,24 @@ class TestCsvRoundTrip:
         path.write_text(f"# seed=3\nid,label,f0\n0,0,1.0\n{bad_row}\n"
                         "2,1,1.0\n")
         with pytest.raises(data.FormatError, match=r"bad\.csv:4: "):
+            data.load_dataset(str(path))
+
+    def test_whole_file_error_names_file_when_every_line_parses(
+            self, tmp_path, monkeypatch):
+        # when the whole-file parse fails but no line alone does, the error
+        # names the file with numpy's own message
+        path = tmp_path / "ds.csv"
+        path.write_text("id,label,f0\n0,0,1.0\n1,1,2.0\n")
+        loadtxt = np.loadtxt
+
+        def whole_file_fails(source, *args, **kwargs):
+            if not isinstance(source, list):
+                raise ValueError("whole-file message")
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", whole_file_fails)
+        with pytest.raises(data.FormatError, match=f"^{re.escape(str(path))}"
+                                                   f": whole-file message$"):
             data.load_dataset(str(path))
 
     def test_bad_seed_comment_reports_line(self, tmp_path):
