@@ -117,15 +117,15 @@ def cmd_sweep(args, checked):
 def cmd_eval(args, checked):
     model, meta = read_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
-    classes, step = meta.get("classes_seen"), meta.get("step", 0)
+    classes, step = meta.get("classes_seen"), meta.get("step")
     if classes is None:
         raise ValueError(f"{args.checkpoint}: checkpoint carries no "
                          "classes_seen metadata")
     if not (isinstance(classes, list) and classes
-            and all(type(v) is int for v in [*classes, step])):
+            and all(type(v) is int for v in [*classes, step]) and step >= 1):
         raise ValueError(f"{args.checkpoint}: checkpoint's classes_seen must "
-                         "be a nonempty list of ints and its step an int, "
-                         f"got {classes!r} and {step!r}")
+                         "be a nonempty list of ints and its step an int, 1 "
+                         f"or more, got {classes!r} and {step!r}")
     if len(classes) != model.out_dim or len(set(classes)) != len(classes):
         raise ValueError(f"{args.checkpoint}: checkpoint's classes_seen must "
                          f"be {model.out_dim} distinct classes, one per head "

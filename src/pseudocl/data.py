@@ -66,13 +66,17 @@ class Dataset:
     def __init__(self, ids: np.ndarray, features: np.ndarray,
                  labels: np.ndarray, seed: int | None = None):
         ids, labels = np.asarray(ids), np.asarray(labels)
-        # checked before the cast, which would cut 0.5 to 0; an int64 array
-        # is neither copied nor cast. Only attributes are read: a dtype
-        # comparison here raised the cli benchmark's peak RSS by 0.15 MB
+        # checked before the cast, which would cut 0.5 to 0 and wrap uint64
+        # values of 2**63 or more to negatives; an int64 array is neither
+        # copied nor cast. Only its attributes are read: a dtype comparison
+        # here raised the cli benchmark's peak RSS by 0.15 MB
         for name, a in (("ids", ids), ("labels", labels)):
             if a.ndim != 1 or a.dtype.kind not in "iu":
                 raise FormatError(f"{name} must be a 1-D integer array, got "
                                   f"shape {a.shape} of {a.dtype}")
+            if a.dtype.kind == "u" and a.size and a.max() >= 2**63:
+                raise FormatError(f"{name} must be a 1-D integer array of "
+                                  f"values below 2**63, got {a.max()}")
         ids = ids.astype(int, copy=False)
         labels = labels.astype(int, copy=False)
         features = np.asarray(features, dtype=np.float64)
@@ -97,7 +101,10 @@ class Dataset:
         self.ids = ids
         self.features = features
         self.sealed = SealedLabels(labels)
-        try:  # an integer, numpy's too, is stored as an int
+        try:  # an integer, numpy's too, is stored as an int; a bool, which
+            # operator.index takes, is refused
+            if isinstance(seed, bool):
+                raise TypeError
             self.seed = None if seed is None else operator.index(seed)
         except TypeError:
             raise FormatError(f"seed must be an integer or None, "

@@ -8,6 +8,7 @@ import math
 import os
 import zlib
 from collections.abc import Callable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +25,15 @@ from .metrics import StepReport, step_report
 
 class ProtocolError(ValueError):
     pass
+
+
+@contextmanager
+def _failing(what: str, step: int):
+    """Raise a ValueError of the block as ProtocolError naming the step."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ProtocolError(f"{what} failed at step {step}: {exc}") from exc
 
 
 # the teacher's probabilities of a minibatch, by its indices into the
@@ -80,7 +90,6 @@ def _lr_at(cfg: RunConfig, epoch: int) -> float:
     return cfg.lr * cfg.lr_decay ** (epoch // cfg.lr_decay_period)
 
 
-@np.errstate(all="ignore")  # a diverging teacher's rows are not refused
 def _teacher_probs(teacher: nn.Model, features: np.ndarray, pos: np.ndarray,
                    cfg: RunConfig) -> TeacherProbs:
     """The frozen teacher's temperature-softened probabilities of the
@@ -124,10 +133,6 @@ def _teacher_probs(teacher: nn.Model, features: np.ndarray, pos: np.ndarray,
     return probs
 
 
-# a diverging run overflows, and its softmax underflows to log(0), before
-# its loss turns non-finite; the finiteness checks report that as a
-# ProtocolError, not as numpy warnings
-@np.errstate(all="ignore")
 def _train(model: nn.Model, features: np.ndarray, pos: np.ndarray,
            y: np.ndarray, teacher_probs: TeacherProbs | None, m: int,
            n: int, cfg: RunConfig, step: int, epochs: range,
@@ -175,7 +180,6 @@ def _train(model: nn.Model, features: np.ndarray, pos: np.ndarray,
                             "parameters")
 
 
-@np.errstate(all="ignore")  # k-means and herding refuse overflowed rows
 def _row_features(model: nn.Model, dataset: Dataset,
                   rows: np.ndarray) -> np.ndarray:
     """The model's features of ``rows``, in order, gathered and extracted
@@ -187,26 +191,6 @@ def _row_features(model: nn.Model, dataset: Dataset,
     return feats
 
 
-@np.errstate(all="ignore")  # overflowed rows are refused
-def _variant_features(model: nn.Model, h1: nn.Model, dataset: Dataset,
-                      rows: np.ndarray, cfg: RunConfig,
-                      step: int) -> np.ndarray:
-    """The features the variant clusters the samples at ``rows`` by."""
-    if cfg.variant == "ours":
-        return _row_features(model, dataset, rows)
-    if cfg.variant == "ffe":
-        return _row_features(h1, dataset, rows)
-    if cfg.variant == "scratch":
-        fresh = nn.init_model(dataset.dim, cfg.hidden_width, cfg.n_hidden,
-                              cfg.step_size,
-                              _seed(cfg.model_seed, "scratch", step))
-        return _row_features(fresh, dataset, rows)
-    # "pca", which needs every row at once; RunConfig rejects others
-    return pca_coordinates(dataset.features[rows],
-                           min(cfg.pca_dim, dataset.dim))
-
-
-@np.errstate(all="ignore")  # overflowed norms are refused
 def _unit_rows(feats: np.ndarray) -> np.ndarray:
     """``feats`` with every row scaled to unit norm, in place, a block of
     rows at a time. The norms are ``np.linalg.norm``'s, by its own formula,
@@ -229,14 +213,12 @@ def _update_store(state: RunState, model: nn.Model, dataset: Dataset,
     if cfg.exemplar_policy == "none":
         return state.exemplar_ids, state.exemplar_labels
     if cfg.exemplar_policy == "herding":
-        try:
-            # q by keyword: perfbench's tracer reads it by name or as the
-            # 4th positional argument
+        with _failing("exemplar selection", step):
+            # q by keyword: perfbench's tracer reads it by name or at
+            # positional index 3, but it is herding's third parameter, so
+            # a positional q raises KeyError: 'q' under the tracer
             picked = select_exemplars_herding(
                 _row_features(model, dataset, rows), assignments, q=cfg.q)
-        except ValueError as exc:
-            raise ProtocolError(f"exemplar selection failed at step {step}: "
-                                f"{exc}") from exc
     else:
         picked = select_exemplars_random(
             assignments, cfg.q, _seed(cfg.shuffle_seed, "random-ex", step))
@@ -267,23 +249,35 @@ def evaluate(model: nn.Model, dataset: Dataset, classes,
     return step_report(step, model.out_dim, preds, truth)
 
 
-def _cluster(features: Callable[[], np.ndarray], n: int, cfg: RunConfig,
-             step: int, *tag) -> np.ndarray:
-    """k-means slots 0..n-1 of the task's rows by the array ``features()``
-    returns, its rows scaled to unit norm if the config asks; a ValueError
-    of any of them names the step."""
-    seed = _seed(cfg.shuffle_seed, "cluster", step, *tag)
-    try:
-        feats = features()
+def _cluster(model: nn.Model, h1: nn.Model, dataset: Dataset,
+             rows: np.ndarray, n: int, cfg: RunConfig, step: int,
+             *tag) -> np.ndarray:
+    """k-means slots 0..n-1 of the task's ``rows`` by the variant's
+    features: those ``model`` (ours), step 1's ``h1`` (ffe) or a fresh model
+    (scratch) extracts, or the rows' PCA coordinates, scaled to unit norm if
+    the config asks; a ValueError of any of them names the step."""
+    with _failing("clustering", step):
+        if cfg.variant == "ffe":
+            model = h1
+        elif cfg.variant == "scratch":
+            model = nn.init_model(dataset.dim, cfg.hidden_width, cfg.n_hidden,
+                                  cfg.step_size,
+                                  _seed(cfg.model_seed, "scratch", step))
+        feats = (pca_coordinates(dataset.features[rows],
+                                 min(cfg.pca_dim, dataset.dim))
+                 if cfg.variant == "pca"  # PCA needs every row at once
+                 else _row_features(model, dataset, rows))
         if cfg.normalize_features:
             feats = _unit_rows(feats)
+        seed = _seed(cfg.shuffle_seed, "cluster", step, *tag)
         return kmeans(feats, n, seed=seed,
                       n_restarts=cfg.n_restarts).assignments
-    except ValueError as exc:
-        raise ProtocolError(f"clustering failed at step {step}: "
-                            f"{exc}") from exc
 
 
+# a diverging step overflows before its loss, features or norms turn
+# non-finite; the finiteness checks of training, k-means, herding,
+# _unit_rows and evaluate report that as a ProtocolError, not numpy warnings
+@np.errstate(all="ignore")
 def continual_step(state: RunState, tasks: np.ndarray, dataset: Dataset,
                    cfg: RunConfig) -> RunState:
     """The step after ``state``: label the task, train, pick exemplars and
@@ -307,8 +301,8 @@ def continual_step(state: RunState, tasks: np.ndarray, dataset: Dataset,
     if supervised:
         assignments = _true_slots(dataset, classes, train_rows)
     else:
-        assignments = _cluster(lambda: _variant_features(
-            teacher, state.h1, dataset, train_rows, cfg, step), n, cfg, step)
+        assignments = _cluster(teacher, state.h1, dataset, train_rows, n,
+                               cfg, step)
     labels = assignments + m  # slots m..m+n-1 follow the m learned classes
 
     if teacher is None:
@@ -334,8 +328,8 @@ def continual_step(state: RunState, tasks: np.ndarray, dataset: Dataset,
                      _teacher_probs(teacher, dataset.features, pos, cfg))
     for start in range(0, n_epochs, seg):
         if start:
-            assignments = _cluster(lambda: _row_features(
-                model, dataset, train_rows), n, cfg, step, start)
+            assignments = _cluster(model, state.h1, dataset, train_rows,
+                                   n, cfg, step, start)
             labels = assignments + m
             y[origin >= 0] = labels[origin[origin >= 0]]
         _train(model, dataset.features, pos, y, teacher_probs, m, n, cfg,
@@ -343,11 +337,8 @@ def continual_step(state: RunState, tasks: np.ndarray, dataset: Dataset,
     del teacher_probs
 
     if cfg.bias_correction and m > 0:
-        try:
+        with _failing("weight alignment", step):
             nn.weight_align(model, m, n)
-        except ValueError as exc:
-            raise ProtocolError(f"weight alignment failed at step {step}: "
-                                f"{exc}") from exc
 
     ids, exemplar_labels = _update_store(state, model, dataset, assignments,
                                          labels, train_rows, cfg, step)

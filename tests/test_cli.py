@@ -566,12 +566,17 @@ class TestEval:
     @pytest.mark.parametrize("meta, shown", [
         ({"step": 2, "classes_seen": []}, "got [] and 2"),
         ({"step": 2, "classes_seen": "0123"}, "got '0123' and 2"),
-        ({"step": "x", "classes_seen": [0, 1, 2, 3]}, "and 'x'")],
-        ids=["no-classes", "classes-text", "step-text"])
+        ({"step": "x", "classes_seen": [0, 1, 2, 3]}, "and 'x'"),
+        ({"classes_seen": [0, 1, 2, 3]}, "and None"),
+        ({"step": 0, "classes_seen": [0, 1, 2, 3]}, "and 0"),
+        ({"step": -3, "classes_seen": [0, 1, 2, 3]}, "and -3")],
+        ids=["no-classes", "classes-text", "step-text", "no-step",
+             "zero-step", "negative-step"])
     def test_bad_checkpoint_meta_names_file(self, workdir, run_dir, tmp_path,
                                             capsys, meta, shown):
         # a run's checkpoint whose header says what no run writes, under a
-        # valid checksum; eval must blame the checkpoint, not the dataset
+        # valid checksum; eval must blame the checkpoint, not the dataset.
+        # Runs number their steps from 1
         ckpt = tmp_path / "step_2.ckpt"
         ckpt.write_bytes((run_dir / "step_2.ckpt").read_bytes())
         _reseal_header(ckpt, meta=meta)
@@ -662,7 +667,7 @@ _CHECK_FAILURES = {
     "eval-bad-meta": (
         ["eval", "{tmp}/meta.ckpt", "{data}", "--out", "{out}"],
         "{tmp}/meta.ckpt: checkpoint's classes_seen must be a nonempty list "
-        "of ints and its step an int, got [] and 2"),
+        "of ints and its step an int, 1 or more, got [] and 2"),
 }
 
 

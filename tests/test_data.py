@@ -198,11 +198,17 @@ class TestDataset:
         (np.arange(6), np.array([[0], [0], [0], [1], [1], [1]]), "labels"),
         (np.arange(6)[:, None], np.arange(6) % 2, "ids"),
         (np.arange(6), np.arange(6) % 2 + 0.5, "labels"),
-        (np.arange(6.0), np.arange(6) % 2, "ids")],
-        ids=["label-column", "id-column", "fractional-labels", "float-ids"])
+        (np.arange(6.0), np.arange(6) % 2, "ids"),
+        (np.array([2**63, 1, 2, 3, 4, 5], dtype=np.uint64), np.arange(6) % 2,
+         "ids"),
+        (np.arange(6), np.array([0, 0, 0, 1, 1, 2**64 - 1], dtype=np.uint64),
+         "labels")],
+        ids=["label-column", "id-column", "fractional-labels", "float-ids",
+             "uint64-ids", "uint64-labels"])
     def test_ids_and_labels_must_be_integer_vectors(self, ids, labels, name):
         # a label column read as one class, an id column failed to index,
-        # and fractional labels were cut to integers
+        # fractional labels were cut to integers, and uint64 values of
+        # 2**63 or more wrapped to negatives
         with pytest.raises(data.FormatError,
                            match=f"^{name} must be a 1-D integer array"):
             data.Dataset(ids, np.zeros((6, 2)), labels)
@@ -240,7 +246,8 @@ class TestDataset:
                                                    r"\(10, 0\) have no column"):
             data.Dataset(np.arange(10), np.zeros((10, 0)), np.arange(10) % 2)
 
-    @pytest.mark.parametrize("seed", [3.5, "7"], ids=["float", "str"])
+    @pytest.mark.parametrize("seed", [3.5, "7", True],
+                             ids=["float", "str", "bool"])
     def test_seed_that_is_no_integer_rejected_naming_it(self, seed):
         with pytest.raises(data.FormatError, match="^seed must be an integer "
                            f"or None, not {re.escape(repr(seed))}$"):
