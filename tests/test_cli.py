@@ -18,6 +18,8 @@ from pseudocl.config import CONFIG_KEYS
 from pseudocl.data import load_dataset, write_checkpoint
 from pseudocl.nn import init_model
 
+from conftest import CONFIGS, child_env
+
 BLOB_SPEC = """\
 num_classes = 4
 dim = 4
@@ -997,37 +999,142 @@ if "numpy.ma" in sys.modules:
     print("preloaded")
     sys.exit()
 from pseudocl import cli
-from pseudocl.config import BlobSpec, RunConfig
-from pseudocl.data import generate_gaussian_stream, save_dataset
+from pseudocl.config import RunConfig
+from pseudocl.data import load_dataset
 from pseudocl.protocol import run_experiment
-root = sys.argv[1]
-dataset = generate_gaussian_stream(BlobSpec(
-    num_classes=4, dim=4, samples_per_class=25, separation=3.0, std=0.3,
-    seed=5))
-save_dataset(dataset, os.path.join(root, "data.csv"))
+root, spec, cfg = sys.argv[1:4]
+csv = os.path.join(root, "data.csv")
+loaded = {}
+assert cli.main(["gen-data", spec, csv]) == 0
+loaded["gen-data"] = "numpy.ma" in sys.modules
+dataset = load_dataset(csv)
 base = dict(step_size=2, q=3, epochs=2, batch_size=16, hidden_width=8,
             n_hidden=1)
-loaded = {}
 run_experiment(RunConfig(**base), dataset, os.path.join(root, "herding"))
 loaded["herding"] = "numpy.ma" in sys.modules
 run_experiment(RunConfig(**base, mode="online", exemplar_policy="random"),
                dataset)
 loaded["random"] = "numpy.ma" in sys.modules
+run_experiment(RunConfig(**base, variant="pca"), dataset)
+loaded["pca"] = "numpy.ma" in sys.modules
+run_experiment(RunConfig(**dict(base, epochs=3), upl_k=2), dataset)
+loaded["upl-2"] = "numpy.ma" in sys.modules
+run_experiment(RunConfig(**base, oracle_labels=True), dataset)
+loaded["oracle"] = "numpy.ma" in sys.modules
+assert cli.main(["sweep", cfg, "--data", csv, "--axis", "q=2,5",
+                 "--epochs", "2", "--out", os.path.join(root, "sweep")]) == 0
+loaded["sweep"] = "numpy.ma" in sys.modules
 assert cli.main(["eval", os.path.join(root, "herding", "step_2.ckpt"),
-                 os.path.join(root, "data.csv")]) == 0
+                 csv]) == 0
 loaded["eval"] = "numpy.ma" in sys.modules
+assert cli.main(["report", os.path.join(root, "herding")]) == 0
+loaded["report"] = "numpy.ma" in sys.modules
 print(json.dumps(loaded))
 """
 
 
-def test_no_run_loads_numpy_ma(tmp_path):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+def test_no_run_loads_numpy_ma(workdir, tmp_path):
     out = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS,
-                          str(tmp_path)], env=env, capture_output=True,
-                         text=True, check=True).stdout.splitlines()[-1]
+                          str(tmp_path), str(workdir["spec"]),
+                          str(workdir["cfg"])], env=child_env(),
+                         capture_output=True, text=True,
+                         check=True).stdout.splitlines()[-1]
     if out == "preloaded":
         pytest.skip("import numpy loads numpy.ma here")
-    assert json.loads(out) == {"herding": False, "random": False,
-                               "eval": False}
+    assert json.loads(out) == dict.fromkeys(
+        ["gen-data", "herding", "random", "pca", "upl-2", "oracle", "sweep",
+         "eval", "report"], False)
+
+
+def _pseudocl(*args):
+    """`python -m pseudocl.cli args` in a child interpreter."""
+    return subprocess.run([sys.executable, "-m", "pseudocl.cli", *args],
+                          env=child_env(), capture_output=True, text=True)
+
+
+def test_exit_codes_of_the_entry_point(blobs_csv, tmp_path):
+    # a bad input exits 2 before anything is written, a run that fails
+    # exits 1, and a finished run's report exits 0
+    default, data = str(CONFIGS / "default.cfg"), str(blobs_csv)
+    missing = tmp_path / "missing.csv"
+    proc = _pseudocl("run", default, "--data", str(missing),
+                     "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr.rstrip("\n") == \
+        f"error: {missing}: No such file or directory"
+    assert not (tmp_path / "out").exists()
+    proc = _pseudocl("run", default, "--data", data, "--out",
+                     str(tmp_path / "diverged"), "--lr", "1e6",
+                     "--epochs", "2")
+    assert proc.returncode == 1
+    assert "training diverged" in proc.stderr
+    proc = _pseudocl("run", default, "--data", data, "--out",
+                     str(tmp_path / "run"), "--epochs", "2")
+    assert proc.returncode == 0, proc.stderr
+    proc = _pseudocl("report", str(tmp_path / "run"))
+    assert proc.returncode == 0, proc.stderr
+
+
+# Runs each command line of a JSON list through cli.main in one interpreter
+CLI_COMMANDS = """\
+import json, sys
+from pseudocl import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+"""
+
+
+def test_run_artefacts_do_not_depend_on_blas_threads(blobs_csv, tmp_path):
+    # BLAS threads split a matrix product's rows, which can change its
+    # rounding; every run artefact must still be byte-identical with one
+    # thread and with the default, beyond what the hot-path oracles cover.
+    # Both sides write to the same paths, so the paths they record agree.
+    # UPL's refresh clusters normalized features too
+    (tmp_path / "normalized.cfg").write_text(
+        "cluster.normalize_features = true\n")
+    # an 8-wide model: steps 3 and 4 have 10 and 15 old classes, more than
+    # its features, so training keeps the teacher's features
+    (tmp_path / "narrow.cfg").write_text("model.hidden_width = 8\n")
+    # a 128-wide model: its feature and evaluation passes take 16-row
+    # blocks, against 64 at the default width
+    (tmp_path / "wide128.cfg").write_text("model.hidden_width = 128\n")
+    default, data, run = str(CONFIGS / "default.cfg"), str(blobs_csv), \
+        tmp_path / "run"
+
+    def command(cfg, name, *flags):
+        return ["run", cfg, "--data", data, "--epochs", "5", *flags,
+                "--out", str(run / name)]
+
+    commands = [command(default, v, "--variant", v)
+                for v in ("ours", "ffe", "upl-2", "pca", "scratch")] + [
+        command(str(tmp_path / "normalized.cfg"), "upl-2-normalized",
+                "--variant", "upl-2"),
+        command(str(tmp_path / "narrow.cfg"), "narrow"),
+        command(str(tmp_path / "wide128.cfg"), "wide128"),
+        # the training path of perfbench's cli workload
+        command(default, "online-random", "--mode", "online",
+                "--exemplar-policy", "random"),
+        # the oracle path: true labels at every step, and weight alignment
+        # in place at steps 2 to 4
+        command(default, "oracle", "--oracle-labels"),
+        # a sweep's runs and its sweep.csv, built from their reports
+        ["sweep", default, "--data", data, "--axis", "variant=ours,ffe",
+         "--repeats", "2", "--epochs", "3", "--out", str(run / "sweep")]]
+    # the default side drops the caller's thread settings, so that it
+    # cannot run on one thread too
+    for threads, env in (
+            ("1", child_env(OPENBLAS_NUM_THREADS="1")),
+            ("default", child_env(OPENBLAS_NUM_THREADS=None,
+                                  OMP_NUM_THREADS=None))):
+        proc = subprocess.run([sys.executable, "-c", CLI_COMMANDS,
+                               json.dumps(commands)], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        run.rename(tmp_path / f"threads-{threads}")
+    trees = [{path.relative_to(root): path.read_bytes()
+              for path in root.rglob("*") if path.is_file()}
+             for root in (tmp_path / "threads-1",
+                          tmp_path / "threads-default")]
+    assert sorted(trees[0]) == sorted(trees[1])
+    assert [str(path) for path in sorted(trees[0])
+            if trees[0][path] != trees[1][path]] == []

@@ -1,6 +1,5 @@
 import dataclasses
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 from pseudocl import config
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+from conftest import CONFIGS, ROOT
 
 FLOAT_FIELDS = ["lr", "lr_decay", "weight_decay", "temperature"]
 
@@ -308,6 +307,24 @@ class TestShippedFiles:
         assert config.load_spec(str(CONFIGS / "blobs.cfg")) == config.BlobSpec(
             num_classes=20, dim=16, samples_per_class=150, separation=1.0,
             std=0.15, seed=7, signal_dims=10, noise_std=2.0)
+
+    def test_default_config_sets_every_key(self):
+        # so it lists them all: a key missing from it would still load to
+        # the defaults
+        keys = {line.split("=")[0].strip()
+                for line in (CONFIGS / "default.cfg").read_text().splitlines()
+                if "=" in line.split("#")[0]}
+        assert keys == set(config.CONFIG_KEYS), (
+            f"configs/default.cfg keys differ from CONFIG_KEYS: "
+            f"missing {sorted(set(config.CONFIG_KEYS) - keys)}, "
+            f"unknown {sorted(keys - set(config.CONFIG_KEYS))}")
+
+    def test_readme_library_use_runs_as_written(self):
+        # so it keeps up with the package's names and schema
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library use", 1)[1]
+        block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        exec(compile(block, "README.md", "exec"), {})
 
 
 class TestLoadSpec:

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import re
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from pseudocl import config, data, metrics, nn
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+from conftest import CONFIGS
 
 
 def tiny_spec(**kw):

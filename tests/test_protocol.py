@@ -19,6 +19,8 @@ from pseudocl.config import BlobSpec, RunConfig, dump_config
 from pseudocl.data import Dataset, generate_gaussian_stream, save_dataset
 from pseudocl.metrics import StepReport, step_report
 
+from conftest import child_env
+
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
 
@@ -1022,11 +1024,9 @@ def test_run_leaves_blas_worker_idle():
     # OpenBLAS's worker thread computes only products above its threading
     # cutoff, and spins for a while after each; a run whose passes stay
     # under it spends next to no CPU time off its main thread
-    src = os.path.dirname(os.path.dirname(os.path.abspath(nn.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", BLAS_WORKER_CPU], env=env,
-                         capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", BLAS_WORKER_CPU],
+                         env=child_env(), capture_output=True, text=True,
+                         check=True)
     ticks = json.loads(out.stdout.splitlines()[-1])
     assert ticks["main"] > 0
     assert ticks["other"] < 0.25 * ticks["main"], ticks
